@@ -74,7 +74,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity is a numerical failure, not output."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise FloatingPointError(f"{path.name}: {err}") from err
+    _atomic_write(path, text + "\n")
 
 
 def _stamp(cfg: dict) -> dict:
@@ -344,13 +349,18 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
                    "method_spread", "method_consensus"], rows)
         ns = np.array([r["n_sites"] for r in results], dtype=float)
         tot = np.array([r["tau_total"] for r in results])
-        if len(ns) >= 2:
+        never = [int(n) for n, t in zip(ns, tot) if np.isnan(t)]
+        if len(ns) >= 2 and not never:
             slope, intercept = np.polyfit(ns, tot, 1)
             fit = {"b": float(slope), "q": float(intercept)}
         else:
             fit = {"b": None, "q": None}
         write_json(out / "fit.json", {**_stamp(cfg), **fit,
                                       "n_points": len(ns)})
+        if never:
+            print(f"error: density never crossed 0.99 for N={never}; "
+                  f"no fit", file=sys.stderr)
+            return 2
         return 0
 
     # single run on one input
@@ -429,8 +439,17 @@ def _training_set_from(raw):
     pairs = []
     for item in raw:
         _require_keys(item, {"bits": True, "label": True}, "training_set[]")
-        pairs.append(mlopt.TrainingPair(
-            tuple(int(c) for c in item["bits"]), int(item["label"])))
+        bits, label = str(item["bits"]), item["label"]
+        if set(bits) - {"0", "1"}:
+            raise ConfigError(f"training_set[].bits {bits!r} is not a 0/1 "
+                              f"string")
+        if len(bits) < 3:
+            raise ConfigError(f"training_set[].bits {bits!r} has fewer than "
+                              f"3 sites; the jumps act on three")
+        if label not in (0, 1):
+            raise ConfigError(f"training_set[].label must be 0 or 1, "
+                              f"got {label!r}")
+        pairs.append(mlopt.TrainingPair(tuple(int(c) for c in bits), label))
     return mlopt.TrainingSet(tuple(pairs))
 
 

@@ -15,7 +15,7 @@ class Tolerances:
     channel: residual allowed in the Kraus completeness sum (sum K'K - 1).
     trace:   allowed trace drift of a step / trace leakage of a generator.
     null:    relative threshold below which an eigenvalue counts as zero,
-             measured against the max-row-sum norm of the generator.
+             measured against the max-column-sum norm of the generator.
     physical: diagnostic threshold for trajectory trace/hermiticity/positivity.
     """
 

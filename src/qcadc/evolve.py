@@ -34,7 +34,6 @@ __all__ = [
     "converge_to_fixed_point", "krylov_expmv", "crossing_time",
 ]
 
-TRAJECTORY_COLUMNS = ("t", "n_over_N", "s_z", "trace")
 DEFAULT_SAMPLES = 64
 
 

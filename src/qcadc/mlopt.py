@@ -5,26 +5,30 @@ The cost of a weight vector sums, over a small labelled training set of
 basis configurations, the signed overlaps of the evolved state with the two
 uniform target states at horizon tau = 10 N^2.  A perfectly classifying
 generator would score -1 per training pair.  The weighted jump family is
-basis preserving, so every evaluation runs on the 2^N classical restriction;
-the full doubled-space route exists for cross-checking.
+basis preserving, so every evaluation runs on the 2^N classical restriction.
+That rate matrix is linear in the six free weights, Q(w) = sum_k w_k Q_k:
+the moves of each Q_k are derived once per ring size from the engine's
+diagonal restriction and cached, Q(w) is scattered from them, and one
+exponential per ring size serves every training pair of that size.  The
+full doubled-space route (``method="dense"``) exists for cross-checking.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .classical import parse_bits
-from .evolve import continuous_evolve, diagonal_rate_matrix
+from .evolve import DiagonalDynamics, continuous_evolve
 from .models import MLWeights, ml_lindblad
 from .superop import vectorize
 
 __all__ = [
     "TrainingPair", "TrainingSet", "default_training_set", "StateScore",
     "ml_cost", "per_state_scores", "optimize_weights", "truncate_weights",
-    "ml_worst_case_time",
+    "ml_rate_matrix", "ml_worst_case_time",
 ]
 
 
@@ -84,36 +88,75 @@ class StateScore:
         return self.predicted != self.label
 
 
-def _endpoint_weights(weights: MLWeights, bits: tuple[int, ...],
-                      horizon_rule, method: str) -> tuple[float, float]:
+@lru_cache(maxsize=None)
+def _unit_moves(n_sites: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Off-diagonal moves (dst, src, coef) of each free weight's generator.
+
+    Entry k holds the moves of the rate matrix with free weight k set to one
+    and the others to zero, read from the engine's diagonal restriction.
+    """
+    out = []
+    for k in range(6):
+        unit = MLWeights.from_free(tuple(float(i == k) for i in range(6)))
+        Q = DiagonalDynamics(ml_lindblad(unit, n_sites)).rate_matrix().tocoo()
+        off = Q.row != Q.col
+        moves = (Q.row[off], Q.col[off], Q.data[off])
+        for a in moves:
+            a.flags.writeable = False
+        out.append(moves)
+    return tuple(out)
+
+
+def ml_rate_matrix(weights: MLWeights, n_sites: int) -> np.ndarray:
+    """Dense classical generator Q(w) = sum_k w_k Q_k of the weight family.
+
+    Equal to ``diagonal_rate_matrix(ml_lindblad(weights, n_sites))`` to the
+    bit: every move belongs to exactly one weight, and the columns are
+    summed in the same row order.
+    """
+    dim = 2 ** n_sites
+    off = np.zeros((dim, dim))
+    for w, (dst, src, coef) in zip(weights.free, _unit_moves(n_sites)):
+        off[dst, src] = w * coef
+    return off - np.diag(off.sum(axis=0))
+
+
+def _code(bits: tuple[int, ...]) -> int:
+    return int("".join(map(str, bits)), 2)
+
+
+def _dense_endpoints(weights: MLWeights, bits: tuple[int, ...],
+                     tau: float) -> tuple[float, float]:
+    """Endpoint weights from the full doubled-space evolution."""
+    from .observables import diag_probabilities
     n = len(bits)
-    tau = float(horizon_rule(n))
-    spec = ml_lindblad(weights, n)
-    if method == "diagonal":
-        Q = diagonal_rate_matrix(spec).toarray()
-        p0 = np.zeros(2 ** n)
-        p0[int("".join(map(str, bits)), 2)] = 1.0
-        p = expm(Q * tau) @ p0
-        return float(p[0]), float(p[-1])
-    if method == "dense":
-        rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        s = int("".join(map(str, bits)), 2)
-        rho[s, s] = 1.0
-        out = continuous_evolve(spec, vectorize(rho), tau, method="dense",
-                                samples=1, record=False)
-        from .observables import diag_probabilities
-        probs = diag_probabilities(out.final_state)
-        return float(probs[0]), float(probs[-1])
-    raise ValueError(f"unknown method {method!r}")
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    s = _code(bits)
+    rho[s, s] = 1.0
+    out = continuous_evolve(ml_lindblad(weights, n), vectorize(rho), tau,
+                            method="dense", samples=1, record=False)
+    probs = diag_probabilities(out.final_state)
+    return float(probs[0]), float(probs[-1])
 
 
 def per_state_scores(weights: MLWeights, tset: TrainingSet | None = None,
                      horizon_rule=default_horizon,
                      method: str = "diagonal") -> list[StateScore]:
+    if method not in ("diagonal", "dense"):
+        raise ValueError(f"unknown method {method!r}")
     tset = tset or default_training_set()
+    props: dict[int, np.ndarray] = {}
     out = []
     for pair in tset.pairs:
-        f0, f1 = _endpoint_weights(weights, pair.bits, horizon_rule, method)
+        n = len(pair.bits)
+        tau = float(horizon_rule(n))
+        if method == "dense":
+            f0, f1 = _dense_endpoints(weights, pair.bits, tau)
+        else:
+            if n not in props:
+                props[n] = expm(ml_rate_matrix(weights, n) * tau)
+            p = props[n][:, _code(pair.bits)]      # the law at tau from s
+            f0, f1 = float(p[0]), float(p[-1])
         summand = (-1) ** (1 - pair.label) * f0 + (-1) ** pair.label * f1
         predicted = 1 if f1 > f0 else 0
         out.append(StateScore(pair.bits, pair.label, f0, f1,
@@ -145,9 +188,7 @@ def ml_worst_case_time(weights: MLWeights, n_sites: int, dt: float = 0.5,
     threshold; "density" stops when the mean occupation n/N does.  Marches
     the full classical propagator so every input is timed in one pass.
     """
-    spec = ml_lindblad(weights, n_sites)
-    Q = diagonal_rate_matrix(spec).toarray()
-    prop = expm(Q * dt)
+    prop = expm(ml_rate_matrix(weights, n_sites) * dt)
     dim = 2 ** n_sites
     pop = np.array([bin(s).count("1") for s in range(dim)])
     M = np.eye(dim)

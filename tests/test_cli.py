@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from qcadc.cli import main
+from qcadc import evolve
+from qcadc.cli import main, write_json
 
 
 def run(tmp_path, command, cfg=None, extra=()):
@@ -142,6 +143,30 @@ def test_mv_run_scan_and_fit(tmp_path):
     assert header[:4] == ["N", "tau_spread", "tau_consensus", "tau_total"]
 
 
+def test_mv_run_scan_never_crossing_exits_2_without_nan(tmp_path, capsys,
+                                                      monkeypatch):
+    def fake(n_sites, **kwargs):
+        tau = float("nan") if n_sites == 9 else 2.0 * n_sites
+        return {"n_sites": n_sites, "tau_spread": tau, "tau_consensus": 1.0,
+                "tau_total": tau + 1.0, "method_spread": "exact",
+                "method_consensus": "exact"}
+    monkeypatch.setattr(evolve, "mv_worst_case_times", fake)
+    cfg = {"scan": {"n_values": [6, 9, 12]}, "seed": 3}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 2
+    assert "N=[9]" in capsys.readouterr().err
+    text = (out / "fit.json").read_text()
+    assert "NaN" not in text
+    fit = json.loads(text)
+    assert fit["b"] is None and fit["q"] is None and fit["n_points"] == 3
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    with pytest.raises(FloatingPointError, match="bad.json"):
+        write_json(tmp_path / "bad.json", {"x": float("nan")})
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_mv_run_single_discrete(tmp_path):
     cfg = {"n_sites": 6, "initial": {"bits": "110100"}, "track": "discrete"}
     code, out = run(tmp_path, "mv-run", cfg)
@@ -166,6 +191,20 @@ def test_ml_cost_published(tmp_path):
     assert -9.5 < s["cost"] < -8.0
     mis = [p["bits"] for p in s["per_state"] if p["misclassified"]]
     assert mis == ["11000"]
+
+
+@pytest.mark.parametrize("item, message", [
+    ({"bits": "", "label": 0}, "fewer than 3 sites"),
+    ({"bits": "10", "label": 0}, "fewer than 3 sites"),
+    ({"bits": "1a0", "label": 0}, "not a 0/1 string"),
+    ({"bits": "1011", "label": 2}, "label must be 0 or 1"),
+])
+def test_ml_cost_rejects_bad_training_set(tmp_path, capsys, item, message):
+    cfg = {"weights": "published", "training_set": [item]}
+    code, _ = run(tmp_path, "ml-cost", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_ml_opt_runs_single_restart(tmp_path):

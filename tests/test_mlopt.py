@@ -1,14 +1,36 @@
 """Weight-family cost function and the multistart search."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from qcadc.evolve import diagonal_rate_matrix
 from qcadc.mlopt import (
-    TrainingPair, TrainingSet, default_training_set, ml_cost,
-    optimize_weights, per_state_scores, truncate_weights,
+    TrainingPair, TrainingSet, default_horizon, default_training_set,
+    ml_cost, ml_rate_matrix, optimize_weights, per_state_scores,
+    truncate_weights,
 )
-from qcadc.models import MLWeights, published_ml_weights
+from qcadc.models import MLWeights, ml_lindblad, published_ml_weights
 
 ZERO_W = MLWeights.from_free((0.0,) * 6)
+
+# free weights in [0, 1]; an exact zero switches that jump off
+FREE_WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                        min_size=6, max_size=6)
+
+
+def per_pair_cost(weights):
+    """Reference cost: the rate matrix from the spec, one expm per pair."""
+    total = []
+    for pair in default_training_set().pairs:
+        n = len(pair.bits)
+        Q = diagonal_rate_matrix(ml_lindblad(weights, n)).toarray()
+        p0 = np.zeros(2 ** n)
+        p0[int("".join(map(str, pair.bits)), 2)] = 1.0
+        p = expm(Q * default_horizon(n)) @ p0
+        f0, f1 = float(p[0]), float(p[-1])
+        total.append((-1) ** (1 - pair.label) * f0 + (-1) ** pair.label * f1)
+    return float(sum(total))
 
 
 def test_training_set_shape():
@@ -49,6 +71,33 @@ def test_cost_diagonal_and_dense_routes_agree():
     a = ml_cost(w, sub, method="diagonal")
     b = ml_cost(w, sub, method="dense")
     assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_rate_matrix_matches_spec_restriction(n):
+    rng = np.random.default_rng(n)
+    free = rng.uniform(0.0, 1.0, size=6)
+    free[[1, 4]] = 0.0
+    for w in (published_ml_weights(), ZERO_W, MLWeights.from_free(free),
+              MLWeights.from_free(rng.uniform(0.0, 1.0, size=6))):
+        want = diagonal_rate_matrix(ml_lindblad(w, n)).toarray()
+        assert np.array_equal(ml_rate_matrix(w, n), want)
+
+
+def test_cost_equals_per_pair_reference():
+    for w in (published_ml_weights(), ZERO_W,
+              MLWeights.from_free((0.3, 0.0, 0.7, 0.1, 0.0, 0.9))):
+        assert ml_cost(w) == per_pair_cost(w)
+
+
+@given(FREE_WEIGHTS)
+@settings(max_examples=40, deadline=None)
+def test_cached_generator_property(free):
+    w = MLWeights.from_free(free)
+    for n in (4, 5):
+        want = diagonal_rate_matrix(ml_lindblad(w, n)).toarray()
+        assert np.array_equal(ml_rate_matrix(w, n), want)
+    assert ml_cost(w) == per_pair_cost(w)
 
 
 def test_perfect_summand_bounds():
