@@ -135,11 +135,17 @@ def fuks_classical_step(p: float, bits, rng: np.random.Generator) -> np.ndarray:
     if not 0 < p <= 0.5:
         raise ValueError(f"p must lie in (0, 0.5], got {p}")
     arr = parse_bits(bits)
-    left = np.roll(arr, 1).astype(float)
-    right = np.roll(arr, -1).astype(float)
-    prob_one = np.where(arr == 0, p * (left + right),
-                        1.0 - p * ((1 - left) + (1 - right)))
-    return (rng.random(arr.shape) < prob_one).astype(np.uint8)
+    return (rng.random(arr.shape) < _prob_one(p, arr)).astype(np.uint8)
+
+
+def _prob_one(p: float, rings: np.ndarray) -> np.ndarray:
+    """Probability that each cell is one after a synchronous update of the
+    rings along the last axis: a zero turns on with p per occupied neighbor,
+    a one stays on unless p per empty neighbor turns it off."""
+    left = np.roll(rings, 1, axis=-1).astype(float)
+    right = np.roll(rings, -1, axis=-1).astype(float)
+    return np.where(rings == 0, p * (left + right),
+                    1.0 - p * ((1 - left) + (1 - right)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +322,7 @@ def absorption_time_trials(p: float, n_sites: int, n_trials: int,
     alive = np.ones(n_trials, dtype=bool)
     for step in range(1, max_steps + 1):
         sub = state[alive]
-        left = np.roll(sub, 1, axis=1).astype(float)
-        right = np.roll(sub, -1, axis=1).astype(float)
-        prob_one = np.where(sub == 0, p * (left + right),
-                            1.0 - p * ((1 - left) + (1 - right)))
-        sub = (rng.random(sub.shape) < prob_one).astype(np.uint8)
+        sub = (rng.random(sub.shape) < _prob_one(p, sub)).astype(np.uint8)
         state[alive] = sub
         row = sub.sum(axis=1)
         done = (row == 0) | (row == n_sites)

@@ -171,8 +171,29 @@ def build_initial(cfg: dict, n_sites: int):
         psi = np.zeros(dim, dtype=complex)
         psi[0] = psi[-1] = 1 / np.sqrt(2)
         return vectorize(np.outer(psi, psi.conj()))
-    rho = np.load(cfg["file"])
-    return vectorize(np.asarray(rho, dtype=complex))
+    try:
+        rho = np.asarray(np.load(cfg["file"]), dtype=complex)
+    except (OSError, ValueError, TypeError) as err:
+        raise ConfigError(f"initial.file {cfg['file']!r}: {err}") from err
+    dim = 2 ** n_sites
+    if rho.shape != (dim, dim):
+        raise ConfigError(f"initial.file has shape {rho.shape}, n_sites="
+                          f"{n_sites} needs ({dim}, {dim})")
+    if not np.all(np.isfinite(rho)):
+        raise ConfigError("initial.file has non-finite entries")
+    state = vectorize(rho)
+    report = observables.physicality_check(state)
+    failed = [name for name, ok in (("trace", report.trace_ok),
+                                    ("hermiticity", report.herm_ok),
+                                    ("positivity", report.positive_ok))
+              if not ok]
+    if failed:
+        raise ConfigError(
+            f"initial.file is not a density matrix: {', '.join(failed)} "
+            f"check failed (trace {report.trace.real:.6g}, hermiticity "
+            f"residual {report.herm_residual:.3g}, smallest eigenvalue "
+            f"{report.min_eigenvalue:.3g})")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +401,11 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     phase = cfg.get("phase", "consensus")
     spec = (models.mv_lindblads(n)[0] if phase == "spread"
             else models.mv_lindblads(n)[1])
-    dyn = evolve.DiagonalDynamics(spec)
     t_max = float(cfg.get("t", 3.0 * n))
+    if not t_max >= 0:
+        raise ConfigError(f"t must be non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
-    occ, method = evolve._mean_occupancy(
+    occ, method = evolve.mean_occupancy(
         spec, bits, t_grid, int(cfg.get("n_traj", 400)),
         np.random.default_rng(seed), 40_000)
     dens = occ.sum(axis=1) / n

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import pdtrc
 
 from .config import DENSE_EXPM_CAP, TOL
 from .observables import (density_n, diag_indices, diag_probabilities,
@@ -32,6 +33,7 @@ __all__ = [
     "discrete_run", "continuous_evolve", "trotter_even_odd",
     "diagonal_rate_matrix", "is_basis_preserving", "DiagonalDynamics",
     "converge_to_fixed_point", "krylov_expmv", "crossing_time",
+    "uniformized_rows", "mean_occupancy",
 ]
 
 DEFAULT_SAMPLES = 64
@@ -119,7 +121,8 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
 
     The per-substep error is estimated from the last subdiagonal element of
     the Hessenberg matrix; a substep is retried with half the step when the
-    estimate exceeds the tolerance budget.
+    estimate exceeds the tolerance budget.  A substep still over budget at
+    the smallest step ``|t| / max_substeps`` raises :class:`KrylovError`.
     """
     if t == 0:
         return v.copy()
@@ -163,7 +166,12 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
         else:
             err = abs(beta * H[m_used, m_used - 1] * dt * expH[m_used - 1, 0])
         budget = tol * scale * (dt / abs(t))
-        if err > budget and dt > abs(t) / max_substeps:
+        if err > budget:
+            if dt <= abs(t) / max_substeps:
+                raise KrylovError(
+                    err, f"Krylov expmv error estimate {err:.3e} exceeds "
+                         f"budget {budget:.3e} at the smallest substep "
+                         f"{dt:.3e}")
             dt /= 2
             substeps += 1
             continue
@@ -211,6 +219,11 @@ class _MoveTable:
     out_code: np.ndarray    # (n_moves,)
     rate: np.ndarray        # (n_moves,)
     width: int
+    # the same moves on whole-ring codes: a state s is enabled for move m
+    # when s & mask[m] == match[m], and goes to (s & ~mask[m]) | put[m]
+    mask: np.ndarray
+    match: np.ndarray
+    put: np.ndarray
 
 
 class DiagonalDynamics:
@@ -245,100 +258,99 @@ class DiagonalDynamics:
         width = max(widths) if widths else 1
         if widths and len(widths) != 1:
             raise NotBasisPreservingError("mixed jump widths are unsupported")
+        sites = np.array([r[0] for r in rows],
+                         dtype=np.int64).reshape(len(rows), width)
+        in_code = np.array([r[1] for r in rows], dtype=np.int64)
+        out_code = np.array([r[2] for r in rows], dtype=np.int64)
+        # pattern bit w of a move sits at ring bit n-1-sites[:, w] (site 0
+        # is the most significant bit)
+        place = np.int64(1) << (self.n_sites - 1 - sites)
+        pattern_bit = np.int64(1) << (width - 1 - np.arange(width))
+
+        def on_ring(pattern):
+            return ((((pattern[:, None] & pattern_bit) != 0) * place)
+                    .sum(axis=1, dtype=np.int64))
+
         self._table = _MoveTable(
-            sites=np.array([r[0] for r in rows], dtype=np.int64).reshape(len(rows), width),
-            in_code=np.array([r[1] for r in rows], dtype=np.int64),
-            out_code=np.array([r[2] for r in rows], dtype=np.int64),
+            sites=sites, in_code=in_code, out_code=out_code,
             rate=np.array([r[3] for r in rows], dtype=float),
             width=width,
+            mask=place.sum(axis=1, dtype=np.int64),
+            match=on_ring(in_code),
+            put=on_ring(out_code),
         )
+
+    # -- enabled moves ------------------------------------------------------
+
+    def enabled_moves(self, codes: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every move enabled in the basis states ``codes``.
+
+        Returns flat arrays ``(src, dst, rate)``, ordered by move-table row
+        and, within a row, as the states appear in ``codes``.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        t = self._table
+        src, dst, rate = [codes[:0]], [codes[:0]], [np.empty(0)]
+        for m in range(len(t.rate)):
+            hit = codes[(codes & t.mask[m]) == t.match[m]]
+            src.append(hit)
+            dst.append((hit & ~t.mask[m]) | t.put[m])
+            rate.append(np.full(len(hit), t.rate[m]))
+        return np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
 
     # -- full rate matrix --------------------------------------------------
 
     def rate_matrix(self) -> sp.csr_matrix:
-        n = self.n_sites
-        dim = 2 ** n
-        t = self._table
-        states = np.arange(dim, dtype=np.int64)
-        rows_out, cols_in, vals = [], [], []
-        shifts = n - 1 - t.sites          # bit positions, site 0 = MSB
-        for m in range(len(t.in_code)):
-            code = np.zeros(dim, dtype=np.int64)
-            for w in range(t.width):
-                code = (code << 1) | ((states >> shifts[m, w]) & 1)
-            match = code == t.in_code[m]
-            src = states[match]
-            dst = src.copy()
-            for w in range(t.width):
-                bit = (t.out_code[m] >> (t.width - 1 - w)) & 1
-                dst = np.where(bit, dst | (1 << shifts[m, w]),
-                               dst & ~(1 << shifts[m, w]))
-            rows_out.append(dst)
-            cols_in.append(src)
-            vals.append(np.full(len(src), t.rate[m]))
-        if rows_out:
-            rows_all = np.concatenate(rows_out)
-            cols_all = np.concatenate(cols_in)
-            vals_all = np.concatenate(vals)
-        else:
-            rows_all = cols_all = np.array([], dtype=np.int64)
-            vals_all = np.array([], dtype=float)
-        Q = sp.coo_matrix((vals_all, (rows_all, cols_all)), shape=(dim, dim)).tocsr()
+        dim = 2 ** self.n_sites
+        src, dst, rate = self.enabled_moves(np.arange(dim, dtype=np.int64))
+        Q = sp.coo_matrix((rate, (dst, src)), shape=(dim, dim)).tocsr()
         Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
         Q.sort_indices()
         return Q
 
     # -- reachable subspace -------------------------------------------------
 
-    def _state_moves(self, code: int) -> list[tuple[int, float]]:
-        n = self.n_sites
-        t = self._table
-        out = []
-        for m in range(len(t.in_code)):
-            c = 0
-            for w in range(t.width):
-                c = (c << 1) | ((code >> (n - 1 - int(t.sites[m, w]))) & 1)
-            if c != t.in_code[m]:
-                continue
-            dst = code
-            for w in range(t.width):
-                bit = (t.out_code[m] >> (t.width - 1 - w)) & 1
-                pos = n - 1 - int(t.sites[m, w])
-                dst = dst | (1 << pos) if bit else dst & ~(1 << pos)
-            out.append((dst, float(t.rate[m])))
-        return out
-
     def reachable(self, bits0: np.ndarray, cap: int = 3_000_000):
-        """(codes, Q_sub) for the subspace reachable from one basis state."""
-        n = self.n_sites
+        """(codes, Q_sub) for the subspace reachable from one basis state.
+
+        Breadth-first: ``codes`` lists the states in discovery order, the
+        start first; states found from one frontier are ordered by their
+        first move, taking the frontier's states in order and each state's
+        moves in move-table order.  A set of more than ``cap`` states raises
+        ``MemoryError``.
+        """
         start = 0
         for b in bits0:
             start = (start << 1) | int(b)
-        index = {start: 0}
-        order = [start]
-        edges: list[tuple[int, int, float]] = []
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for code in frontier:
-                for dst, rate in self._state_moves(code):
-                    if dst not in index:
-                        if len(index) >= cap:
-                            raise MemoryError(
-                                f"reachable set exceeds cap {cap}")
-                        index[dst] = len(order)
-                        order.append(dst)
-                        nxt.append(dst)
-                    edges.append((index[dst], index[code], rate))
-            frontier = nxt
-        dim = len(order)
-        if edges:
-            r, c, v = zip(*edges)
-        else:
-            r = c = v = ()
-        Q = sp.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
+        frontier = np.array([start], dtype=np.int64)
+        levels = [frontier]
+        seen = frontier                  # sorted
+        edges = []
+        while len(frontier):
+            src, dst, rate = self.enabled_moves(frontier)
+            by_state = np.argsort(frontier, kind="stable")
+            at = by_state[np.searchsorted(frontier[by_state], src)]
+            order = np.argsort(at, kind="stable")
+            src, dst, rate = src[order], dst[order], rate[order]
+            edges.append((src, dst, rate))
+            pos = np.minimum(np.searchsorted(seen, dst), len(seen) - 1)
+            fresh = dst[seen[pos] != dst]
+            _, first = np.unique(fresh, return_index=True)
+            frontier = fresh[np.sort(first)]
+            if len(seen) + len(frontier) > cap:
+                raise MemoryError(f"reachable set exceeds cap {cap}")
+            levels.append(frontier)
+            seen = np.union1d(seen, frontier)
+        codes = np.concatenate(levels)
+        src, dst, rate = (np.concatenate(col) for col in zip(*edges))
+        by_code = np.argsort(codes)          # codes[by_code] == seen
+        rows = by_code[np.searchsorted(seen, dst)]
+        cols = by_code[np.searchsorted(seen, src)]
+        dim = len(codes)
+        Q = sp.coo_matrix((rate, (rows, cols)), shape=(dim, dim)).tocsr()
         Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
-        return np.array(order, dtype=np.int64), Q
+        return codes, Q
 
     # -- Gillespie sampling ---------------------------------------------------
 
@@ -558,11 +570,73 @@ def crossing_time(t_grid: np.ndarray, values: np.ndarray,
 # majority-voting worst-case convergence times (continuous track)
 
 
-def _mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
-                    n_traj: int, rng: np.random.Generator,
-                    exact_cap: int) -> tuple[np.ndarray, str]:
-    """Per-site occupation curves; exact on the reachable subspace when it
-    fits under ``exact_cap`` states, else trajectory-sampled."""
+_POISSON_TAIL = 1e-16
+_PROJECT_CHUNK = 64
+
+
+def _poisson_cutoff(mean: float) -> int:
+    """Smallest K with P(X > K) <= 1e-16 for X ~ Poisson(mean)."""
+    # Bernstein's inequality puts that K below mean + 9 sqrt(mean) + 30
+    ks = np.arange(int(mean + 9.0 * np.sqrt(mean)) + 31)
+    return int(ks[np.flatnonzero(pdtrc(ks, mean) <= _POISSON_TAIL)[0]])
+
+
+def _poisson_weights(means: np.ndarray, K: int) -> np.ndarray:
+    """Pois(k; means[i]) for k = 0..K (rows) and every mean (columns).
+
+    Built by the recurrence out from each mean's mode, which loses one
+    rounding per step, and normalized to unit sum over k <= K.
+    """
+    W = np.zeros((K + 1, len(means)))
+    mode = np.minimum(np.floor(means).astype(np.int64), K)
+    W[mode, np.arange(len(means))] = 1.0
+    for k in range(1, K + 1):
+        W[k] = np.where(mode < k, W[k - 1] * means / k, W[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(K - 1, -1, -1):
+            W[k] = np.where(mode > k, W[k + 1] * (k + 1) / means, W[k])
+    return W / W.sum(axis=0)
+
+
+def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
+                     t_grid: np.ndarray) -> np.ndarray:
+    """Rows ``obs^T exp(Q t) p0`` for every time of ``t_grid``, in one pass.
+
+    ``Q`` is a rate matrix (columns sum to zero, off-diagonal entries
+    non-negative).  Uniformization (Jensen's method): with the largest exit
+    rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
+    P^k p0 are streamed once, up to the K at which the Poisson tail at the
+    latest time is below 1e-16, and projected onto ``obs`` in chunks; each
+    time's row is the Poisson-weighted sum of those projections.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size and t_grid.min() < 0:
+        raise ValueError("times must be non-negative")
+    rate = max(float(-Q.diagonal().min()), 0.0) if Q.shape[0] else 0.0
+    K = _poisson_cutoff(rate * t_grid.max()) if t_grid.size else 0
+    step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None
+    proj = np.empty((K + 1, obs.shape[1]))
+    v = np.asarray(p0, dtype=float)
+    block = np.empty((_PROJECT_CHUNK, len(v)))
+    for k in range(K + 1):
+        j = k % _PROJECT_CHUNK
+        block[j] = v
+        if j == _PROJECT_CHUNK - 1 or k == K:
+            proj[k - j:k + 1] = block[:j + 1] @ obs
+        if k < K:
+            v = step @ v
+    return _poisson_weights(rate * t_grid, K).T @ proj
+
+
+def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
+                   n_traj: int, rng: np.random.Generator,
+                   exact_cap: int) -> tuple[np.ndarray, str]:
+    """Per-site occupation curves from the basis state ``bits0``.
+
+    Exact on the reachable subspace, by :func:`uniformized_rows`, when that
+    holds at most ``exact_cap`` states ("diagonal-exact"); else the mean of
+    ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie").
+    """
     dyn = DiagonalDynamics(spec)
     n = spec.n_sites
     try:
@@ -570,19 +644,10 @@ def _mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
     except MemoryError:
         return (dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng),
                 "gillespie")
-    bits_of = np.zeros((len(codes), n), dtype=float)
-    for j in range(n):
-        bits_of[:, j] = (codes >> (n - 1 - j)) & 1
-    p = np.zeros(len(codes))
-    p[0] = 1.0
-    out = np.empty((len(t_grid), n))
-    out[0] = p @ bits_of
-    dt = float(t_grid[1] - t_grid[0])      # uniform grid
-    prop = expm(Q.toarray() * dt) if Q.shape[0] <= 2048 else None
-    for i in range(1, len(t_grid)):
-        p = prop @ p if prop is not None else expm_multiply(Q * dt, p)
-        out[i] = p @ bits_of
-    return out, "diagonal-exact"
+    bits_of = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
+    p0 = np.zeros(len(codes))
+    p0[0] = 1.0
+    return uniformized_rows(Q, p0, bits_of, t_grid), "diagonal-exact"
 
 
 def mv_worst_case_times(n_sites: int, n_traj: int = 400,
@@ -606,15 +671,15 @@ def mv_worst_case_times(n_sites: int, n_traj: int = 400,
     bits_a = mv_worst_spread_input(n_sites)
     target = np.flatnonzero(mv_separated_target(bits_a))
     t_grid = np.linspace(0.0, 4.0 * n_sites, samples)
-    occ, method_a = _mean_occupancy(spread_spec, bits_a, t_grid, n_traj, rng,
-                                    exact_cap)
+    occ, method_a = mean_occupancy(spread_spec, bits_a, t_grid, n_traj, rng,
+                                   exact_cap)
     restricted = occ[:, target].sum(axis=1) / len(target)
     tau_spread = crossing_time(t_grid, restricted, threshold)
 
     bits_b = mv_worst_consensus_input(n_sites)
     t_grid_b = np.linspace(0.0, 3.0 * n_sites, samples)
-    occ_b, method_b = _mean_occupancy(consensus_spec, bits_b, t_grid_b,
-                                      n_traj, rng, exact_cap)
+    occ_b, method_b = mean_occupancy(consensus_spec, bits_b, t_grid_b,
+                                     n_traj, rng, exact_cap)
     density = occ_b.sum(axis=1) / n_sites
     tau_consensus = crossing_time(t_grid_b, density, threshold)
 

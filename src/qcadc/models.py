@@ -116,14 +116,12 @@ class PartitionSchedule:
     """Ordered update phases on the ring.
 
     Each phase lists the starting (leftmost) site of every written block;
-    blocks of ``block_width`` sites within one phase must not overlap.  The
-    rule may read ``neighborhood_width`` sites around each block; read-only
-    overlap between blocks of the same phase is fine.
+    blocks of ``block_width`` sites within one phase must not overlap.
+    Read-only overlap between blocks of the same phase is fine.
     """
 
     phases: tuple[tuple[int, ...], ...]
     block_width: int
-    neighborhood_width: int
     n_sites: int
     meta: dict = field(default_factory=dict)
 
@@ -196,8 +194,8 @@ def fuks_schedule(n_sites: int, phase_order: str = "even_first") -> PartitionSch
         phases = (odds, evens)
     else:
         raise ValueError(f"unknown phase_order {phase_order!r}")
-    return PartitionSchedule(phases, block_width=1, neighborhood_width=3,
-                             n_sites=n_sites, meta={"phase_order": phase_order})
+    return PartitionSchedule(phases, block_width=1, n_sites=n_sites,
+                             meta={"phase_order": phase_order})
 
 
 def _center_update_step(local64: np.ndarray, schedule: PartitionSchedule,
@@ -304,8 +302,7 @@ def mv_schedule(n_sites: int) -> PartitionSchedule:
     if n_sites < 3 or n_sites % 3 != 0:
         raise ValueError(f"triple partition needs n_sites % 3 == 0, got {n_sites}")
     phases = tuple(tuple(range(off, n_sites, 3)) for off in range(3))
-    return PartitionSchedule(phases, block_width=3, neighborhood_width=3,
-                             n_sites=n_sites)
+    return PartitionSchedule(phases, block_width=3, n_sites=n_sites)
 
 
 def _mv_phase_step(kraus_fn, n_sites: int, phase: int, kind: str) -> SuperOp:

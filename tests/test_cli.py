@@ -67,6 +67,49 @@ def test_evolve_rejects_unknown_key_by_name(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def file_state_config(tmp_path, rho):
+    path = tmp_path / "rho.npy"
+    np.save(path, rho)
+    return {
+        "model": {"id": "fuks", "params": {"p": 0.3}},
+        "n_sites": 3,
+        "initial": {"file": str(path)},
+        "evolution": {"kind": "continuous", "t": 1.0},
+        "samples": 2,
+    }
+
+
+def test_evolve_accepts_density_matrix_file(tmp_path):
+    rho = np.diag([0.5, 0.25, 0.25, 0, 0, 0, 0, 0]).astype(complex)
+    rho[1, 2], rho[2, 1] = 0.1j, -0.1j
+    code, out = run(tmp_path, "evolve", file_state_config(tmp_path, rho))
+    assert code == 0
+    assert (out / "summary.json").exists()
+
+
+def _bad_densities():
+    wrong_shape = np.eye(4) / 4
+    trace_two = np.diag([1.0, 0.5, 0.5, 0, 0, 0, 0, 0])
+    non_hermitian = np.eye(8, dtype=complex) / 8
+    non_hermitian[0, 1] = 0.01
+    negative = np.diag([0.75, 0.5, -0.25, 0, 0, 0, 0, 0])
+    return [(wrong_shape, "has shape (4, 4)"),
+            (trace_two, "trace check failed"),
+            (non_hermitian, "hermiticity check failed"),
+            (negative, "positivity check failed")]
+
+
+@pytest.mark.parametrize("rho, message", _bad_densities(),
+                         ids=["shape", "trace", "hermiticity", "positivity"])
+def test_evolve_rejects_bad_density_matrix_file(tmp_path, capsys, rho,
+                                                message):
+    code, out = run(tmp_path, "evolve", file_state_config(tmp_path, rho))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_evolve_converge_exit_codes(tmp_path):
     cfg = {
         "model": {"id": "fuks", "params": {"p": 0.3}},
@@ -174,6 +217,20 @@ def test_mv_run_single_discrete(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["label"] == 0
     assert summary["sublayers_used"] <= summary["budget"]
+
+
+def test_mv_run_single_continuous(tmp_path, capsys):
+    cfg = {"n_sites": 9, "initial": {"bits": "110101010"},
+           "track": "continuous"}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["method"] == "diagonal-exact"
+    assert abs(summary["final_n_over_N"] - 1.0) < 1e-9
+    cfg["t"] = -1.0
+    code, _ = run(tmp_path / "neg", "mv-run", cfg)
+    assert code == 1
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_classify_with_padding(tmp_path):

@@ -1,14 +1,18 @@
 """Evolution engine: methods agree with each other and with closed forms."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qcadc.classical import gamma_p_relation, mv_sublayer_sequence, p_from_gamma_tau
+from qcadc.classical import (gamma_p_relation, mv_sublayer_sequence,
+                             mv_worst_consensus_input, mv_worst_spread_input,
+                             p_from_gamma_tau)
 from qcadc.evolve import (
     DiagonalDynamics, EvolutionResult, KrylovError, NotBasisPreservingError,
     continuous_evolve, converge_to_fixed_point, crossing_time,
     diagonal_rate_matrix, discrete_run, is_basis_preserving, krylov_expmv,
-    trotter_even_odd,
+    mean_occupancy, trotter_even_odd, uniformized_rows,
 )
 from qcadc.models import (
     DephasingParams, FuksParams, dephasing_lindblad, fuks_kraus_sets,
@@ -99,6 +103,19 @@ def test_krylov_random_spec_agreement(rng):
         assert np.abs(got - want).max() < 1e-8
 
 
+def test_krylov_raises_when_smallest_substep_is_over_budget():
+    # rates 1e-2..1e4 at t=1 need substeps far below the floor t/64; the
+    # over-budget substep at the floor must raise, not be accepted
+    lam = np.geomspace(1e-2, 1e4, 300)
+    A = sp.diags(-lam).tocsr()
+    with pytest.raises(KrylovError, match="smallest substep") as info:
+        krylov_expmv(A, np.ones(300), 1.0, max_substeps=64)
+    assert np.isfinite(info.value.residual) and info.value.residual > 1e-10
+    # with the default floor the same generator converges
+    got = krylov_expmv(A, np.ones(300), 1.0)
+    assert np.abs(got - np.exp(-lam)).max() < 1e-9
+
+
 def test_krylov_t_zero():
     import scipy.sparse as sp
     A = sp.identity(8, format="csr", dtype=complex)
@@ -156,6 +173,119 @@ def test_diagonal_and_dense_paths_agree():
                           - b.final_state.amplitudes).max() < 1e-10
 
 
+# brute-force reference: the per-state, per-move Python BFS the array
+# kernel replaced
+
+
+def _reference_moves(dyn, code):
+    n = dyn.n_sites
+    t = dyn._table
+    out = []
+    for m in range(len(t.in_code)):
+        c = 0
+        for w in range(t.width):
+            c = (c << 1) | ((code >> (n - 1 - int(t.sites[m, w]))) & 1)
+        if c != t.in_code[m]:
+            continue
+        dst = code
+        for w in range(t.width):
+            bit = (t.out_code[m] >> (t.width - 1 - w)) & 1
+            pos = n - 1 - int(t.sites[m, w])
+            dst = dst | (1 << pos) if bit else dst & ~(1 << pos)
+        out.append((dst, float(t.rate[m])))
+    return out
+
+
+def _reference_reachable(dyn, bits0):
+    start = 0
+    for b in bits0:
+        start = (start << 1) | int(b)
+    index = {start: 0}
+    order = [start]
+    edges = []
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for code in frontier:
+            for dst, rate in _reference_moves(dyn, code):
+                if dst not in index:
+                    index[dst] = len(order)
+                    order.append(dst)
+                    nxt.append(dst)
+                edges.append((index[dst], index[code], rate))
+        frontier = nxt
+    dim = len(order)
+    r, c, v = zip(*edges) if edges else ((), (), ())
+    Q = sp.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
+    Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
+    return np.array(order, dtype=np.int64), Q
+
+
+def assert_same_reachable(dyn, bits0):
+    """reachable equals the reference to the bit; its cap is inclusive."""
+    want_codes, want_Q = _reference_reachable(dyn, bits0)
+    codes, Q = dyn.reachable(bits0)
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(Q.indptr, want_Q.indptr)
+    assert np.array_equal(Q.indices, want_Q.indices)
+    assert np.array_equal(Q.data, want_Q.data)
+    size = len(codes)
+    assert np.array_equal(dyn.reachable(bits0, cap=size)[0], codes)
+    if size > 1:
+        with pytest.raises(MemoryError, match="cap"):
+            dyn.reachable(bits0, cap=size - 1)
+
+
+@pytest.mark.parametrize("n", range(6, 16))
+def test_reachable_matches_reference_bfs_mv(n):
+    spread, consensus = mv_lindblads(n)
+    assert_same_reachable(DiagonalDynamics(spread), mv_worst_spread_input(n))
+    assert_same_reachable(DiagonalDynamics(consensus),
+                          mv_worst_consensus_input(n))
+
+
+def random_basis_preserving_spec(rng, n):
+    """Three-site jumps that send each basis pattern to one basis pattern
+    (or annihilate it), with random amplitudes and some zero rates."""
+    jumps = []
+    for _ in range(rng.integers(1, 5)):
+        j = int(rng.integers(n))
+        K = np.zeros((8, 8), dtype=complex)
+        for col in range(8):
+            if rng.random() < 0.6:
+                K[rng.integers(8), col] = rng.normal() + 1j * rng.normal()
+        rate = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 2.0))
+        jumps.append((LocalOperator(((j - 1) % n, j, (j + 1) % n), K), rate))
+    return LindbladSpec(n, (), tuple(jumps))
+
+
+@given(st.integers(min_value=3, max_value=7),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reachable_matches_reference_bfs_random_specs(n, seed):
+    rng = np.random.default_rng(seed)
+    dyn = DiagonalDynamics(random_basis_preserving_spec(rng, n))
+    assert_same_reachable(dyn, rng.integers(0, 2, n))
+
+
+def test_enabled_moves_on_all_codes_match_rate_matrix():
+    for n in (3, 4, 6):
+        for spec in (fuks_lindblad(FuksParams(0.3), n),
+                     ml_lindblad(published_ml_weights(), n),
+                     *mv_lindblads(n)):
+            dyn = DiagonalDynamics(spec)
+            codes = np.arange(2 ** n)
+            src, dst, rate = dyn.enabled_moves(codes)
+            off = np.zeros((2 ** n, 2 ** n))
+            np.add.at(off, (dst, src), rate)
+            Q = dyn.rate_matrix().toarray()
+            assert np.array_equal(off, Q - np.diag(np.diag(Q)))
+            want = sorted((int(c), d, r) for c in codes
+                          for d, r in _reference_moves(dyn, int(c)))
+            assert sorted(zip(src.tolist(), dst.tolist(),
+                              rate.tolist())) == want
+
+
 def test_reachable_subspace_matches_full_rate_matrix():
     spec = mv_lindblads(6)[1]
     dyn = DiagonalDynamics(spec)
@@ -184,6 +314,65 @@ def test_gillespie_mean_matches_exact_markov():
         p = dexpm(Q.toarray() * t) @ p0
         want = p @ bits_of
         assert np.abs(mean[ti] - want).max() < 0.05
+
+
+def random_rate_matrix(rng, dim):
+    """Sparse random rates; a ring of moves leaves every state."""
+    keep = rng.random((dim, dim)) < 0.4
+    keep[np.roll(np.arange(dim), 1), np.arange(dim)] = True
+    off = rng.random((dim, dim)) * keep
+    np.fill_diagonal(off, 0.0)
+    return off - np.diag(off.sum(axis=0))
+
+
+@pytest.mark.parametrize("dim, rate_times_t", [(2, 0.5), (6, 5.0), (12, 60.0),
+                                               (20, 300.0), (16, 1000.0)])
+def test_uniformized_rows_match_expm(rng, dim, rate_times_t):
+    Q = random_rate_matrix(rng, dim)
+    T = 7.0
+    Q *= rate_times_t / (-np.diag(Q).min() * T)
+    p0 = rng.random(dim)
+    p0 /= p0.sum()
+    obs = rng.random((dim, 3))
+    t_grid = np.linspace(0.0, T, 9)
+    got = uniformized_rows(sp.csr_matrix(Q), p0, obs, t_grid)
+    want = np.array([obs.T @ (expm(Q * t) @ p0) for t in t_grid])
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_uniformized_rows_one_state_and_zero_rates(rng):
+    obs = np.array([[0.25, 1.0]])
+    got = uniformized_rows(sp.csr_matrix((1, 1)), np.ones(1), obs,
+                           np.linspace(0.0, 5.0, 4))
+    assert np.array_equal(got, np.repeat(obs, 4, axis=0))
+    p0 = rng.random(4)
+    p0 /= p0.sum()
+    obs = rng.random((4, 3))
+    got = uniformized_rows(sp.csr_matrix((4, 4)), p0, obs,
+                           np.array([0.0, 1.0, 1e3]))
+    assert np.abs(got - p0 @ obs).max() < 1e-15
+    with pytest.raises(ValueError, match="non-negative"):
+        uniformized_rows(sp.csr_matrix((4, 4)), p0, obs, np.array([-1.0]))
+
+
+def test_mean_occupancy_exact_matches_full_expm():
+    n = 9
+    spec = mv_lindblads(n)[1]
+    bits0 = mv_worst_consensus_input(n)
+    t_grid = np.linspace(0.0, 3.0 * n, 7)
+    rng = np.random.default_rng(5)
+    occ, method = mean_occupancy(spec, bits0, t_grid, 10, rng, 40_000)
+    assert method == "diagonal-exact"
+    Q = diagonal_rate_matrix(spec).toarray()
+    p0 = np.zeros(2 ** n)
+    p0[int("".join(map(str, bits0)), 2)] = 1.0
+    bits_of = np.array([[(s >> (n - 1 - j)) & 1 for j in range(n)]
+                        for s in range(2 ** n)])
+    want = np.array([(expm(Q * t) @ p0) @ bits_of for t in t_grid])
+    assert np.abs(occ - want).max() < 1e-10
+    size = len(DiagonalDynamics(spec).reachable(bits0)[0])
+    _, method = mean_occupancy(spec, bits0, t_grid, 10, rng, size - 1)
+    assert method == "gillespie"
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,12 @@ def test_ml_weights_validation():
 
 def test_schedule_rejects_overlap():
     with pytest.raises(ValueError, match="twice"):
-        PartitionSchedule(((0, 2),), block_width=3, neighborhood_width=3,
-                          n_sites=6)
+        PartitionSchedule(((0, 2),), block_width=3, n_sites=6)
 
 
 def test_schedule_rejects_uncovered_sites():
     with pytest.raises(ValueError, match="never updates"):
-        PartitionSchedule(((0,), (1,)), block_width=1, neighborhood_width=3,
-                          n_sites=3)
+        PartitionSchedule(((0,), (1,)), block_width=1, n_sites=3)
 
 
 def test_all_kraus_sets_complete():
