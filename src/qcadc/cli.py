@@ -402,8 +402,8 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     spec = (models.mv_lindblads(n)[0] if phase == "spread"
             else models.mv_lindblads(n)[1])
     t_max = float(cfg.get("t", 3.0 * n))
-    if not t_max >= 0:
-        raise ConfigError(f"t must be non-negative, got {t_max}")
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise ConfigError(f"t must be finite and non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
     occ, method = evolve.mean_occupancy(
         spec, bits, t_grid, int(cfg.get("n_traj", 400)),

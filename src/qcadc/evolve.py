@@ -214,16 +214,21 @@ def is_basis_preserving(spec: LindbladSpec) -> bool:
 
 @dataclass
 class _MoveTable:
-    sites: np.ndarray       # (n_moves, width) site indices
-    in_code: np.ndarray     # (n_moves,)
-    out_code: np.ndarray    # (n_moves,)
-    rate: np.ndarray        # (n_moves,)
-    width: int
-    # the same moves on whole-ring codes: a state s is enabled for move m
-    # when s & mask[m] == match[m], and goes to (s & ~mask[m]) | put[m]
+    """The moves on whole-ring codes: a state s is enabled for move m when
+    s & mask[m] == match[m], and goes to (s & ~mask[m]) | put[m] at rate
+    rate[m]."""
     mask: np.ndarray
     match: np.ndarray
     put: np.ndarray
+    rate: np.ndarray
+
+
+def _code_of(bits: np.ndarray) -> int:
+    """Basis code of a bit string; site 0 is the most significant bit."""
+    code = 0
+    for b in bits:
+        code = (code << 1) | int(b)
+    return code
 
 
 class DiagonalDynamics:
@@ -272,12 +277,10 @@ class DiagonalDynamics:
                     .sum(axis=1, dtype=np.int64))
 
         self._table = _MoveTable(
-            sites=sites, in_code=in_code, out_code=out_code,
-            rate=np.array([r[3] for r in rows], dtype=float),
-            width=width,
             mask=place.sum(axis=1, dtype=np.int64),
             match=on_ring(in_code),
             put=on_ring(out_code),
+            rate=np.array([r[3] for r in rows], dtype=float),
         )
 
     # -- enabled moves ------------------------------------------------------
@@ -320,10 +323,7 @@ class DiagonalDynamics:
         moves in move-table order.  A set of more than ``cap`` states raises
         ``MemoryError``.
         """
-        start = 0
-        for b in bits0:
-            start = (start << 1) | int(b)
-        frontier = np.array([start], dtype=np.int64)
+        frontier = np.array([_code_of(bits0)], dtype=np.int64)
         levels = [frontier]
         seen = frontier                  # sorted
         edges = []
@@ -361,20 +361,14 @@ class DiagonalDynamics:
         n = self.n_sites
         t = self._table
         acc = np.zeros((len(t_grid), n))
-        shifts = n - 1 - t.sites
-        out_bits = np.array(
-            [[(t.out_code[m] >> (t.width - 1 - w)) & 1 for w in range(t.width)]
-             for m in range(len(t.in_code))], dtype=np.uint8
-        ).reshape(len(t.in_code), t.width)
+        shifts = n - 1 - np.arange(n)
         for _ in range(n_traj):
-            bits = np.asarray(bits0, dtype=np.uint8).copy()
+            code = _code_of(bits0)
             now = 0.0
             gi = 0
             while gi < len(t_grid):
-                codes = np.zeros(len(t.in_code), dtype=np.int64)
-                for w in range(t.width):
-                    codes = (codes << 1) | bits[t.sites[:, w]]
-                match = np.flatnonzero(codes == t.in_code)
+                bits = (code >> shifts) & 1
+                match = np.flatnonzero((code & t.mask) == t.match)
                 if len(match) == 0:
                     acc[gi:] += bits
                     break
@@ -387,7 +381,7 @@ class DiagonalDynamics:
                 now += dt
                 pick = match[np.searchsorted(np.cumsum(rates),
                                              rng.random() * total)]
-                bits[t.sites[pick]] = out_bits[pick]
+                code = (code & ~int(t.mask[pick])) | int(t.put[pick])
         return acc / n_traj
 
 
@@ -572,6 +566,8 @@ def crossing_time(t_grid: np.ndarray, values: np.ndarray,
 
 _POISSON_TAIL = 1e-16
 _PROJECT_CHUNK = 64
+_SMALL_K = 15
+_FACTORIAL = np.cumprod(np.r_[1.0, np.arange(1.0, _SMALL_K + 1)])
 
 
 def _poisson_cutoff(mean: float) -> int:
@@ -581,21 +577,39 @@ def _poisson_cutoff(mean: float) -> int:
     return int(ks[np.flatnonzero(pdtrc(ks, mean) <= _POISSON_TAIL)[0]])
 
 
-def _poisson_weights(means: np.ndarray, K: int) -> np.ndarray:
-    """Pois(k; means[i]) for k = 0..K (rows) and every mean (columns).
+def _stirling_error(k: np.ndarray) -> np.ndarray:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k) for k > 15, by its series."""
+    inv2 = 1.0 / (k * k)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (
+        1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / k
 
-    Built by the recurrence out from each mean's mode, which loses one
-    rounding per step, and normalized to unit sum over k <= K.
+
+def _poisson_pmf(k: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Pois(k; mean) for every k (rows) and mean (columns).
+
+    exp(-mean) mean^k / k! for k <= 15.  Above, Loader's saddle-point form
+    exp(-stirling_error(k) - bd0) / sqrt(2 pi k), with bd0 = k log(k/mean)
+    + mean - k summed as a series near k = mean, where the direct form
+    cancels.  Neither takes a large logarithm, so the error stays a few
+    units in the last place of the largest weight, whatever the mean.
     """
-    W = np.zeros((K + 1, len(means)))
-    mode = np.minimum(np.floor(means).astype(np.int64), K)
-    W[mode, np.arange(len(means))] = 1.0
-    for k in range(1, K + 1):
-        W[k] = np.where(mode < k, W[k - 1] * means / k, W[k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(K - 1, -1, -1):
-            W[k] = np.where(mode > k, W[k + 1] * (k + 1) / means, W[k])
-    return W / W.sum(axis=0)
+    x = np.asarray(k, dtype=float)[:, None]
+    m = np.asarray(means, dtype=float)[None, :]
+    small = np.minimum(x, _SMALL_K)
+    direct = np.exp(-m) * m ** small / _FACTORIAL[small.astype(np.int64)]
+    xs, ms = np.maximum(x, _SMALL_K + 1), np.where(m > 0, m, 1.0)
+    diff, both = np.broadcast_arrays(xs - ms, xs + ms)
+    bd0 = xs * np.log(xs / ms) - diff
+    near = np.abs(diff) < 0.25 * both
+    v = diff[near] / both[near]
+    total = diff[near] * v
+    term = 2.0 * np.broadcast_to(xs, near.shape)[near] * v
+    for j in range(1, 15):       # |v| < 1/4: each term is 1/16 of the last
+        term = term * (v * v)
+        total = total + term / (2 * j + 1)
+    bd0[near] = total
+    saddle = np.exp(-_stirling_error(xs) - bd0) / np.sqrt(2.0 * np.pi * xs)
+    return np.where(x <= _SMALL_K, direct, np.where(m > 0, saddle, 0.0))
 
 
 def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
@@ -606,26 +620,33 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
     non-negative).  Uniformization (Jensen's method): with the largest exit
     rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
     P^k p0 are streamed once, up to the K at which the Poisson tail at the
-    latest time is below 1e-16, and projected onto ``obs`` in chunks; each
-    time's row is the Poisson-weighted sum of those projections.
+    latest time is below 1e-16, and projected onto ``obs`` 64 at a time;
+    each block's Poisson weights are built for it alone and added into the
+    rows, normalized to unit weight over k <= K at the end.  Time is linear
+    in K, about L * max(t_grid) sparse matrix-vector products; memory is
+    that of 64 vectors and 64 rows of weights, whatever K is.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.min() < 0:
         raise ValueError("times must be non-negative")
     rate = max(float(-Q.diagonal().min()), 0.0) if Q.shape[0] else 0.0
-    K = _poisson_cutoff(rate * t_grid.max()) if t_grid.size else 0
+    means = rate * t_grid
+    K = _poisson_cutoff(means.max()) if t_grid.size else 0
     step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None
-    proj = np.empty((K + 1, obs.shape[1]))
+    rows = np.zeros((len(t_grid), obs.shape[1]))
+    weight = np.zeros(len(t_grid))
     v = np.asarray(p0, dtype=float)
     block = np.empty((_PROJECT_CHUNK, len(v)))
     for k in range(K + 1):
         j = k % _PROJECT_CHUNK
         block[j] = v
         if j == _PROJECT_CHUNK - 1 or k == K:
-            proj[k - j:k + 1] = block[:j + 1] @ obs
+            w = _poisson_pmf(np.arange(k - j, k + 1), means)
+            rows += w.T @ (block[:j + 1] @ obs)
+            weight += w.sum(axis=0)
         if k < K:
             v = step @ v
-    return _poisson_weights(rate * t_grid, K).T @ proj
+    return rows / weight[:, None]
 
 
 def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,

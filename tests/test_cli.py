@@ -227,10 +227,11 @@ def test_mv_run_single_continuous(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["method"] == "diagonal-exact"
     assert abs(summary["final_n_over_N"] - 1.0) < 1e-9
-    cfg["t"] = -1.0
-    code, _ = run(tmp_path / "neg", "mv-run", cfg)
-    assert code == 1
-    assert "non-negative" in capsys.readouterr().err
+    for bad in (-1.0, float("inf"), float("nan")):
+        cfg["t"] = bad
+        code, _ = run(tmp_path / str(bad), "mv-run", cfg)
+        assert code == 1
+        assert "finite and non-negative" in capsys.readouterr().err
 
 
 def test_classify_with_padding(tmp_path):

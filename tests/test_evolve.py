@@ -14,6 +14,7 @@ from qcadc.evolve import (
     diagonal_rate_matrix, discrete_run, is_basis_preserving, krylov_expmv,
     mean_occupancy, trotter_even_odd, uniformized_rows,
 )
+from qcadc.evolve import _poisson_pmf
 from qcadc.models import (
     DephasingParams, FuksParams, dephasing_lindblad, fuks_kraus_sets,
     fuks_lindblad, fuks_step, mv_consensus_step, mv_lindblads, mv_spread_step,
@@ -177,26 +178,42 @@ def test_diagonal_and_dense_paths_agree():
 # kernel replaced
 
 
-def _reference_moves(dyn, code):
-    n = dyn.n_sites
-    t = dyn._table
+def _reference_table(spec):
+    """(sites, in pattern, out pattern, rate) of every move, read off the
+    jump matrices in spec order."""
+    table = []
+    for op, rate in spec.jumps:
+        if rate == 0.0:
+            continue
+        for c in range(2 ** op.width):
+            col = op.matrix[:, c]
+            nz = np.flatnonzero(np.abs(col) > 1e-14)
+            if len(nz) == 1 and nz[0] != c:
+                table.append((op.sites, c, int(nz[0]),
+                              rate * float(abs(col[nz[0]]) ** 2)))
+    return table
+
+
+def _reference_moves(table, n, code):
     out = []
-    for m in range(len(t.in_code)):
+    for sites, c_in, c_out, rate in table:
+        w = len(sites)
         c = 0
-        for w in range(t.width):
-            c = (c << 1) | ((code >> (n - 1 - int(t.sites[m, w]))) & 1)
-        if c != t.in_code[m]:
+        for j in sites:
+            c = (c << 1) | ((code >> (n - 1 - j)) & 1)
+        if c != c_in:
             continue
         dst = code
-        for w in range(t.width):
-            bit = (t.out_code[m] >> (t.width - 1 - w)) & 1
-            pos = n - 1 - int(t.sites[m, w])
+        for i, j in enumerate(sites):
+            bit = (c_out >> (w - 1 - i)) & 1
+            pos = n - 1 - j
             dst = dst | (1 << pos) if bit else dst & ~(1 << pos)
-        out.append((dst, float(t.rate[m])))
+        out.append((dst, rate))
     return out
 
 
-def _reference_reachable(dyn, bits0):
+def _reference_reachable(spec, bits0):
+    table, n = _reference_table(spec), spec.n_sites
     start = 0
     for b in bits0:
         start = (start << 1) | int(b)
@@ -207,7 +224,7 @@ def _reference_reachable(dyn, bits0):
     while frontier:
         nxt = []
         for code in frontier:
-            for dst, rate in _reference_moves(dyn, code):
+            for dst, rate in _reference_moves(table, n, code):
                 if dst not in index:
                     index[dst] = len(order)
                     order.append(dst)
@@ -221,9 +238,10 @@ def _reference_reachable(dyn, bits0):
     return np.array(order, dtype=np.int64), Q
 
 
-def assert_same_reachable(dyn, bits0):
+def assert_same_reachable(spec, bits0):
     """reachable equals the reference to the bit; its cap is inclusive."""
-    want_codes, want_Q = _reference_reachable(dyn, bits0)
+    dyn = DiagonalDynamics(spec)
+    want_codes, want_Q = _reference_reachable(spec, bits0)
     codes, Q = dyn.reachable(bits0)
     assert np.array_equal(codes, want_codes)
     assert np.array_equal(Q.indptr, want_Q.indptr)
@@ -239,9 +257,8 @@ def assert_same_reachable(dyn, bits0):
 @pytest.mark.parametrize("n", range(6, 16))
 def test_reachable_matches_reference_bfs_mv(n):
     spread, consensus = mv_lindblads(n)
-    assert_same_reachable(DiagonalDynamics(spread), mv_worst_spread_input(n))
-    assert_same_reachable(DiagonalDynamics(consensus),
-                          mv_worst_consensus_input(n))
+    assert_same_reachable(spread, mv_worst_spread_input(n))
+    assert_same_reachable(consensus, mv_worst_consensus_input(n))
 
 
 def random_basis_preserving_spec(rng, n):
@@ -264,8 +281,8 @@ def random_basis_preserving_spec(rng, n):
 @settings(max_examples=60, deadline=None)
 def test_reachable_matches_reference_bfs_random_specs(n, seed):
     rng = np.random.default_rng(seed)
-    dyn = DiagonalDynamics(random_basis_preserving_spec(rng, n))
-    assert_same_reachable(dyn, rng.integers(0, 2, n))
+    assert_same_reachable(random_basis_preserving_spec(rng, n),
+                          rng.integers(0, 2, n))
 
 
 def test_enabled_moves_on_all_codes_match_rate_matrix():
@@ -274,6 +291,7 @@ def test_enabled_moves_on_all_codes_match_rate_matrix():
                      ml_lindblad(published_ml_weights(), n),
                      *mv_lindblads(n)):
             dyn = DiagonalDynamics(spec)
+            table = _reference_table(spec)
             codes = np.arange(2 ** n)
             src, dst, rate = dyn.enabled_moves(codes)
             off = np.zeros((2 ** n, 2 ** n))
@@ -281,7 +299,7 @@ def test_enabled_moves_on_all_codes_match_rate_matrix():
             Q = dyn.rate_matrix().toarray()
             assert np.array_equal(off, Q - np.diag(np.diag(Q)))
             want = sorted((int(c), d, r) for c in codes
-                          for d, r in _reference_moves(dyn, int(c)))
+                          for d, r in _reference_moves(table, n, int(c)))
             assert sorted(zip(src.tolist(), dst.tolist(),
                               rate.tolist())) == want
 
@@ -314,6 +332,46 @@ def test_gillespie_mean_matches_exact_markov():
         p = dexpm(Q.toarray() * t) @ p0
         want = p @ bits_of
         assert np.abs(mean[ti] - want).max() < 0.05
+
+
+def _reference_gillespie(spec, bits0, t_grid, n_traj, rng):
+    """Per-site Gillespie loop on a bit array, drawing as the engine does."""
+    table, n = _reference_table(spec), spec.n_sites
+    acc = np.zeros((len(t_grid), n))
+    for _ in range(n_traj):
+        bits = np.array(bits0, dtype=np.int64)
+        now, gi = 0.0, 0
+        while gi < len(t_grid):
+            moves = [(sites, c_out, rate) for sites, c_in, c_out, rate in table
+                     if int("".join(str(bits[j]) for j in sites), 2) == c_in]
+            if not moves:
+                acc[gi:] += bits
+                break
+            rates = np.array([rate for _, _, rate in moves])
+            total = rates.sum()
+            dt = rng.exponential(1.0 / total)
+            while gi < len(t_grid) and t_grid[gi] < now + dt:
+                acc[gi] += bits
+                gi += 1
+            now += dt
+            sites, c_out, _ = moves[np.searchsorted(np.cumsum(rates),
+                                                    rng.random() * total)]
+            for i, j in enumerate(sites):
+                bits[j] = (c_out >> (len(sites) - 1 - i)) & 1
+    return acc / n_traj
+
+
+def test_gillespie_draws_match_reference_loop():
+    # the fuks and spread moves clear bits as well as set them
+    for spec, bits0 in ((fuks_lindblad(FuksParams(0.3), 6),
+                         [1, 0, 1, 1, 0, 0]),
+                        (mv_lindblads(8)[0], mv_worst_spread_input(8))):
+        t_grid = np.linspace(0.0, 6.0, 13)
+        got = DiagonalDynamics(spec).gillespie_mean_occupancy(
+            np.array(bits0), t_grid, 40, np.random.default_rng(17))
+        want = _reference_gillespie(spec, bits0, t_grid, 40,
+                                    np.random.default_rng(17))
+        assert np.array_equal(got, want)
 
 
 def random_rate_matrix(rng, dim):
@@ -353,6 +411,48 @@ def test_uniformized_rows_one_state_and_zero_rates(rng):
     assert np.abs(got - p0 @ obs).max() < 1e-15
     with pytest.raises(ValueError, match="non-negative"):
         uniformized_rows(sp.csr_matrix((4, 4)), p0, obs, np.array([-1.0]))
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 12.0, 24.0, 693.0, 1e4,
+                                  1e5])
+def test_poisson_weights_match_exact_values(mean):
+    from decimal import Decimal, getcontext
+    getcontext().prec = 50
+    spread = int(12 * np.sqrt(mean + 1)) + 20
+    ks = np.arange(max(0, int(mean) - spread), int(mean) + spread)
+    got = _poisson_pmf(ks, np.array([mean]))[:, 0]
+    m, p, exact = Decimal(mean), (-Decimal(mean)).exp(), []
+    for k in range(ks[-1] + 1):     # 50 digits: the rounding does not show
+        if k:
+            p = p * m / k
+        if k >= ks[0]:
+            exact.append(float(p))
+    want = np.array(exact)
+    assert np.abs(got - want).max() <= 5e-16 * want.max()
+    seen = want > 1e-300
+    assert np.all(np.abs(got - want)[seen] <= 1e-12 * want[seen])
+    assert np.all(got[~seen] <= 1e-290)
+
+
+def test_uniformized_rows_memory_does_not_grow_with_horizon():
+    # two states, 0 -> 1 at rate a and 1 -> 0 at rate b: the occupation of
+    # state 1 from state 0 is a/(a+b) (1 - exp(-(a+b) t)); L t reaches 2e4,
+    # where weights for every k <= K at once would take 34 MB
+    import tracemalloc
+    a, b = 1.0, 0.5
+    Q = sp.csr_matrix(np.array([[-a, b], [a, -b]]))
+    t_grid = np.concatenate([np.linspace(0.0, 5.0, 100),
+                             np.linspace(5.0, 2e4, 100)])
+    tracemalloc.start()
+    try:
+        got = uniformized_rows(Q, np.array([1.0, 0.0]),
+                               np.array([[0.0], [1.0]]), t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = a / (a + b) * -np.expm1(-(a + b) * t_grid)
+    assert np.abs(got[:, 0] - want).max() < 1e-10
+    assert peak < 4e6
 
 
 def test_mean_occupancy_exact_matches_full_expm():
