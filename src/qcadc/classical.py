@@ -2,10 +2,11 @@
 
 Everything quantum in this package restricted to computational basis states
 has a classical shadow; this module implements that shadow directly so large
-rings and exhaustive scans stay cheap.  The majority-voting triple maps are
-not hand-coded: they are derived mechanically from the quantum Kraus
-operators by probing all eight basis states, and an agreement test guards
-the derivation.
+rings and exhaustive scans stay cheap.  No rule table is hand-coded: the
+tables of the partitioned rules (the majority-voting triples and the 184/232
+center updates) are derived from the same three-site Kraus lists that build
+the quantum steps, by probing all eight basis states, and are applied in the
+block order of the same schedules; agreement tests guard both.
 
 Bitstrings are numpy uint8 arrays, site 1 leftmost; ASCII '0'/'1' strings
 are accepted everywhere.
@@ -15,6 +16,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .models import (_center_kraus, _center_windows, _mv_consensus_kraus,
+                     _mv_spread_kraus, fates_kraus_sets, fuks_schedule,
+                     mv_layer_counts, mv_schedule)
+from .superop import basis_moves
 
 __all__ = [
     "parse_bits", "format_bits", "popcount", "has_adjacent_ones", "is_uniform",
@@ -79,40 +85,78 @@ def eca_step(rule: int, bits) -> np.ndarray:
     return table[nbhd]
 
 
-_RULE_CENTER = {
-    # deterministic center map per (left, right) neighborhood, from the
-    # quantum channel tables: damp / identity / flip-or-identity / pump
-    184: {(0, 0): lambda c: 0, (0, 1): lambda c: c,
-          (1, 0): lambda c: 1 - c, (1, 1): lambda c: 1},
-    232: {(0, 0): lambda c: 0, (0, 1): lambda c: c,
-          (1, 0): lambda c: c, (1, 1): lambda c: 1},
-}
+# ---------------------------------------------------------------------------
+# partitioned rules, derived from the quantum Kraus lists
+
+
+_MV_KRAUS = {"spread": _mv_spread_kraus, "consensus": _mv_consensus_kraus}
+
+
+@lru_cache(maxsize=None)
+def _rule_table(rule: int | str) -> np.ndarray:
+    """Deterministic 8-entry lookup, basis triple in -> basis triple out, of
+    a partitioned rule: a majority-voting triple map ("spread",
+    "consensus") or a center update (184, 232).
+
+    Probes the rule's three-site Kraus list with every basis state; exactly
+    one operator must act on each input, yielding one basis state with unit
+    weight.
+    """
+    if rule in _MV_KRAUS:
+        ops = [op.matrix for op in _MV_KRAUS[rule]((0, 1, 2))]
+    else:
+        ops = _center_kraus(fates_kraus_sets(rule))
+    table = np.full(8, -1, dtype=np.int64)
+    for K in ops:
+        moves = basis_moves(K)
+        if moves is None:
+            raise RuntimeError(f"rule {rule} Kraus set is not basis-deterministic")
+        for s, t, weight in moves:
+            if table[s] != -1 or abs(weight - 1.0) > 1e-12:
+                raise RuntimeError(f"rule {rule} table ambiguous on input {s:03b}")
+            table[s] = t
+    if (table < 0).any():
+        raise RuntimeError(f"rule {rule} table has no image for some input")
+    table.setflags(write=False)
+    return table
+
+
+def _apply_table(arr: np.ndarray, table: np.ndarray, starts) -> np.ndarray:
+    """Apply a triple table in place to the window starting at each of
+    ``starts`` in turn; each window sees the updates of the earlier ones."""
+    n = len(arr)
+    for i in starts:
+        j, k = (i + 1) % n, (i + 2) % n
+        t = table[(int(arr[i]) << 2) | (int(arr[j]) << 1) | int(arr[k])]
+        arr[i], arr[j], arr[k] = (t >> 2) & 1, (t >> 1) & 1, t & 1
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _center_starts(n_sites: int, phase_order: str) -> tuple[int, ...]:
+    return _center_windows(fuks_schedule(n_sites, phase_order).phases, n_sites)
+
+
+@lru_cache(maxsize=None)
+def _mv_phases(n_sites: int) -> tuple[tuple[int, ...], ...]:
+    return mv_schedule(n_sites).phases
 
 
 def partitioned_rule_step(rule: int, bits,
                           phase_order: str = "odd_first") -> np.ndarray:
     """Center-update partitioned step of a deterministic rule.
 
-    Mirrors the quantum discrete convention exactly: two center phases, each
-    applied in descending site order with updates visible to later centers
-    of the same phase.  The traffic/majority mixture pins odd centers first
-    (see the quantum builder for why).
+    Mirrors the quantum discrete convention exactly: the windows of
+    :func:`models.fuks_schedule`, two center phases, each applied in
+    descending site order with updates visible to later centers of the same
+    phase.  The traffic/majority mixture pins odd centers first (see the
+    quantum builder for why).
     """
-    if rule not in _RULE_CENTER:
+    if rule not in (184, 232):
         raise ValueError(f"unsupported partitioned rule {rule}")
-    table = _RULE_CENTER[rule]
     arr = parse_bits(bits)
-    n = len(arr)
-    evens = [j for j in range(n) if (j + 1) % 2 == 0]
-    odds = [j for j in range(n) if (j + 1) % 2 == 1]
-    phases = {"even_first": (evens, odds), "odd_first": (odds, evens)}
-    if phase_order not in phases:
-        raise ValueError(f"unknown phase_order {phase_order!r}")
-    for phase in phases[phase_order]:
-        for j in sorted(phase, reverse=True):
-            left, right = int(arr[(j - 1) % n]), int(arr[(j + 1) % n])
-            arr[j] = table[(left, right)](int(arr[j]))
-    return arr
+    return _apply_table(arr, _rule_table(rule),
+                        _center_starts(len(arr), phase_order))
 
 
 def fates_classical_trajectory(p: float, bits, n_steps: int,
@@ -149,63 +193,27 @@ def _prob_one(p: float, rings: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# majority-voting triple maps, derived from the quantum Kraus operators
+# majority-voting sublayers
 
 
-@lru_cache(maxsize=None)
-def _triple_map(kind: str) -> np.ndarray:
-    """Deterministic 8-entry lookup: basis triple in -> basis triple out.
-
-    Probes the quantum Kraus set with every basis vector; exactly one Kraus
-    operator must act per input and must yield a single basis vector.
-    """
-    from .models import _mv_consensus_kraus, _mv_spread_kraus
-    kraus_fn = {"spread": _mv_spread_kraus, "consensus": _mv_consensus_kraus}[kind]
-    ops = [op.matrix for op in kraus_fn((0, 1, 2))]
-    table = np.zeros(8, dtype=np.int64)
-    for s in range(8):
-        e = np.zeros(8)
-        e[s] = 1.0
-        hits = []
-        for K in ops:
-            out = K @ e
-            nz = np.flatnonzero(np.abs(out) > 1e-12)
-            if len(nz) == 1 and abs(abs(out[nz[0]]) - 1.0) < 1e-12:
-                hits.append(int(nz[0]))
-            elif len(nz) != 0:
-                raise RuntimeError(f"{kind} Kraus set is not basis-deterministic")
-        if len(hits) != 1:
-            raise RuntimeError(f"{kind} triple map ambiguous on input {s:03b}")
-        table[s] = hits[0]
-    return table
-
-
-def _apply_triples(bits: np.ndarray, phase: int, kind: str) -> np.ndarray:
-    n = len(bits)
-    if n % 3 != 0:
-        raise ValueError(f"triple partition needs length % 3 == 0, got {n}")
+def _mv_sublayer(bits, phase: int, rule: str) -> np.ndarray:
+    arr = parse_bits(bits)
+    phases = _mv_phases(len(arr))
     if phase not in (1, 2, 3):
         raise ValueError(f"phase must be 1, 2 or 3, got {phase}")
-    table = _triple_map(kind)
-    out = bits.copy()
-    for start in range(phase - 1, n, 3):
-        i, j, k = start, (start + 1) % n, (start + 2) % n
-        s = (int(bits[i]) << 2) | (int(bits[j]) << 1) | int(bits[k])
-        t = table[s]
-        out[i], out[j], out[k] = (t >> 2) & 1, (t >> 1) & 1, t & 1
-    return out
+    return _apply_table(arr, _rule_table(rule), phases[phase - 1])
 
 
 def mv_spread_classical(bits, phase: int) -> np.ndarray:
     """One spreading sublayer: relocates the middle one of phase-aligned
     1,1,0 triples; conserves popcount."""
-    return _apply_triples(parse_bits(bits), phase, "spread")
+    return _mv_sublayer(bits, phase, "spread")
 
 
 def mv_consensus_classical(bits, phase: int) -> np.ndarray:
     """One consensus sublayer: kills phase-aligned isolated ones, grows
     clusters over a neighboring zero on either side."""
-    return _apply_triples(parse_bits(bits), phase, "consensus")
+    return _mv_sublayer(bits, phase, "consensus")
 
 
 def mv_sublayer_sequence(count: int):
@@ -223,13 +231,8 @@ def mv_spread_sweep(bits) -> np.ndarray:
     """
     arr = parse_bits(bits)
     n = len(arr)
-    table = _triple_map("spread")
-    for j in reversed(range(n)):
-        i, k = (j - 1) % n, (j + 1) % n
-        s = (int(arr[i]) << 2) | (int(arr[j]) << 1) | int(arr[k])
-        t = table[s]
-        arr[i], arr[j], arr[k] = (t >> 2) & 1, (t >> 1) & 1, t & 1
-    return arr
+    return _apply_table(arr, _rule_table("spread"),
+                        _center_windows((range(n),), n))
 
 
 def mv_separated_target(bits) -> np.ndarray:
@@ -266,7 +269,6 @@ def mv_classify(bits) -> tuple[int, int]:
     n = len(arr)
     if n % 3 != 0:
         raise ValueError(f"length {n} is not a multiple of 3; apply mv_pad first")
-    from .models import mv_layer_counts
     tau_a, tau_b, _total = mv_layer_counts(n)
     used = 0
     for phase in mv_sublayer_sequence(tau_a):

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -275,10 +274,7 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
             raise ConfigError("models[].n_values is empty")
         family = lambda n, e=entry: build_spec(
             {"id": e["id"], "params": e.get("params", {})}, n)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(
-                lambda n: spectra.gap_scan(family, [n], mode=mode)[0],
-                n_values))
+        reports = spectra.gap_scan(family, n_values, mode=mode)
         gaps = {}
         for n, rep, err in reports:
             if rep is None:
@@ -356,12 +352,10 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         cap = int(scan.get("exact_cap", 40_000))
         n_values = [int(x) for x in scan["n_values"]]
         seeds = np.random.SeedSequence(seed).spawn(len(n_values))
-        def one(i):
-            return evolve.mv_worst_case_times(
-                n_values[i], n_traj=n_traj,
-                rng=np.random.default_rng(seeds[i]), exact_cap=cap)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, range(len(n_values))))
+        results = [evolve.mv_worst_case_times(
+                       n, n_traj=n_traj, rng=np.random.default_rng(s),
+                       exact_cap=cap)
+                   for n, s in zip(n_values, seeds)]
         rows = [(r["n_sites"], r["tau_spread"], r["tau_consensus"],
                  r["tau_total"], r["method_spread"], r["method_consensus"])
                 for r in results]
@@ -389,8 +383,24 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         if key not in cfg:
             raise ConfigError(f"missing key config.{key}")
     n = int(cfg["n_sites"])
-    bits = classical.parse_bits(cfg["initial"]["bits"])
+    _require_keys(cfg["initial"], {"bits": True}, "initial")
+    try:
+        bits = classical.parse_bits(cfg["initial"]["bits"])
+    except ValueError as err:
+        raise ConfigError(f"initial.bits: {err}") from err
+    if len(bits) != n:
+        raise ConfigError(
+            f"initial.bits has {len(bits)} sites, n_sites={n}")
+    if n < 3:
+        raise ConfigError(f"n_sites={n}: the rules need at least 3 sites")
+    phase = cfg.get("phase", "consensus")
+    if phase not in ("spread", "consensus"):
+        raise ConfigError(f"unknown phase {phase!r}; choose spread or "
+                          f"consensus")
     if cfg["track"] == "discrete":
+        if n % 3 != 0:
+            raise ConfigError(f"n_sites={n} is not a multiple of 3; pad the "
+                              f"input first")
         label, used = classical.mv_classify(bits)
         write_json(out / "summary.json", {
             **_stamp(cfg), "label": label, "sublayers_used": used,
@@ -398,7 +408,6 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         return 0
     if cfg["track"] != "continuous":
         raise ConfigError(f"unknown track {cfg['track']!r}")
-    phase = cfg.get("phase", "consensus")
     spec = (models.mv_lindblads(n)[0] if phase == "spread"
             else models.mv_lindblads(n)[1])
     t_max = float(cfg.get("t", 3.0 * n))
@@ -509,8 +518,11 @@ def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
     reached = 0
     n = len(bits)
     for i, s in enumerate(seeds):
-        final = classical.fates_classical_trajectory(
-            p, bits, steps, np.random.default_rng(s))
+        try:
+            final = classical.fates_classical_trajectory(
+                p, bits, steps, np.random.default_rng(s))
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         dens = classical.popcount(final) / n
         reached += int(dens > 0.99)
         rows.append((i, classical.format_bits(final), dens))
@@ -635,7 +647,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--method", default="auto",
                         choices=["auto", "dense", "krylov", "diagonal"])
     args = parser.parse_args(argv)

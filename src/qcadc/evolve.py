@@ -26,7 +26,8 @@ from scipy.special import pdtrc
 from .config import DENSE_EXPM_CAP, TOL
 from .observables import (density_n, diag_indices, diag_probabilities,
                           expval_sz, trace_of)
-from .superop import LindbladSpec, SuperOp, VecState, assemble_lindbladian
+from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
+                      basis_moves)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
@@ -187,28 +188,10 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
 # diagonal (classical Markov) fast path
 
 
-def _probe_jump(op_matrix: np.ndarray, width: int):
-    """Action of a jump on each basis pattern of its support.
-
-    Returns a list of (in_code, out_code, weight) with weight = |amplitude|^2,
-    or raises if some column is not a scaled basis vector.
-    """
-    moves = []
-    for code in range(2 ** width):
-        col = op_matrix[:, code]
-        nz = np.flatnonzero(np.abs(col) > 1e-14)
-        if len(nz) == 0:
-            continue
-        if len(nz) > 1:
-            return None
-        moves.append((code, int(nz[0]), float(abs(col[nz[0]]) ** 2)))
-    return moves
-
-
 def is_basis_preserving(spec: LindbladSpec) -> bool:
     if spec.hamiltonian_terms:
         return False
-    return all(_probe_jump(op.matrix, op.width) is not None
+    return all(basis_moves(op.matrix) is not None
                for op, _rate in spec.jumps)
 
 
@@ -251,7 +234,7 @@ class DiagonalDynamics:
         for op, rate in spec.jumps:
             if rate == 0.0:
                 continue
-            probed = _probe_jump(op.matrix, op.width)
+            probed = basis_moves(op.matrix)
             if probed is None:
                 raise NotBasisPreservingError(
                     f"jump on sites {op.sites} maps a basis state to a "

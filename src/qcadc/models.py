@@ -13,13 +13,17 @@ Five families live here:
   voting ("fates"),
 * the eight-jump weighted family used by the cost-function search ("ml").
 
-Discrete steps compose per-site conditional channels according to a
-:class:`PartitionSchedule`; only the sites named in a phase block are
-written, neighbor sites are read through projectors.
+Every discrete rule is one list of three-site Kraus operators: the center
+rules (fuks, fates) condition a center set on the neighbors through
+projectors, ``kron(P_a, K, P_b)``, and the majority-voting triples are
+written out directly.  Its local channel is ``sum(doubled(K))``, its
+classical table is probed from the same list (see ``classical``), and both
+are applied window by window in the block order of a
+:class:`PartitionSchedule`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,7 +127,6 @@ class PartitionSchedule:
     phases: tuple[tuple[int, ...], ...]
     block_width: int
     n_sites: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for phase in self.phases:
@@ -146,7 +149,7 @@ class PartitionSchedule:
 
 
 # ---------------------------------------------------------------------------
-# center-update conditional channels (three sites read, one written)
+# three-site Kraus lists and their block order
 
 
 def fuks_kraus_sets(p: float) -> dict[tuple[int, int], list[np.ndarray]]:
@@ -159,21 +162,40 @@ def fuks_kraus_sets(p: float) -> dict[tuple[int, int], list[np.ndarray]]:
     }
 
 
-def _conditional_channel(kraus_by_nbhd: dict[tuple[int, int], list[np.ndarray]]
-                         ) -> np.ndarray:
-    """Doubled 3-site matrix sum_ab |aa><aa| (x) sum_mu K (x) K* (x) |bb><bb|."""
+def _center_kraus(kraus_by_nbhd: dict[tuple[int, int], list[np.ndarray]]
+                  ) -> list[np.ndarray]:
+    """Three-site Kraus list kron(P_a, K, P_b) of a center rule: the center
+    set K of each (left, right) neighborhood, read through projectors."""
     proj = {0: P0, 1: P1}
-    out = np.zeros((64, 64), dtype=complex)
+    ops = []
     for (a, b), kraus in kraus_by_nbhd.items():
         if kraus_completeness_residual(kraus) > 1e-12:
             raise ValueError(f"neighborhood {(a, b)} Kraus set is not complete")
-        center = sum(doubled(K) for K in kraus)
-        out += np.kron(np.kron(doubled(proj[a]), center), doubled(proj[b]))
-    return out
+        ops += [np.kron(np.kron(proj[a], K), proj[b]) for K in kraus]
+    return ops
 
 
 def fuks_neighborhood_channel(p: float) -> np.ndarray:
-    return _conditional_channel(fuks_kraus_sets(p))
+    return sum(doubled(K) for K in _center_kraus(fuks_kraus_sets(p)))
+
+
+def _center_windows(phases, n_sites: int) -> tuple[int, ...]:
+    """Leftmost site of every 3-site window of a center schedule, in
+    application order: phase by phase, centers in descending site order
+    (see :func:`fuks_schedule`), each window reading one site either side."""
+    return tuple((c - 1) % n_sites
+                 for phase in phases for c in sorted(phase, reverse=True))
+
+
+def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
+    """Product of the 3-site channel ``local`` embedded at each window start,
+    the first start acting first."""
+    mat = sp.identity(4 ** n_sites, dtype=complex, format="csr")
+    for s in starts:
+        support = (s, (s + 1) % n_sites, (s + 2) % n_sites)
+        mat = embed_local(local, support, n_sites) @ mat
+    mat.sort_indices()
+    return SuperOp(n_sites, mat, "step")
 
 
 def fuks_schedule(n_sites: int, phase_order: str = "even_first") -> PartitionSchedule:
@@ -194,26 +216,7 @@ def fuks_schedule(n_sites: int, phase_order: str = "even_first") -> PartitionSch
         phases = (odds, evens)
     else:
         raise ValueError(f"unknown phase_order {phase_order!r}")
-    return PartitionSchedule(phases, block_width=1, n_sites=n_sites,
-                             meta={"phase_order": phase_order})
-
-
-def _center_update_step(local64: np.ndarray, schedule: PartitionSchedule,
-                        meta: dict) -> SuperOp:
-    """Compose a 3-site read / center-write channel over all schedule phases.
-
-    Centers inside one phase are applied in descending site order (only the
-    odd-N wrap pair is order sensitive, see :func:`fuks_schedule`).
-    """
-    n = schedule.n_sites
-    dim = 4 ** n
-    mat = sp.identity(dim, dtype=complex, format="csr")
-    for phase in schedule.phases:
-        for center in sorted(phase, reverse=True):
-            support = ((center - 1) % n, center, (center + 1) % n)
-            mat = embed_local(local64, support, n) @ mat
-    mat.sort_indices()
-    return SuperOp(n, mat, "step", meta)
+    return PartitionSchedule(phases, block_width=1, n_sites=n_sites)
 
 
 def fuks_step(params: FuksParams, n_sites: int,
@@ -223,9 +226,9 @@ def fuks_step(params: FuksParams, n_sites: int,
         raise ValueError(f"need at least 3 sites, got {n_sites}")
     if schedule is None:
         schedule = fuks_schedule(n_sites)
-    local = fuks_neighborhood_channel(params.p)
-    meta = {"model": "fuks", "p": params.p, **schedule.meta}
-    return _center_update_step(local, schedule, meta)
+    return _compose(fuks_neighborhood_channel(params.p),
+                    _center_windows(schedule.phases, schedule.n_sites),
+                    schedule.n_sites)
 
 
 def fuks_lindblad(params: FuksParams, n_sites: int) -> LindbladSpec:
@@ -246,8 +249,7 @@ def fuks_lindblad(params: FuksParams, n_sites: int) -> LindbladSpec:
             (op(P1, SIGMA_PLUS, P0), g / 2),
             (op(P1, SIGMA_PLUS, P1), g),
         ]
-    return LindbladSpec(n_sites, (), tuple(jumps),
-                        meta={"model": "fuks", "p": params.p, "gamma": g})
+    return LindbladSpec(n_sites, (), tuple(jumps))
 
 
 def dephasing_lindblad(params: DephasingParams, n_sites: int) -> LindbladSpec:
@@ -264,9 +266,7 @@ def dephasing_lindblad(params: DephasingParams, n_sites: int) -> LindbladSpec:
             jumps.append((LocalOperator(sites, proj), params.gamma))
         if params.omega != 0.0:
             ham.append((LocalOperator(sites, hop), params.omega))
-    return LindbladSpec(n_sites, tuple(ham), tuple(jumps),
-                        meta={"model": "dephasing", "omega": params.omega,
-                              "gamma": params.gamma})
+    return LindbladSpec(n_sites, tuple(ham), tuple(jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -305,41 +305,35 @@ def mv_schedule(n_sites: int) -> PartitionSchedule:
     return PartitionSchedule(phases, block_width=3, n_sites=n_sites)
 
 
-def _mv_phase_step(kraus_fn, n_sites: int, phase: int, kind: str) -> SuperOp:
+def _mv_phase_step(kraus_fn, n_sites: int, phase: int) -> SuperOp:
     schedule = mv_schedule(n_sites)
     if phase not in (1, 2, 3):
         raise ValueError(f"phase must be 1, 2 or 3, got {phase}")
-    dim = 4 ** n_sites
-    mat = sp.identity(dim, dtype=complex, format="csr")
-    for start in schedule.phases[phase - 1]:
-        sites = (start, (start + 1) % n_sites, (start + 2) % n_sites)
-        local = sum(doubled(op.matrix) for op in kraus_fn(sites))
-        mat = embed_local(local, sites, n_sites) @ mat
-    mat.sort_indices()
-    return SuperOp(n_sites, mat, "step", {"model": f"mv-{kind}", "phase": phase})
+    local = sum(doubled(op.matrix) for op in kraus_fn((0, 1, 2)))
+    return _compose(local, schedule.phases[phase - 1], n_sites)
 
 
-def _mv_layer(kraus_fn, n_sites: int, kind: str) -> SuperOp:
+def _mv_layer(kraus_fn, n_sites: int) -> SuperOp:
     mat = None
     for phase in (3, 2, 1):          # phase 3 earliest in time
-        step = _mv_phase_step(kraus_fn, n_sites, phase, kind)
+        step = _mv_phase_step(kraus_fn, n_sites, phase)
         mat = step.matrix if mat is None else step.matrix @ mat
     mat.sort_indices()
-    return SuperOp(n_sites, mat, "step", {"model": f"mv-{kind}", "phase": "layer"})
+    return SuperOp(n_sites, mat, "step")
 
 
 def mv_spread_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Popcount-preserving sublayer (or full layer when phase is None)."""
     if phase is None:
-        return _mv_layer(_mv_spread_kraus, n_sites, "spread")
-    return _mv_phase_step(_mv_spread_kraus, n_sites, phase, "spread")
+        return _mv_layer(_mv_spread_kraus, n_sites)
+    return _mv_phase_step(_mv_spread_kraus, n_sites, phase)
 
 
 def mv_consensus_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Cluster-growing / isolated-one-deleting sublayer (or full layer)."""
     if phase is None:
-        return _mv_layer(_mv_consensus_kraus, n_sites, "consensus")
-    return _mv_phase_step(_mv_consensus_kraus, n_sites, phase, "consensus")
+        return _mv_layer(_mv_consensus_kraus, n_sites)
+    return _mv_phase_step(_mv_consensus_kraus, n_sites, phase)
 
 
 def mv_lindblads(n_sites: int) -> tuple[LindbladSpec, LindbladSpec]:
@@ -358,8 +352,8 @@ def mv_lindblads(n_sites: int) -> tuple[LindbladSpec, LindbladSpec]:
             (LocalOperator(sites, np.kron(np.kron(SIGMA_PLUS, P1), P1)), 1.0),
         ]
     return (
-        LindbladSpec(n_sites, (), tuple(spread), meta={"model": "mv-spread"}),
-        LindbladSpec(n_sites, (), tuple(consensus), meta={"model": "mv-consensus"}),
+        LindbladSpec(n_sites, (), tuple(spread)),
+        LindbladSpec(n_sites, (), tuple(consensus)),
     )
 
 
@@ -413,9 +407,9 @@ def fates_rule_step(rule: int, n_sites: int,
     """
     if schedule is None:
         schedule = fuks_schedule(n_sites, "odd_first")
-    local = _conditional_channel(fates_kraus_sets(rule))
-    return _center_update_step(local, schedule,
-                               {"model": "fates", "rule": rule, **schedule.meta})
+    local = sum(doubled(K) for K in _center_kraus(fates_kraus_sets(rule)))
+    return _compose(local, _center_windows(schedule.phases, schedule.n_sites),
+                    schedule.n_sites)
 
 
 def fates_step(p: float, n_sites: int,
@@ -431,7 +425,7 @@ def fates_step(p: float, n_sites: int,
     s232 = fates_rule_step(232, n_sites, schedule)
     mat = (p * s184.matrix + (1 - p) * s232.matrix).tocsr()
     mat.sort_indices()
-    return SuperOp(n_sites, mat, "step", {"model": "fates", "p": p})
+    return SuperOp(n_sites, mat, "step")
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +451,7 @@ def ml_lindblad(weights: MLWeights, n_sites: int) -> LindbladSpec:
                 continue
             mat = np.kron(np.kron(proj[a], op), proj[b])
             jumps.append((LocalOperator(sites, mat), w))
-    return LindbladSpec(n_sites, (), tuple(jumps),
-                        meta={"model": "ml", "weights": weights.w})
+    return LindbladSpec(n_sites, (), tuple(jumps))
 
 
 # ---------------------------------------------------------------------------

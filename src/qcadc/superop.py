@@ -32,7 +32,7 @@ around the ring (site N is adjacent to site 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,8 +44,9 @@ __all__ = [
     "P0", "P1", "SIGMA_MINUS", "SIGMA_PLUS", "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
-    "kraus_to_superop", "assemble_lindbladian", "apply_adjoint_generator",
-    "kraus_completeness_residual", "ChannelInvalidError",
+    "basis_moves", "kraus_to_superop", "assemble_lindbladian",
+    "apply_adjoint_generator", "kraus_completeness_residual",
+    "ChannelInvalidError",
 ]
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -120,7 +121,7 @@ def _check_contiguous(sites: Sequence[int], n_sites: int) -> None:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """Sparse matrix on the doubled space with model metadata.
+    """Sparse matrix on the doubled space.
 
     kind is "step" for a discrete CPTP map and "generator" for a Lindbladian.
     """
@@ -128,7 +129,6 @@ class SuperOp:
     n_sites: int
     matrix: sp.csr_matrix
     kind: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         dim = 4 ** self.n_sites
@@ -155,7 +155,6 @@ class LindbladSpec:
     n_sites: int
     hamiltonian_terms: tuple[tuple[LocalOperator, float], ...] = ()
     jumps: tuple[tuple[LocalOperator, float], ...] = ()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for op, _coeff in self.hamiltonian_terms:
@@ -227,8 +226,30 @@ def doubled(ket_op: np.ndarray, bra_op: np.ndarray | None = None) -> np.ndarray:
 # embedding
 
 
-def _digit_places(n_sites: int) -> np.ndarray:
-    return 4 ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
+def _scatter(m: sp.coo_matrix, sites: Sequence[int], n_sites: int,
+             radix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global (rows, cols, vals) of the local matrix ``m`` placed at ``sites``
+    with identity digits everywhere else.
+
+    ``radix`` is 2 for physical indices and 4 for doubled ones; site 0 is
+    the most significant digit.  Local digits are ordered as ``sites``, so
+    wrapped supports need no permutation.
+    """
+    place = radix ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
+
+    def spread(idx: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+        """Global offsets of digit strings ``idx`` over ``positions``."""
+        off = np.zeros(len(idx), dtype=np.int64)
+        for i, s in enumerate(positions):
+            off += (idx // radix ** (len(positions) - 1 - i)) % radix * place[s]
+        return off
+
+    rest = [s for s in range(n_sites) if s not in sites]
+    base = spread(np.arange(radix ** len(rest), dtype=np.int64), rest)
+    rows = (base[:, None] + spread(m.row.astype(np.int64), sites)).reshape(-1)
+    cols = (base[:, None] + spread(m.col.astype(np.int64), sites)).reshape(-1)
+    vals = np.broadcast_to(m.data, (len(base), len(m.data))).reshape(-1)
+    return rows, cols, vals
 
 
 def embed_local(matrix: np.ndarray | sp.spmatrix, sites: Sequence[int],
@@ -245,28 +266,7 @@ def embed_local(matrix: np.ndarray | sp.spmatrix, sites: Sequence[int],
     m = sp.coo_matrix(matrix)
     if m.shape != (4 ** k, 4 ** k):
         raise ValueError(f"matrix shape {m.shape} does not match support {sites}")
-
-    place = _digit_places(n_sites)
-    rest = np.array([s for s in range(n_sites) if s not in sites], dtype=np.int64)
-    n_rest = len(rest)
-    rest_enum = np.arange(4 ** n_rest, dtype=np.int64)
-    base = np.zeros(4 ** n_rest, dtype=np.int64)
-    for i, s in enumerate(rest):
-        digit = (rest_enum // 4 ** (n_rest - 1 - i)) % 4
-        base += digit * place[s]
-
-    def scatter(local_idx: np.ndarray) -> np.ndarray:
-        off = np.zeros(len(local_idx), dtype=np.int64)
-        for i, s in enumerate(sites):
-            digit = (local_idx // 4 ** (k - 1 - i)) % 4
-            off += digit * place[s]
-        return off
-
-    row_off = scatter(m.row.astype(np.int64))
-    col_off = scatter(m.col.astype(np.int64))
-    rows = (base[:, None] + row_off[None, :]).reshape(-1)
-    cols = (base[:, None] + col_off[None, :]).reshape(-1)
-    vals = np.broadcast_to(m.data, (4 ** n_rest, len(m.data))).reshape(-1)
+    rows, cols, vals = _scatter(m, sites, n_sites, 4)
     dim = 4 ** n_sites
     out = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     out.sum_duplicates()
@@ -277,28 +277,8 @@ def embed_local(matrix: np.ndarray | sp.spmatrix, sites: Sequence[int],
 def embed_physical(op: LocalOperator, n_sites: int) -> np.ndarray:
     """Embed a physical (un-doubled) local operator into the 2^N space."""
     _check_contiguous(op.sites, n_sites)
+    rows, cols, vals = _scatter(sp.coo_matrix(op.matrix), op.sites, n_sites, 2)
     full = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
-    k = op.width
-    mat = sp.coo_matrix(op.matrix)
-    place = 2 ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
-    rest = np.array([s for s in range(n_sites) if s not in op.sites], dtype=np.int64)
-    n_rest = len(rest)
-    rest_enum = np.arange(2 ** n_rest, dtype=np.int64)
-    base = np.zeros(2 ** n_rest, dtype=np.int64)
-    for i, s in enumerate(rest):
-        bit = (rest_enum >> (n_rest - 1 - i)) & 1
-        base += bit * place[s]
-
-    def scatter(local_idx):
-        off = np.zeros(len(local_idx), dtype=np.int64)
-        for i, s in enumerate(op.sites):
-            bit = (local_idx >> (k - 1 - i)) & 1
-            off += bit * place[s]
-        return off
-
-    rows = (base[:, None] + scatter(mat.row.astype(np.int64))[None, :]).reshape(-1)
-    cols = (base[:, None] + scatter(mat.col.astype(np.int64))[None, :]).reshape(-1)
-    vals = np.broadcast_to(mat.data, (2 ** n_rest, len(mat.data))).reshape(-1)
     np.add.at(full, (rows, cols), vals)
     return full
 
@@ -314,8 +294,26 @@ def kraus_completeness_residual(kraus: Iterable[np.ndarray]) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-def kraus_to_superop(kraus: Sequence[LocalOperator], n_sites: int,
-                     meta: dict | None = None) -> SuperOp:
+def basis_moves(matrix: np.ndarray) -> list[tuple[int, int, float]] | None:
+    """Action of an operator on each basis state of its support.
+
+    Returns (in_code, out_code, weight) for every input code, ascending,
+    that the operator does not annihilate, with weight = |amplitude|^2; None
+    if some column is not a scaled basis vector.
+    """
+    moves = []
+    for code in range(matrix.shape[1]):
+        col = matrix[:, code]
+        nz = np.flatnonzero(np.abs(col) > 1e-14)
+        if len(nz) == 0:
+            continue
+        if len(nz) > 1:
+            return None
+        moves.append((code, int(nz[0]), float(abs(col[nz[0]]) ** 2)))
+    return moves
+
+
+def kraus_to_superop(kraus: Sequence[LocalOperator], n_sites: int) -> SuperOp:
     """Discrete-step superoperator sum_mu K (x) K* for one shared support."""
     supports = {op.sites for op in kraus}
     if len(supports) != 1:
@@ -326,7 +324,7 @@ def kraus_to_superop(kraus: Sequence[LocalOperator], n_sites: int,
     sites = kraus[0].sites
     local = sum(doubled(op.matrix) for op in kraus)
     mat = embed_local(local, sites, n_sites)
-    return SuperOp(n_sites, mat, "step", dict(meta or {}))
+    return SuperOp(n_sites, mat, "step")
 
 
 def _local_dissipator(L: np.ndarray, rate: float) -> np.ndarray:
@@ -368,7 +366,7 @@ def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
     for sites in sorted(by_support):
         mat = mat + embed_local(by_support[sites], sites, spec.n_sites)
     mat.sort_indices()
-    return SuperOp(spec.n_sites, mat, "generator", dict(spec.meta))
+    return SuperOp(spec.n_sites, mat, "generator")
 
 
 def apply_adjoint_generator(spec: LindbladSpec,

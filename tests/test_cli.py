@@ -234,6 +234,36 @@ def test_mv_run_single_continuous(tmp_path, capsys):
         assert "finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"n_sites": 6, "initial": {"bits": "1100"}, "track": "continuous"},
+     "has 4 sites, n_sites=6"),
+    ({"n_sites": 9, "initial": {"bits": "110100"}, "track": "discrete"},
+     "has 6 sites, n_sites=9"),
+    ({"n_sites": 6, "initial": {"bits": "110100"}, "track": "continuous",
+      "phase": "spreading"}, "unknown phase 'spreading'"),
+    ({"n_sites": 3, "initial": {"bits": "1a0"}, "track": "discrete"},
+     "initial.bits"),
+    ({"n_sites": 3, "initial": {}, "track": "discrete"},
+     "missing key initial.bits"),
+    ({"n_sites": 4, "initial": {"bits": "1100"}, "track": "discrete"},
+     "not a multiple of 3"),
+    ({"n_sites": 2, "initial": {"bits": "11"}, "track": "continuous"},
+     "at least 3 sites"),
+])
+def test_mv_run_single_rejects_bad_input(tmp_path, capsys, cfg, message):
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_fates_demo_rejects_short_ring(tmp_path, capsys):
+    code, _ = run(tmp_path, "fates-demo", {"bits": "11", "n_seeds": 1})
+    assert code == 1
+    assert "at least 3 sites" in capsys.readouterr().err
+
+
 def test_classify_with_padding(tmp_path):
     code, out = run(tmp_path, "classify", {"bits": "1011"})
     assert code == 0

@@ -1,9 +1,11 @@
 """Model constructions: channels, generators, schedules, reference behavior."""
+import functools
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from qcadc.classical import eca_step, parse_bits
 from qcadc.models import (
@@ -350,6 +352,36 @@ def test_fates_rule_steps_are_deterministic_on_basis_states():
             got = apply_to_bits(step, bits)
             want = partitioned_rule_step(rule, bits)
             assert got == bits_index(list(want))
+
+
+def test_fates_tables_are_the_wolfram_rules():
+    # the center tables probed from the Kraus lists write the Wolfram bit
+    # (rule >> (4l + 2c + r)) & 1 to the center and leave l and r alone
+    from qcadc.classical import _rule_table
+    for rule in (184, 232):
+        table = _rule_table(rule)
+        for s in range(8):
+            l, r = s >> 2, s & 1
+            assert table[s] == (l << 2) | (((rule >> s) & 1) << 1) | r
+
+
+@functools.lru_cache(maxsize=None)
+def _fates_step_cached(rule, n, order):
+    return fates_rule_step(rule, n, fuks_schedule(n, order))
+
+
+@given(st.integers(min_value=3, max_value=7).flatmap(
+           lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+       st.sampled_from(["even_first", "odd_first"]),
+       st.sampled_from([184, 232]))
+@settings(max_examples=120, deadline=None)
+def test_fates_rule_step_matches_classical_block_order(bits, order, rule):
+    # both phase orders and odd N, where the wrap pair (N, 1) makes the
+    # order inside a phase matter
+    from qcadc.classical import partitioned_rule_step
+    step = _fates_step_cached(rule, len(bits), order)
+    want = partitioned_rule_step(rule, bits, order)
+    assert apply_to_bits(step, bits) == bits_index(list(want))
 
 
 def test_fates_mixture_is_trace_preserving(rng):
