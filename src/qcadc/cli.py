@@ -154,7 +154,10 @@ def build_initial(cfg: dict, n_sites: int):
     if sum(k in cfg for k in ("bits", "named", "file")) != 1:
         raise ConfigError("initial needs exactly one of bits/named/file")
     if "bits" in cfg:
-        bits = classical.parse_bits(cfg["bits"])
+        try:
+            bits = classical.parse_bits(cfg["bits"])
+        except ValueError as err:
+            raise ConfigError(f"initial.bits: {err}") from err
         if len(bits) != n_sites:
             raise ConfigError(
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
@@ -211,20 +214,27 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     samples = int(cfg.get("samples", evolve.DEFAULT_SAMPLES))
     method = args.method
     kind = evo["kind"]
-    if kind == "continuous":
-        spec = build_spec(cfg["model"], n)
-        result = evolve.continuous_evolve(spec, state, float(evo["t"]),
-                                          method=method, samples=samples)
-    elif kind == "discrete":
-        step = build_step(cfg["model"], n)
-        result = evolve.discrete_run(step, state, int(evo["steps"]))
-    elif kind == "converge":
-        spec = build_spec(cfg["model"], n)
-        result = evolve.converge_to_fixed_point(
-            spec, state, tol=float(evo.get("tol", 1e-9)),
-            horizon=float(evo.get("horizon", 1000.0)), method=method)
-    else:
+    if kind not in ("continuous", "discrete", "converge"):
         raise ConfigError(f"unknown evolution.kind {kind!r}")
+    need = {"continuous": "t", "discrete": "steps"}.get(kind)
+    if need is not None and need not in evo:
+        raise ConfigError(f"missing key evolution.{need}")
+    model = (build_step if kind == "discrete" else build_spec)(cfg["model"], n)
+    # evolve raises ValueError for what the run cannot take: a negative or
+    # non-finite t, a bad tol, the diagonal method on a spec that is not
+    # basis preserving or on a state with coherences
+    try:
+        if kind == "continuous":
+            result = evolve.continuous_evolve(model, state, float(evo["t"]),
+                                              method=method, samples=samples)
+        elif kind == "discrete":
+            result = evolve.discrete_run(model, state, int(evo["steps"]))
+        else:
+            result = evolve.converge_to_fixed_point(
+                model, state, tol=float(evo.get("tol", 1e-9)),
+                horizon=float(evo.get("horizon", 1000.0)), method=method)
+    except ValueError as err:
+        raise ConfigError(f"evolution: {err}") from err
 
     rows = [(r[0], r[1], r[2], r[3], result.method_used)
             for r in result.trajectory]
@@ -349,7 +359,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         _require_keys(scan, {"n_values": True, "n_traj": False,
                              "exact_cap": False}, "scan")
         n_traj = int(scan.get("n_traj", 400))
-        cap = int(scan.get("exact_cap", 40_000))
+        cap = int(scan.get("exact_cap", evolve.DEFAULT_EXACT_CAP))
         n_values = [int(x) for x in scan["n_values"]]
         seeds = np.random.SeedSequence(seed).spawn(len(n_values))
         results = [evolve.mv_worst_case_times(
@@ -416,7 +426,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     t_grid = np.linspace(0.0, t_max, 400)
     occ, method = evolve.mean_occupancy(
         spec, bits, t_grid, int(cfg.get("n_traj", 400)),
-        np.random.default_rng(seed), 40_000)
+        np.random.default_rng(seed), evolve.DEFAULT_EXACT_CAP)
     dens = occ.sum(axis=1) / n
     rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
             for i in range(len(t_grid))]
@@ -432,6 +442,8 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
 def cmd_classify(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"bits": True, "pad": False, "seed": False}, "config")
     bits = cfg["bits"]
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise ConfigError(f"bits must be a 0/1 string, got {bits!r}")
     padded = models.mv_pad(bits) if cfg.get("pad", True) else bits
     if len(padded) % 3 != 0:
         raise ConfigError(f"bits length {len(padded)} is not a multiple of 3 "

@@ -13,14 +13,12 @@ class Tolerances:
     """Engine-wide numerical tolerances.
 
     channel: residual allowed in the Kraus completeness sum (sum K'K - 1).
-    trace:   allowed trace drift of a step / trace leakage of a generator.
     null:    relative threshold below which an eigenvalue counts as zero,
              measured against the max-column-sum norm of the generator.
     physical: diagnostic threshold for trajectory trace/hermiticity/positivity.
     """
 
     channel: float = 1e-12
-    trace: float = 1e-10
     null: float = 1e-10
     physical: float = 1e-8
 
@@ -31,7 +29,9 @@ TOL = Tolerances()
 # sparse-only paths must be used instead.
 DENSE_SUPEROP_CAP = 65536  # 4^8
 
-# continuous_evolve(method="auto") picks the dense expm path up to here.
+# The one step builder of evolve (continuous runs, Trotter splitting,
+# fixed-point search) takes a dense expm of the generator up to this
+# dimension under method "auto", and Krylov above.
 DENSE_EXPM_CAP = 4096  # 4^6
 
 ENGINE_VERSION = "0.1.0"

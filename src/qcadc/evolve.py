@@ -4,11 +4,12 @@ splitting, the diagonal classical fast path, and fixed-point detection.
 Method selection for continuous evolution:
 
 * ``diagonal``  -- the generator is basis preserving and the state diagonal;
-                   evolve the 2^N probability vector under the classical
-                   rate matrix (exactly the restriction of the Lindbladian).
-* ``dense``     -- dense matrix exponential of the 4^N generator.
-* ``krylov``    -- Arnoldi approximation of exp(L t) v with adaptive
-                   substepping.
+                   the 2^N probability vector follows the classical rate
+                   matrix (exactly the restriction of the Lindbladian) in
+                   one uniformization pass over the whole sample grid.
+* ``dense``     -- one dense exponential of the 4^N generator per run.
+* ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
+                   adaptive substepping.
 * ``auto``      -- diagonal when admissible, dense up to 4^N = 4096, else
                    krylov.
 """
@@ -20,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+# not called; perfbench/tracer.py patches this name and fails without it
+from scipy.sparse.linalg import expm_multiply  # noqa: F401
 from scipy.special import pdtrc
 
 from .config import DENSE_EXPM_CAP, TOL
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 64
+DEFAULT_EXACT_CAP = 40_000  # reachable states solved exactly, not sampled
 
 
 class KrylovError(RuntimeError):
@@ -396,6 +399,51 @@ def _lift_diagonal(probs: np.ndarray, n_sites: int) -> VecState:
     return VecState(n_sites, v)
 
 
+def _auto_method(spec: LindbladSpec, state: VecState | None = None) -> str:
+    """What ``auto`` stands for: diagonal when admissible for ``state`` (if
+    given), else dense up to ``DENSE_EXPM_CAP`` and krylov above."""
+    if state is not None and is_basis_preserving(spec):
+        try:
+            _diagonal_part(state)
+            return "diagonal"
+        except ValueError:
+            pass
+    return "dense" if 4 ** spec.n_sites <= DENSE_EXPM_CAP else "krylov"
+
+
+def _step(spec: LindbladSpec, dt: float,
+          method: str) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> exp(L dt) v for the 4^N generator L of ``spec``, built once: a
+    dense expm for "dense", a Krylov action per call for "krylov"."""
+    if method == "dense":
+        prop = expm(assemble_lindbladian(spec).dense() * dt)
+        return lambda v: prop @ v
+    if method == "krylov":
+        gen = assemble_lindbladian(spec).matrix
+        return lambda v: krylov_expmv(gen, v, dt)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _iterate(step: Callable[[np.ndarray], np.ndarray], state: VecState,
+             n_steps: int):
+    """The states after each of ``n_steps`` applications of ``step``."""
+    v = state.amplitudes.copy()
+    for _ in range(n_steps):
+        v = step(v)
+        yield VecState(state.n_sites, v)
+
+
+def _follow(state: VecState, times: np.ndarray, flow,
+            record: bool) -> tuple[VecState, np.ndarray | None]:
+    """(final state, trajectory): ``state``, then ``flow`` at ``times``."""
+    rows = [_sample_row(0.0, state)] if record else None
+    final = state
+    for tk, final in zip(times, flow):
+        if record:
+            rows.append(_sample_row(tk, final))
+    return final, (np.array(rows) if record else None)
+
+
 def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
                       method: str = "auto", samples: int = DEFAULT_SAMPLES,
                       record: bool = True) -> EvolutionResult:
@@ -404,22 +452,10 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
     ``samples`` evenly spaced intermediate states are recorded (the paper-
     style coarse profiles need no more); sampling is exact, not interpolated.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     n = spec.n_sites
-    dim = 4 ** n
-    if method == "auto":
-        try:
-            _diagonal_part(state)
-            diag_ok = is_basis_preserving(spec)
-        except ValueError:
-            diag_ok = False
-        if diag_ok:
-            method = "diagonal"
-        elif dim <= DENSE_EXPM_CAP:
-            method = "dense"
-        else:
-            method = "krylov"
+    method = _auto_method(spec, state) if method == "auto" else method
 
     if t == 0:
         row = np.array([_sample_row(0.0, state)])
@@ -428,48 +464,15 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
 
     n_steps = max(1, samples)
     dt = t / n_steps
-    rows = [_sample_row(0.0, state)] if record else None
-
-    if method == "dense":
-        gen = assemble_lindbladian(spec).dense()
-        prop = expm(gen * dt)
-        v = state.amplitudes.copy()
-        for k in range(n_steps):
-            v = prop @ v
-            if record:
-                rows.append(_sample_row((k + 1) * dt, VecState(n, v)))
-        final = VecState(n, v)
-    elif method == "krylov":
-        gen = assemble_lindbladian(spec).matrix
-        v = state.amplitudes.copy()
-        for k in range(n_steps):
-            v = krylov_expmv(gen, v, dt)
-            if record:
-                rows.append(_sample_row((k + 1) * dt, VecState(n, v)))
-        final = VecState(n, v)
-    elif method == "diagonal":
-        if not is_basis_preserving(spec):
-            raise NotBasisPreservingError(
-                "diagonal method requested for a non-basis-preserving spec")
-        probs = _diagonal_part(state)
-        Q = diagonal_rate_matrix(spec)
-        if Q.shape[0] <= 1024:
-            prop = expm(Q.toarray() * dt)
-            step = lambda p: prop @ p
-        else:
-            step = lambda p: expm_multiply(Q * dt, p)
-        p = probs
-        for k in range(n_steps):
-            p = step(p)
-            if record:
-                st = _lift_diagonal(p, n)
-                rows.append(_sample_row((k + 1) * dt, st))
-        final = _lift_diagonal(p, n)
+    times = dt * np.arange(1, n_steps + 1)
+    if method == "diagonal":
+        Q, probs = diagonal_rate_matrix(spec), _diagonal_part(state)
+        flow = (_lift_diagonal(p, n) for p in uniformized_rows(
+            Q, probs, sp.identity(2 ** n, format="csr"), times))
     else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return EvolutionResult(final, t, True, method,
-                           np.array(rows) if record else None)
+        flow = _iterate(_step(spec, dt, method), state, n_steps)
+    final, rows = _follow(state, times, flow, record)
+    return EvolutionResult(final, t, True, method, rows)
 
 
 def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
@@ -478,24 +481,11 @@ def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
     """Alternate exact sub-exponentials exp(L_even tau) exp(L_odd tau)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    n = spec_even.n_sites
-    dim = 4 ** n
-    if dim <= DENSE_EXPM_CAP:
-        pe = expm(assemble_lindbladian(spec_even).dense() * tau)
-        po = expm(assemble_lindbladian(spec_odd).dense() * tau)
-        apply_pair = lambda v: pe @ (po @ v)
-    else:
-        ge = assemble_lindbladian(spec_even).matrix
-        go = assemble_lindbladian(spec_odd).matrix
-        apply_pair = lambda v: krylov_expmv(ge, krylov_expmv(go, v, tau), tau)
-    v = state.amplitudes.copy()
-    rows = [_sample_row(0.0, state)] if record else None
-    for k in range(n_steps):
-        v = apply_pair(v)
-        if record:
-            rows.append(_sample_row((k + 1) * tau, VecState(n, v)))
-    return EvolutionResult(VecState(n, v), tau * n_steps, True, "trotter",
-                           np.array(rows) if record else None)
+    even, odd = (_step(s, tau, _auto_method(s)) for s in (spec_even, spec_odd))
+    flow = _iterate(lambda v: even(odd(v)), state, n_steps)
+    final, rows = _follow(state, tau * np.arange(1, n_steps + 1), flow,
+                          record)
+    return EvolutionResult(final, tau * n_steps, True, "trotter", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -505,32 +495,40 @@ def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
 def converge_to_fixed_point(obj: "SuperOp | LindbladSpec", state: VecState,
                             tol: float = 1e-9, horizon: float = 1000.0,
                             method: str = "auto") -> EvolutionResult:
-    """Advance by unit time (or one step) until successive states differ by
-    less than ``tol`` in 2-norm; a exceeded horizon flags non-convergence."""
+    """Advance by unit time (or one step), with a propagator built once,
+    until successive states differ by less than ``tol`` in 2-norm; an
+    exceeded horizon flags non-convergence."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    n = state.n_sites
+    discrete = isinstance(obj, SuperOp)
+    if discrete:
+        advance = lambda v: obj.matrix @ v
+    else:
+        method = _auto_method(obj, state) if method == "auto" else method
+        if method == "diagonal":
+            _diagonal_part(state)           # rejects states with coherences
+            Q = diagonal_rate_matrix(obj)
+            idx, ident = diag_indices(n), sp.identity(2 ** n, format="csr")
+            advance = lambda v: _lift_diagonal(uniformized_rows(
+                Q, v[idx].real, ident, [1.0])[0], n).amplitudes
+        else:
+            advance = _step(obj, 1.0, method)
     rows = [_sample_row(0.0, state)]
-    current = state
+    v = state.amplitudes
     t = 0.0
     converged = False
-    if isinstance(obj, SuperOp):
-        advance = lambda s: VecState(s.n_sites, obj.matrix @ s.amplitudes)
-        method_used = "discrete"
-    else:
-        def advance(s):
-            return continuous_evolve(obj, s, 1.0, method=method, samples=1,
-                                     record=False).final_state
-        method_used = "continuous"
     while t < horizon:
-        new = advance(current)
+        new = advance(v)
         t += 1.0
-        rows.append(_sample_row(t, new))
-        if np.linalg.norm(new.amplitudes - current.amplitudes) < tol:
-            current = new
-            converged = True
+        rows.append(_sample_row(t, VecState(n, new)))
+        if np.linalg.norm(new - v) < tol:
+            v, converged = new, True
             break
-        current = new
-    return EvolutionResult(current, t, converged, method_used, np.array(rows))
+        v = new
+    return EvolutionResult(VecState(n, v), t, converged,
+                           "discrete" if discrete else "continuous",
+                           np.array(rows))
 
 
 def crossing_time(t_grid: np.ndarray, values: np.ndarray,
@@ -656,8 +654,8 @@ def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
 
 def mv_worst_case_times(n_sites: int, n_traj: int = 400,
                         rng: np.random.Generator | None = None,
-                        exact_cap: int = 40_000, samples: int = 600,
-                        threshold: float = 0.99) -> dict:
+                        exact_cap: int = DEFAULT_EXACT_CAP,
+                        samples: int = 600, threshold: float = 0.99) -> dict:
     """Worst-case spreading and consensus times on one ring.
 
     Spreading starts from the single half-filling cluster and stops when the

@@ -125,6 +125,36 @@ def test_evolve_converge_exit_codes(tmp_path):
     assert json.loads((out / "summary.json").read_text())["converged"]
 
 
+@pytest.mark.parametrize("model, initial, evolution, method, message", [
+    ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous", "t": -1.0},
+     "auto", "finite and non-negative"),
+    ({"id": "fuks"}, {"bits": "001"},
+     {"kind": "continuous", "t": float("inf")}, "auto",
+     "finite and non-negative"),
+    ({"id": "fuks"}, {"bits": "001"},
+     {"kind": "continuous", "t": float("nan")}, "auto",
+     "finite and non-negative"),
+    ({"id": "dephasing", "params": {"omega": 1.0}}, {"bits": "001"},
+     {"kind": "continuous", "t": 1.0}, "diagonal", "basis-preserving"),
+    ({"id": "fuks"}, {"named": "ghz"}, {"kind": "converge"}, "diagonal",
+     "off-diagonal weight"),
+    ({"id": "fuks"}, {"bits": "0a1"}, {"kind": "continuous", "t": 1.0},
+     "auto", "initial.bits"),
+    ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous"}, "auto",
+     "missing key evolution.t"),
+], ids=["negative-t", "infinite-t", "nan-t", "diagonal-not-basis-preserving",
+        "diagonal-coherent-state", "bad-bits", "missing-t"])
+def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
+                                method, message):
+    cfg = {"model": model, "n_sites": 3, "initial": initial,
+           "evolution": evolution}
+    code, out = run(tmp_path, "evolve", cfg, extra=["--method", method])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_gap_scan_outputs_and_ratio(tmp_path):
     cfg = {
         "models": [
@@ -270,6 +300,16 @@ def test_classify_with_padding(tmp_path):
     s = json.loads((out / "summary.json").read_text())
     assert s["padded_bits"] == "101101"
     assert s["label"] == 1
+
+
+@pytest.mark.parametrize("cfg", [{"bits": "1a01"},
+                                 {"bits": "1a0101", "pad": False}])
+def test_classify_rejects_non_binary_bits(tmp_path, capsys, cfg):
+    code, out = run(tmp_path, "classify", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0/1 string" in err
+    assert not out.exists()
 
 
 def test_ml_cost_published(tmp_path):

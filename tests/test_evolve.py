@@ -20,8 +20,8 @@ from qcadc.models import (
     fuks_lindblad, fuks_step, mv_consensus_step, mv_lindblads, mv_spread_step,
     published_ml_weights, ml_lindblad,
 )
-from qcadc.observables import (density_n, diag_probabilities, expval_sz,
-                               trace_of)
+from qcadc.observables import (density_n, diag_indices, diag_probabilities,
+                               expval_sz, trace_of)
 from qcadc.superop import (
     ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, SuperOp, VecState,
     assemble_lindbladian, devectorize, doubled, vectorize,
@@ -285,6 +285,17 @@ def test_reachable_matches_reference_bfs_random_specs(n, seed):
                           rng.integers(0, 2, n))
 
 
+@given(st.integers(min_value=3, max_value=7),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rate_matrix_is_diagonal_restriction_random_specs(n, seed):
+    spec = random_basis_preserving_spec(np.random.default_rng(seed), n)
+    idx = diag_indices(n)
+    want = assemble_lindbladian(spec).matrix.tocsr()[idx][:, idx]
+    got = diagonal_rate_matrix(spec)
+    assert abs(got - want).max() < 1e-12
+
+
 def test_enabled_moves_on_all_codes_match_rate_matrix():
     for n in (3, 4, 6):
         for spec in (fuks_lindblad(FuksParams(0.3), n),
@@ -479,6 +490,28 @@ def test_mean_occupancy_exact_matches_full_expm():
 # continuous evolution, methods and examples
 
 
+def test_diagonal_flow_matches_expm_multiply_n11():
+    # 2^11 states; the reference is expm_multiply on the rate matrix
+    from scipy.sparse.linalg import expm_multiply
+    n, t, samples = 11, 6.0, 8
+    spec = fuks_lindblad(FuksParams(0.3), n)
+    bits = [0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1]
+    out = continuous_evolve(spec, vectorize(basis_density(bits)), t,
+                            method="diagonal", samples=samples)
+    assert out.method_used == "diagonal"
+    p0 = np.zeros(2 ** n)
+    p0[int("".join(map(str, bits)), 2)] = 1.0
+    want = expm_multiply(diagonal_rate_matrix(spec), p0, start=0.0, stop=t,
+                         num=samples + 1, endpoint=True)
+    ones = np.array([bin(s).count("1") for s in range(2 ** n)])
+    assert np.abs(out.trajectory[:, 0]
+                  - np.linspace(0.0, t, samples + 1)).max() < 1e-12
+    assert np.abs(out.trajectory[:, 1] - want @ ones / n).max() < 1e-10
+    assert np.abs(out.trajectory[:, 2] - want @ (n / 2 - ones)).max() < 1e-10
+    assert np.abs(out.trajectory[:, 3] - want.sum(axis=1)).max() < 1e-10
+    assert np.abs(diag_probabilities(out.final_state) - want[-1]).max() < 1e-10
+
+
 def test_continuous_t_zero_identity(rng):
     spec = fuks_lindblad(FuksParams(0.3), 3)
     state = vectorize(random_density(rng, 3))
@@ -634,6 +667,32 @@ def test_converge_diagonal_markov_preserves_sz():
     assert out.converged
     sz = out.trajectory[:, 2]
     assert np.abs(sz - sz[0]).max() < 1e-8
+
+
+def test_converge_builds_its_propagator_once(monkeypatch, rng):
+    import qcadc.evolve as ev
+    calls = {"assemble_lindbladian": 0, "expm": 0, "diagonal_rate_matrix": 0}
+
+    def counted(name):
+        fn = getattr(ev, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ev, name, counted(name))
+    spec = fuks_lindblad(FuksParams(0.1), 3)
+    out = converge_to_fixed_point(spec, vectorize(random_density(rng, 3)),
+                                  tol=1e-14, horizon=5)
+    assert out.time_reached == 5 and not out.converged
+    assert calls == {"assemble_lindbladian": 1, "expm": 1,
+                     "diagonal_rate_matrix": 0}
+    out = converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
+                                  tol=1e-14, horizon=5)
+    assert out.time_reached == 5 and not out.converged
+    assert calls["diagonal_rate_matrix"] == 1
 
 
 def test_crossing_time():
