@@ -72,6 +72,16 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def write_trajectory(path: Path, rows) -> None:
+    """trajectory.csv from (t, n/N, s_z, trace, method) rows.  A number
+    below 1e-12 in magnitude is written as 0: it is round-off of an exact
+    zero (s_z on a half-filled ring), and its digits would change with any
+    reordering of a sum."""
+    write_csv(path, ["t", "n_over_N", "s_z", "trace", "method"],
+              [[0 if isinstance(x, float) and abs(x) < 1e-12 else x
+                for x in row] for row in rows])
+
+
 def write_json(path: Path, payload: dict) -> None:
     """Strict JSON: a NaN or infinity is a numerical failure, not output."""
     try:
@@ -238,8 +248,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
 
     rows = [(r[0], r[1], r[2], r[3], result.method_used)
             for r in result.trajectory]
-    write_csv(out / "trajectory.csv",
-              ["t", "n_over_N", "s_z", "trace", "method"], rows)
+    write_trajectory(out / "trajectory.csv", rows)
     final = result.final_state
     ab = observables.project_alpha_beta(final)
     summary = {
@@ -430,8 +439,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     dens = occ.sum(axis=1) / n
     rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
             for i in range(len(t_grid))]
-    write_csv(out / "trajectory.csv",
-              ["t", "n_over_N", "s_z", "trace", "method"], rows)
+    write_trajectory(out / "trajectory.csv", rows)
     tau = evolve.crossing_time(t_grid, dens, 0.99)
     write_json(out / "summary.json", {
         **_stamp(cfg), "method": method, "final_n_over_N": float(dens[-1]),

@@ -7,11 +7,21 @@ Method selection for continuous evolution:
                    the 2^N probability vector follows the classical rate
                    matrix (exactly the restriction of the Lindbladian) in
                    one uniformization pass over the whole sample grid.
-* ``dense``     -- one dense exponential of the 4^N generator per run.
+* ``dense``     -- one dense exponential of the generator per run.
 * ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
                    adaptive substepping.
 * ``auto``      -- diagonal when admissible, dense up to 4^N = 4096, else
                    krylov.
+
+``dense`` and ``krylov`` run on the conserved sector of the initial state:
+the graded blocks of the generator (:func:`superop.conserved_grading`, read
+off its sparsity pattern) that the state's support touches.  The generator
+never joins two blocks, so amplitudes outside them are zero at t = 0 and
+stay exactly zero; each sample is scattered back to 4^N.  A state touching
+every block, or a generator with no grading, runs on the full matrix.
+``auto`` still decides on 4^N, not on the sector size, so a config's method
+label does not depend on its initial state; on a sector both methods are
+cheap (the N = 7 half-filled-pair sector has 441 entries).
 """
 from __future__ import annotations
 
@@ -25,11 +35,11 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 from scipy.special import pdtrc
 
-from .config import DENSE_EXPM_CAP, TOL
+from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP, TOL
 from .observables import (density_n, diag_indices, diag_probabilities,
                           expval_sz, trace_of)
 from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
-                      basis_moves)
+                      basis_moves, conserved_grading)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
@@ -123,10 +133,14 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
                  max_dim: int = 40, max_substeps: int = 10000) -> np.ndarray:
     """Arnoldi approximation of exp(A t) v with adaptive substepping.
 
-    The per-substep error is estimated from the last subdiagonal element of
-    the Hessenberg matrix; a substep is retried with half the step when the
-    estimate exceeds the tolerance budget.  A substep still over budget at
-    the smallest step ``|t| / max_substeps`` raises :class:`KrylovError`.
+    The Arnoldi basis is kept as contiguous rows and orthogonalized by two
+    classical Gram-Schmidt passes.  The per-substep error is Expokit's phi_1
+    estimate (Sidje, ACM TOMS 24:130, 1998): the exponential F of the
+    Hessenberg matrix augmented by its last subdiagonal element gives the
+    step in its first m entries of column 0 and the error as beta |F[m, 0]|.
+    A substep over the tolerance budget is retried with half the step; one
+    still over budget at the smallest step ``|t| / max_substeps`` raises
+    :class:`KrylovError`.
     """
     if t == 0:
         return v.copy()
@@ -142,35 +156,29 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
         beta = np.linalg.norm(w)
         if beta == 0:
             return w
-        V = np.zeros((len(w), max_dim + 1), dtype=complex)
-        H = np.zeros((max_dim + 1, max_dim), dtype=complex)
-        V[:, 0] = w / beta
-        m_used = max_dim
-        happy = False
+        V = np.zeros((max_dim + 1, len(w)), dtype=complex)
+        H = np.zeros((max_dim + 1, max_dim + 1), dtype=complex)
+        V[0] = w / beta
+        m = max_dim
         for j in range(max_dim):
-            u = A @ V[:, j]
-            for i in range(j + 1):
-                H[i, j] = np.vdot(V[:, i], u)
-                u -= H[i, j] * V[:, i]
-            # one re-orthogonalization pass keeps the basis clean
-            for i in range(j + 1):
-                c = np.vdot(V[:, i], u)
-                H[i, j] += c
-                u -= c * V[:, i]
-            H[j + 1, j] = np.linalg.norm(u)
-            if H[j + 1, j] < 1e-14 * scale:
-                m_used = j + 1
-                happy = True
+            u = A @ V[j]
+            basis = V[:j + 1]
+            for _ in range(2):           # the second pass restores orthogonality
+                h = (basis @ u.conj()).conj()
+                u -= h @ basis
+                H[:j + 1, j] += h
+            norm = np.linalg.norm(u)
+            if norm < 1e-14 * scale:
+                m = j + 1                # invariant subspace: the step is exact
                 break
-            V[:, j + 1] = u / H[j + 1, j]
-        Hm = H[:m_used, :m_used]
-        expH = expm(Hm * dt)
-        if happy:
-            err = 0.0
-        else:
-            err = abs(beta * H[m_used, m_used - 1] * dt * expH[m_used - 1, 0])
-        budget = tol * scale * (dt / abs(t))
-        if err > budget:
+            H[j + 1, j] = norm
+            V[j + 1] = u / norm
+        while True:                      # the basis serves every retry
+            F = expm(H[:m + 1, :m + 1] * dt)
+            err = abs(beta * F[m, 0])
+            budget = tol * scale * (dt / abs(t))
+            if err <= budget:
+                break
             if dt <= abs(t) / max_substeps:
                 raise KrylovError(
                     err, f"Krylov expmv error estimate {err:.3e} exceeds "
@@ -178,8 +186,7 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
                          f"{dt:.3e}")
             dt /= 2
             substeps += 1
-            continue
-        w = beta * (V[:, :m_used] @ expH[:, 0])
+        w = beta * (F[:m, 0] @ V[:m])
         remaining -= dt
         substeps += 1
         if err < 0.1 * budget:
@@ -411,17 +418,43 @@ def _auto_method(spec: LindbladSpec, state: VecState | None = None) -> str:
     return "dense" if 4 ** spec.n_sites <= DENSE_EXPM_CAP else "krylov"
 
 
-def _step(spec: LindbladSpec, dt: float,
-          method: str) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> exp(L dt) v for the 4^N generator L of ``spec``, built once: a
-    dense expm for "dense", a Krylov action per call for "krylov"."""
+def _sector(pattern: sp.spmatrix, state: VecState) -> np.ndarray | None:
+    """Doubled indices of the graded blocks of ``pattern`` that the support
+    of ``state`` touches, ascending; None when that is every index."""
+    _kind, grading = conserved_grading(pattern, state.n_sites)
+    touched = grading[np.flatnonzero(state.amplitudes)]
+    idx = np.flatnonzero(np.isin(grading, touched))
+    return None if len(idx) == len(grading) else idx
+
+
+def _step(gen: sp.csr_matrix, dt: float, method: str,
+          idx: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> exp(L dt) v for the 4^N generator ``gen``, built once: a dense
+    expm for "dense", a Krylov action per call for "krylov".
+
+    With ``idx`` (a union of graded blocks of ``gen``, holding the support
+    of every v passed in) both act on ``gen[idx, idx]`` and the result is
+    scattered back to 4^N; the entries outside ``idx`` stay exactly zero.
+    """
+    sub = gen if idx is None else gen[idx][:, idx]
     if method == "dense":
-        prop = expm(assemble_lindbladian(spec).dense() * dt)
-        return lambda v: prop @ v
-    if method == "krylov":
-        gen = assemble_lindbladian(spec).matrix
-        return lambda v: krylov_expmv(gen, v, dt)
-    raise ValueError(f"unknown method {method!r}")
+        if sub.shape[0] > DENSE_SUPEROP_CAP:
+            raise ValueError(f"dense path refused above dimension "
+                             f"{DENSE_SUPEROP_CAP}")
+        prop = expm(sub.toarray() * dt)
+        act = lambda w: prop @ w
+    elif method == "krylov":
+        act = lambda w: krylov_expmv(sub, w, dt)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if idx is None:
+        return act
+
+    def step(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(v), dtype=complex)
+        out[idx] = act(v[idx])
+        return out
+    return step
 
 
 def _iterate(step: Callable[[np.ndarray], np.ndarray], state: VecState,
@@ -470,7 +503,9 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
         flow = (_lift_diagonal(p, n) for p in uniformized_rows(
             Q, probs, sp.identity(2 ** n, format="csr"), times))
     else:
-        flow = _iterate(_step(spec, dt, method), state, n_steps)
+        gen = assemble_lindbladian(spec).matrix
+        flow = _iterate(_step(gen, dt, method, _sector(gen, state)), state,
+                        n_steps)
     final, rows = _follow(state, times, flow, record)
     return EvolutionResult(final, t, True, method, rows)
 
@@ -481,7 +516,12 @@ def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
     """Alternate exact sub-exponentials exp(L_even tau) exp(L_odd tau)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    even, odd = (_step(s, tau, _auto_method(s)) for s in (spec_even, spec_odd))
+    gens = [assemble_lindbladian(s).matrix for s in (spec_even, spec_odd)]
+    # the finest grading both halves respect, so that neither half can
+    # carry the state into a block the other half dropped
+    idx = _sector(abs(gens[0]) + abs(gens[1]), state)
+    even, odd = (_step(g, tau, _auto_method(s), idx)
+                 for g, s in zip(gens, (spec_even, spec_odd)))
     flow = _iterate(lambda v: even(odd(v)), state, n_steps)
     final, rows = _follow(state, tau * np.arange(1, n_steps + 1), flow,
                           record)
@@ -513,7 +553,8 @@ def converge_to_fixed_point(obj: "SuperOp | LindbladSpec", state: VecState,
             advance = lambda v: _lift_diagonal(uniformized_rows(
                 Q, v[idx].real, ident, [1.0])[0], n).amplitudes
         else:
-            advance = _step(obj, 1.0, method)
+            gen = assemble_lindbladian(obj).matrix
+            advance = _step(gen, 1.0, method, _sector(gen, state))
     rows = [_sample_row(0.0, state)]
     v = state.amplitudes
     t = 0.0

@@ -4,7 +4,8 @@ Dense mode exploits conserved index gradings.  Both number-conserving model
 families commute with doubled-space occupation counts (jointly per ket/bra
 copy, or their difference), which splits the 4^N generator into blocks small
 enough for full eigendecomposition up to N = 7 in minutes.  The grading is
-detected from the sparsity pattern, not assumed per model.
+detected from the sparsity pattern, not assumed per model, by
+:func:`superop.conserved_grading`, the detector time evolution also uses.
 
 The gap is min |lambda| over eigenvalues that do not count as zero; an
 eigenvalue counts as zero below ``TOL.null`` times the max-column-sum norm
@@ -14,14 +15,13 @@ part) is reported separately so complex drift would be caught.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import DENSE_SUPEROP_CAP, TOL
-from .superop import LindbladSpec, SuperOp, VecState, assemble_lindbladian
+from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
+                      conserved_grading)
 
 __all__ = [
     "SpectrumReport", "FitReport", "SpectrumError", "spectrum",
@@ -56,35 +56,7 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# grading detection
-
-
-@lru_cache(maxsize=None)
-def _digit_counts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per doubled index: ket popcount and bra popcount."""
-    idx = np.arange(4 ** n_sites, dtype=np.int64)
-    kets = np.zeros(len(idx), dtype=np.int64)
-    bras = np.zeros(len(idx), dtype=np.int64)
-    for j in range(n_sites):
-        d = (idx // 4 ** (n_sites - 1 - j)) % 4
-        kets += d // 2
-        bras += d % 2
-    return kets, bras
-
-
-def _conserved_grading(matrix: sp.csr_matrix, n_sites: int):
-    """Finest of (ket, bra) / ket-bra / trivial grading the matrix respects."""
-    coo = matrix.tocoo()
-    kets, bras = _digit_counts(n_sites)
-    if len(coo.row) == 0:
-        return "joint", kets * (n_sites + 1) + bras
-    if (np.array_equal(kets[coo.row], kets[coo.col])
-            and np.array_equal(bras[coo.row], bras[coo.col])):
-        return "joint", kets * (n_sites + 1) + bras
-    diff = kets - bras
-    if np.array_equal(diff[coo.row], diff[coo.col]):
-        return "difference", diff
-    return "none", np.zeros(matrix.shape[0], dtype=np.int64)
+# graded blocks
 
 
 def _blocks(grading: np.ndarray):
@@ -130,7 +102,7 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
     if mode == "dense":
         if dim > DENSE_SUPEROP_CAP:
             raise ValueError(f"dense mode refused above 4^N={DENSE_SUPEROP_CAP}")
-        kind, grading = _conserved_grading(gen.matrix, n)
+        kind, grading = conserved_grading(gen.matrix, n)
         eigenvalues = []
         for block in _blocks(grading):
             sub = gen.matrix[np.ix_(block, block)].toarray()

@@ -33,6 +33,7 @@ around the ring (site N is adjacent to site 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
     "basis_moves", "kraus_to_superop", "assemble_lindbladian",
+    "conserved_grading",
     "apply_adjoint_generator", "kraus_completeness_residual",
     "ChannelInvalidError",
 ]
@@ -367,6 +369,41 @@ def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
         mat = mat + embed_local(by_support[sites], sites, spec.n_sites)
     mat.sort_indices()
     return SuperOp(spec.n_sites, mat, "generator")
+
+
+@lru_cache(maxsize=None)
+def _digit_counts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per doubled index: ket popcount and bra popcount."""
+    idx = np.arange(4 ** n_sites, dtype=np.int64)
+    kets = np.zeros(len(idx), dtype=np.int64)
+    bras = np.zeros(len(idx), dtype=np.int64)
+    for j in range(n_sites):
+        d = (idx // 4 ** (n_sites - 1 - j)) % 4
+        kets += d // 2
+        bras += d % 2
+    return kets, bras
+
+
+def conserved_grading(matrix: sp.spmatrix,
+                      n_sites: int) -> tuple[str, np.ndarray]:
+    """Finest of the (ket, bra) / ket-bra / trivial gradings the sparsity
+    pattern of a doubled-space matrix respects.
+
+    Returns ``(kind, grading)``: kind is "joint", "difference" or "none",
+    and ``grading[i]`` labels the block of doubled index i.  The matrix is
+    block-diagonal in those labels: no stored entry joins two blocks.
+    """
+    coo = matrix.tocoo()
+    kets, bras = _digit_counts(n_sites)
+    if len(coo.row) == 0:
+        return "joint", kets * (n_sites + 1) + bras
+    if (np.array_equal(kets[coo.row], kets[coo.col])
+            and np.array_equal(bras[coo.row], bras[coo.col])):
+        return "joint", kets * (n_sites + 1) + bras
+    diff = kets - bras
+    if np.array_equal(diff[coo.row], diff[coo.col]):
+        return "difference", diff
+    return "none", np.zeros(matrix.shape[0], dtype=np.int64)
 
 
 def apply_adjoint_generator(spec: LindbladSpec,

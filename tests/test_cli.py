@@ -234,6 +234,21 @@ def test_mv_run_scan_never_crossing_exits_2_without_nan(tmp_path, capsys,
     assert fit["b"] is None and fit["q"] is None and fit["n_points"] == 3
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {"model": {"id": "fuks"}, "n_sites": 6,
+                "initial": {"bits": "110100"},
+                "evolution": {"kind": "continuous", "t": 5.0}, "samples": 8}),
+    ("mv-run", {"n_sites": 12, "initial": {"bits": "111111000000"},
+                "track": "continuous", "phase": "spread", "t": 20.0}),
+])
+def test_trajectory_writes_conserved_zero_sz_as_zero(tmp_path, command, cfg):
+    # half-filled rings conserve s_z = 0; the computed value is round-off
+    code, out = run(tmp_path, command, cfg)
+    assert code == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    assert {row[header.index("s_z")] for row in rows} == {"0"}
+
+
 def test_write_json_refuses_non_finite(tmp_path):
     with pytest.raises(FloatingPointError, match="bad.json"):
         write_json(tmp_path / "bad.json", {"x": float("nan")})

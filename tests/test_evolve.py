@@ -26,7 +26,7 @@ from qcadc.superop import (
     ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, SuperOp, VecState,
     assemble_lindbladian, devectorize, doubled, vectorize,
 )
-from conftest import basis_density, random_density
+from conftest import basis_density, ghz_density, random_density
 
 
 def decay_spec(n=1, gamma=1.0):
@@ -115,6 +115,41 @@ def test_krylov_raises_when_smallest_substep_is_over_budget():
     # with the default floor the same generator converges
     got = krylov_expmv(A, np.ones(300), 1.0)
     assert np.abs(got - np.exp(-lam)).max() < 1e-9
+
+
+def test_krylov_stiff_generator_accurate_or_raises():
+    # rates 1e-2..1e6 at t=1: exp(H dt) of the Ritz values underflows, so an
+    # estimate read off its last row reads zero on a step far off the answer
+    lam = np.geomspace(1e-2, 1e6, 300)
+    try:
+        got = krylov_expmv(sp.diags(-lam).tocsr(), np.ones(300), 1.0)
+    except KrylovError:
+        return
+    assert np.abs(got - np.exp(-lam)).max() < 1e-9
+
+
+def test_krylov_stiffer_generator_raises():
+    # rates up to 1e7 need substeps below the default floor t/10000
+    lam = np.geomspace(1e-2, 1e7, 300)
+    with pytest.raises(KrylovError):
+        krylov_expmv(sp.diags(-lam).tocsr(), np.ones(300), 1.0)
+
+
+def test_krylov_basis_stays_orthogonal_on_clustered_spectrum(monkeypatch,
+                                                              rng):
+    # six tight eigenvalue clusters: after six steps each new Arnoldi vector
+    # is mostly cancellation, which one Gram-Schmidt pass leaves far from
+    # orthogonal.  Only an orthonormal basis makes the Hessenberg matrix of
+    # a Hermitian generator Hermitian.
+    import qcadc.evolve as ev
+    seen = []
+    dense_expm = ev.expm
+    monkeypatch.setattr(ev, "expm", lambda M: seen.append(M) or dense_expm(M))
+    lam = -np.repeat(np.arange(1.0, 7.0), 50) + 1e-6 * rng.normal(size=300)
+    got = krylov_expmv(sp.diags(lam).tocsr(), np.ones(300), 1.0)
+    assert np.abs(got - np.exp(lam)).max() < 1e-9
+    H = seen[0][:-1, :-1]
+    assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
 
 
 def test_krylov_t_zero():
@@ -638,6 +673,117 @@ def test_trotter_small_tau_near_identity(rng):
     out = trotter_even_odd(even, odd, tau=tau, n_steps=1, state=state)
     bound = 2 * tau * np.abs(assemble_lindbladian(spec).matrix).sum(axis=0).max()
     assert np.abs(out.final_state.amplitudes - state.amplitudes).max() < bound
+
+
+# ---------------------------------------------------------------------------
+# conserved sectors of the initial state
+
+
+def random_jump_spec(rng, n):
+    """Random two-site jumps and a random one-site Hamiltonian: no grading."""
+    K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return LindbladSpec(n, ((LocalOperator((0,), H + H.conj().T), 0.4),),
+                        ((LocalOperator((n - 1, 0), K), 0.3),
+                         (LocalOperator((1, 2), K.T), 0.2)))
+
+
+def sector_density(rng, n, counts):
+    """Random density supported on basis states whose popcount is in
+    ``counts``, with coherences between those number sectors."""
+    keep = np.array([bin(i).count("1") in counts for i in range(2 ** n)])
+    rho = random_density(rng, n) * np.outer(keep, keep)
+    return rho / np.trace(rho)
+
+
+SECTOR_SPECS = ("fuks", "dephasing", "dephasing-omega", "random")
+SECTOR_STATES = ("basis", "ghz", "random", "sectors")
+
+
+def make_sector_case(rng, n, family, kind):
+    spec = {
+        "fuks": lambda: fuks_lindblad(FuksParams(0.3), n),
+        "dephasing": lambda: dephasing_lindblad(DephasingParams(0.0, 0.7), n),
+        "dephasing-omega": lambda: dephasing_lindblad(
+            DephasingParams(1.0, 0.7), n),
+        "random": lambda: random_jump_spec(rng, n),
+    }[family]()
+    rho = {
+        "basis": lambda: basis_density(rng.integers(0, 2, n)),
+        "ghz": lambda: ghz_density(n),
+        "random": lambda: random_density(rng, n),
+        "sectors": lambda: sector_density(
+            rng, n, set(rng.choice(n + 1, size=2, replace=False).tolist())),
+    }[kind]()
+    return spec, vectorize(rho)
+
+
+@settings(max_examples=24, deadline=None)
+@given(n=st.integers(3, 5), family=st.sampled_from(SECTOR_SPECS),
+       kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
+def test_sector_step_matches_full_space_expm(n, family, kind, seed):
+    rng = np.random.default_rng(seed)
+    spec, state = make_sector_case(rng, n, family, kind)
+    t = 0.8
+    want = expm(assemble_lindbladian(spec).dense() * t) @ state.amplitudes
+    for method, tol in (("dense", 1e-12), ("krylov", 1e-8)):
+        got = continuous_evolve(spec, state, t, method=method, samples=2)
+        assert got.method_used == method
+        assert np.abs(got.final_state.amplitudes - want).max() < tol
+
+
+def krylov_lengths(monkeypatch):
+    import qcadc.evolve as ev
+    lengths = []
+    kernel = ev.krylov_expmv
+
+    def recorded(A, v, t, *args, **kwargs):
+        lengths.append(len(v))
+        return kernel(A, v, t, *args, **kwargs)
+    monkeypatch.setattr(ev, "krylov_expmv", recorded)
+    return lengths
+
+
+def test_ungraded_spec_runs_on_the_full_space(monkeypatch, rng):
+    lengths = krylov_lengths(monkeypatch)
+    spec = random_jump_spec(rng, 3)
+    state = vectorize(basis_density([1, 0, 0]))
+    continuous_evolve(spec, state, 0.5, method="krylov", samples=3)
+    assert lengths == [4 ** 3] * 3
+
+
+def test_krylov_benchmark_run_stays_on_its_sector(monkeypatch):
+    # dephasing N=7 with hopping from two adjacent particles: the ket and bra
+    # counts are both 2, a block of C(7, 2)^2 = 441 of the 16,384 entries
+    from qcadc.cli import build_spec
+    lengths = krylov_lengths(monkeypatch)
+    spec = build_spec({"id": "dephasing", "params": {"omega": 1.0}}, 7)
+    state = vectorize(basis_density([1, 1, 0, 0, 0, 0, 0]))
+    out = continuous_evolve(spec, state, 10.0, samples=8)
+    assert out.method_used == "krylov"
+    assert lengths == [441] * 8
+    assert abs(out.trajectory[-1, 3] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_trotter_sector_respects_both_halves(rng, flip):
+    # hopping dephasing keeps ket and bra counts apart (joint grading); decay
+    # only their difference.  A block set read off the hopping half alone
+    # would drop what decay carries into the lower-count blocks.
+    n = 4
+    halves = [dephasing_lindblad(DephasingParams(1.0, 0.5), n),
+              LindbladSpec(n, (), tuple((LocalOperator((j,), SIGMA_MINUS),
+                                         0.3) for j in range(n)))]
+    if flip:
+        halves.reverse()
+    state = vectorize(sector_density(rng, n, {2, 3}))
+    tau, steps = 0.25, 6
+    props = [expm(assemble_lindbladian(h).dense() * tau) for h in halves]
+    want = state.amplitudes
+    for _ in range(steps):
+        want = props[0] @ (props[1] @ want)
+    got = trotter_even_odd(halves[0], halves[1], tau, steps, state)
+    assert np.abs(got.final_state.amplitudes - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
