@@ -231,8 +231,9 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
         raise ConfigError(f"missing key evolution.{need}")
     model = (build_step if kind == "discrete" else build_spec)(cfg["model"], n)
     # evolve raises ValueError for what the run cannot take: a negative or
-    # non-finite t, a bad tol, the diagonal method on a spec that is not
-    # basis preserving or on a state with coherences
+    # non-finite t or horizon, a negative step count, a bad tol, the
+    # diagonal method on a spec that is not basis preserving or on a state
+    # with coherences
     try:
         if kind == "continuous":
             result = evolve.continuous_evolve(model, state, float(evo["t"]),

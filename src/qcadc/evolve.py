@@ -1,6 +1,11 @@
 """Time evolution: discrete stepping, continuous Lindblad flows, Trotter
 splitting, the diagonal classical fast path, and fixed-point detection.
 
+Every run builds its flow of states (repeated application of one step, or
+the one-pass uniformized diagonal flow) and hands it to one sampling driver,
+:func:`_run`, which stops the run when its stop rule fires and raises
+``FloatingPointError`` on the first non-finite state.
+
 Method selection for continuous evolution:
 
 * ``diagonal``  -- the generator is basis preserving and the state diagonal;
@@ -25,8 +30,9 @@ cheap (the N = 7 half-filled-pair sector has 441 entries).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +41,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 from scipy.special import pdtrc
 
-from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP, TOL
+from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
 from .observables import (density_n, diag_indices, diag_probabilities,
                           expval_sz, trace_of)
 from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
@@ -71,7 +77,6 @@ class EvolutionResult:
     converged: bool
     method_used: str
     trajectory: np.ndarray | None = None   # rows: (t, n/N, S_z, trace)
-    meta: dict = field(default_factory=dict)
 
 
 def _sample_row(t: float, state: VecState) -> tuple[float, float, float, float]:
@@ -80,49 +85,56 @@ def _sample_row(t: float, state: VecState) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# discrete stepping
+# the run driver and discrete stepping
+
+StopRule = Callable[[VecState, VecState, int], bool]
 
 
-def discrete_run(step: "SuperOp | Sequence[SuperOp] | Callable[[int], SuperOp]",
-                 state: VecState, max_steps: int,
-                 stop: Callable[[VecState, VecState, int], bool] | None = None,
-                 record: bool = True) -> EvolutionResult:
-    """Apply steps in order, optionally stopping early.
+def _iterate(step: Callable[[np.ndarray], np.ndarray],
+             state: VecState) -> Iterator[VecState]:
+    """The states after one, two, ... applications of ``step``."""
+    v = state.amplitudes.copy()
+    while True:
+        v = step(v)
+        yield VecState(state.n_sites, v)
 
-    ``step`` may be a single map, a fixed schedule applied cyclically, or a
-    provider called with the step index (used for coin-flip mixtures).
-    ``stop(previous, current, index)`` ends the run when it returns True.
+
+def _run(state: VecState, times: Iterable[float], flow: Iterator[VecState],
+         record: bool, stop: StopRule | None = None):
+    """Sample ``state`` at t = 0, then the states of ``flow`` at ``times``.
+
+    Returns (final state, time reached, whether ``stop`` fired, trajectory
+    or None).  ``stop(previous, current, index)`` is asked after the
+    ``index``-th state (from 1) and ends the run when it returns True.  A
+    non-finite state raises ``FloatingPointError``.
     """
-    if isinstance(step, SuperOp):
-        provider = lambda k: step
-    elif callable(step):
-        provider = step
-    else:
-        schedule = list(step)
-        provider = lambda k: schedule[k % len(schedule)]
-
     rows = [_sample_row(0.0, state)] if record else None
-    current = state
-    steps_done = 0
-    converged = False
-    for k in range(max_steps):
-        op = provider(k)
-        if op.matrix.shape[0] != len(current.amplitudes):
-            raise ValueError("step dimension does not match state")
-        new = VecState(current.n_sites, op.matrix @ current.amplitudes)
+    current, reached = state, 0.0
+    # times first: the flow computes no state past the last time
+    for index, (tk, new) in enumerate(zip(times, flow), start=1):
         if not np.all(np.isfinite(new.amplitudes)):
-            raise FloatingPointError(f"non-finite amplitudes at step {k + 1}")
-        steps_done = k + 1
+            raise FloatingPointError(f"non-finite amplitudes at t = {tk:g}")
         if record:
-            rows.append(_sample_row(float(steps_done), new))
-        prev, current = current, new
-        if stop is not None and stop(prev, current, steps_done):
-            converged = True
-            break
-    return EvolutionResult(
-        final_state=current, time_reached=float(steps_done),
-        converged=converged, method_used="discrete",
-        trajectory=np.array(rows) if record else None)
+            rows.append(_sample_row(tk, new))
+        previous, current, reached = current, new, float(tk)
+        if stop is not None and stop(previous, current, index):
+            return current, reached, True, (np.array(rows) if record else None)
+    return current, reached, False, (np.array(rows) if record else None)
+
+
+def discrete_run(step: SuperOp, state: VecState, max_steps: int,
+                 stop: StopRule | None = None,
+                 record: bool = True) -> EvolutionResult:
+    """Apply ``step`` up to ``max_steps`` times; ``stop(previous, current,
+    index)`` ends the run early when it returns True."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    if step.matrix.shape[0] != len(state.amplitudes):
+        raise ValueError("step dimension does not match state")
+    final, reached, stopped, rows = _run(
+        state, map(float, range(1, max_steps + 1)),
+        _iterate(lambda v: step.matrix @ v, state), record, stop)
+    return EvolutionResult(final, reached, stopped, "discrete", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +211,13 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
 
 
 def is_basis_preserving(spec: LindbladSpec) -> bool:
-    if spec.hamiltonian_terms:
+    """Whether the diagonal path applies: exactly when
+    :class:`DiagonalDynamics` accepts ``spec``."""
+    try:
+        DiagonalDynamics(spec)
+    except NotBasisPreservingError:
         return False
-    return all(basis_moves(op.matrix) is not None
-               for op, _rate in spec.jumps)
+    return True
 
 
 @dataclass
@@ -457,26 +472,6 @@ def _step(gen: sp.csr_matrix, dt: float, method: str,
     return step
 
 
-def _iterate(step: Callable[[np.ndarray], np.ndarray], state: VecState,
-             n_steps: int):
-    """The states after each of ``n_steps`` applications of ``step``."""
-    v = state.amplitudes.copy()
-    for _ in range(n_steps):
-        v = step(v)
-        yield VecState(state.n_sites, v)
-
-
-def _follow(state: VecState, times: np.ndarray, flow,
-            record: bool) -> tuple[VecState, np.ndarray | None]:
-    """(final state, trajectory): ``state``, then ``flow`` at ``times``."""
-    rows = [_sample_row(0.0, state)] if record else None
-    final = state
-    for tk, final in zip(times, flow):
-        if record:
-            rows.append(_sample_row(tk, final))
-    return final, (np.array(rows) if record else None)
-
-
 def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
                       method: str = "auto", samples: int = DEFAULT_SAMPLES,
                       record: bool = True) -> EvolutionResult:
@@ -504,9 +499,8 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
             Q, probs, sp.identity(2 ** n, format="csr"), times))
     else:
         gen = assemble_lindbladian(spec).matrix
-        flow = _iterate(_step(gen, dt, method, _sector(gen, state)), state,
-                        n_steps)
-    final, rows = _follow(state, times, flow, record)
+        flow = _iterate(_step(gen, dt, method, _sector(gen, state)), state)
+    final, _, _, rows = _run(state, times, flow, record)
     return EvolutionResult(final, t, True, method, rows)
 
 
@@ -522,54 +516,44 @@ def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
     idx = _sector(abs(gens[0]) + abs(gens[1]), state)
     even, odd = (_step(g, tau, _auto_method(s), idx)
                  for g, s in zip(gens, (spec_even, spec_odd)))
-    flow = _iterate(lambda v: even(odd(v)), state, n_steps)
-    final, rows = _follow(state, tau * np.arange(1, n_steps + 1), flow,
-                          record)
-    return EvolutionResult(final, tau * n_steps, True, "trotter", rows)
+    flow = _iterate(lambda v: even(odd(v)), state)
+    final, reached, _, rows = _run(state, tau * np.arange(1, n_steps + 1),
+                                   flow, record)
+    return EvolutionResult(final, reached, True, "trotter", rows)
 
 
 # ---------------------------------------------------------------------------
 # fixed points
 
 
-def converge_to_fixed_point(obj: "SuperOp | LindbladSpec", state: VecState,
+def converge_to_fixed_point(spec: LindbladSpec, state: VecState,
                             tol: float = 1e-9, horizon: float = 1000.0,
                             method: str = "auto") -> EvolutionResult:
-    """Advance by unit time (or one step), with a propagator built once,
-    until successive states differ by less than ``tol`` in 2-norm; an
-    exceeded horizon flags non-convergence."""
+    """Advance by unit time, with a propagator built once, until successive
+    states differ by less than ``tol`` in 2-norm; ``ceil(horizon)`` units
+    without that flag non-convergence."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if not 0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and non-negative, "
+                         f"got {horizon}")
     n = state.n_sites
-    discrete = isinstance(obj, SuperOp)
-    if discrete:
-        advance = lambda v: obj.matrix @ v
+    method = _auto_method(spec, state) if method == "auto" else method
+    if method == "diagonal":
+        _diagonal_part(state)               # rejects states with coherences
+        Q = diagonal_rate_matrix(spec)
+        idx, ident = diag_indices(n), sp.identity(2 ** n, format="csr")
+        advance = lambda v: _lift_diagonal(uniformized_rows(
+            Q, v[idx].real, ident, [1.0])[0], n).amplitudes
     else:
-        method = _auto_method(obj, state) if method == "auto" else method
-        if method == "diagonal":
-            _diagonal_part(state)           # rejects states with coherences
-            Q = diagonal_rate_matrix(obj)
-            idx, ident = diag_indices(n), sp.identity(2 ** n, format="csr")
-            advance = lambda v: _lift_diagonal(uniformized_rows(
-                Q, v[idx].real, ident, [1.0])[0], n).amplitudes
-        else:
-            gen = assemble_lindbladian(obj).matrix
-            advance = _step(gen, 1.0, method, _sector(gen, state))
-    rows = [_sample_row(0.0, state)]
-    v = state.amplitudes
-    t = 0.0
-    converged = False
-    while t < horizon:
-        new = advance(v)
-        t += 1.0
-        rows.append(_sample_row(t, VecState(n, new)))
-        if np.linalg.norm(new - v) < tol:
-            v, converged = new, True
-            break
-        v = new
-    return EvolutionResult(VecState(n, v), t, converged,
-                           "discrete" if discrete else "continuous",
-                           np.array(rows))
+        gen = assemble_lindbladian(spec).matrix
+        advance = _step(gen, 1.0, method, _sector(gen, state))
+    final, reached, converged, rows = _run(
+        state, map(float, range(1, math.ceil(horizon) + 1)),
+        _iterate(advance, state), True,
+        lambda previous, current, _index: np.linalg.norm(
+            current.amplitudes - previous.amplitudes) < tol)
+    return EvolutionResult(final, reached, converged, "continuous", rows)
 
 
 def crossing_time(t_grid: np.ndarray, values: np.ndarray,
@@ -652,6 +636,9 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
     if t_grid.size and t_grid.min() < 0:
         raise ValueError("times must be non-negative")
     rate = max(float(-Q.diagonal().min()), 0.0) if Q.shape[0] else 0.0
+    if t_grid.size and not np.isfinite(rate * t_grid.max()):
+        raise FloatingPointError(f"exit rate {rate:g} over time "
+                                 f"{t_grid.max():g} is not finite")
     means = rate * t_grid
     K = _poisson_cutoff(means.max()) if t_grid.size else 0
     step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None

@@ -70,6 +70,9 @@ def default_training_set() -> TrainingSet:
     return TrainingSet(tuple(TrainingPair(b, y) for b, y in raw))
 
 
+_XATOL = 1e-4                 # simplex tolerance, in weight and in cost
+
+
 def default_horizon(n_sites: int) -> float:
     return 10.0 * n_sites ** 2
 
@@ -180,13 +183,13 @@ def truncate_weights(weights: MLWeights, digits: int = 3) -> MLWeights:
 
 
 def ml_worst_case_time(weights: MLWeights, n_sites: int, dt: float = 0.5,
-                       t_max: float = 800.0, threshold: float = 0.99,
-                       criterion: str = "population") -> tuple[float, tuple[int, ...]]:
+                       t_max: float = 800.0, threshold: float = 0.99
+                       ) -> tuple[float, tuple[int, ...]]:
     """Slowest majority-sector input to reach the all-ones target.
 
-    criterion "population" stops when the all-ones weight exceeds the
-    threshold; "density" stops when the mean occupation n/N does.  Marches
-    the full classical propagator so every input is timed in one pass.
+    An input is done when its all-ones weight exceeds ``threshold``.
+    Marches the full classical propagator so every input is timed in one
+    pass.
     """
     prop = expm(ml_rate_matrix(weights, n_sites) * dt)
     dim = 2 ** n_sites
@@ -198,8 +201,7 @@ def ml_worst_case_time(weights: MLWeights, n_sites: int, dt: float = 0.5,
     while todo and t < t_max:
         M = prop @ M
         t += dt
-        vals = M[dim - 1] if criterion == "population" else (pop @ M) / n_sites
-        hit = {s for s in todo if vals[s] > threshold}
+        hit = {s for s in todo if M[dim - 1, s] > threshold}
         for s in hit:
             taus[s] = t
         todo -= hit
@@ -223,8 +225,7 @@ class OptimizeResult:
 def optimize_weights(tset: TrainingSet | None = None, restarts: int = 8,
                      rng: np.random.Generator | None = None,
                      start: MLWeights | None = None,
-                     horizon_rule=default_horizon,
-                     xatol: float = 1e-4) -> OptimizeResult:
+                     horizon_rule=default_horizon) -> OptimizeResult:
     """Multistart simplex descent over the six free weights in [0, 1].
 
     Starts are uniform draws (plus the optional explicit start); iterates
@@ -253,7 +254,7 @@ def optimize_weights(tset: TrainingSet | None = None, restarts: int = 8,
     history = []
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": xatol,
+                       options={"xatol": _XATOL, "fatol": _XATOL,
                                 "maxiter": 2000})
         w = MLWeights.from_free(np.clip(res.x, 0.0, 1.0))
         c = float(res.fun)

@@ -417,7 +417,7 @@ def fates_step(p: float, n_sites: int,
     """Average map p * step(184) + (1-p) * step(232).
 
     Trajectory sampling draws one global coin per time step instead; see
-    ``evolve.discrete_run`` with a step provider.
+    ``classical.fates_classical_trajectory``.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_SHIFT = -1e-3          # "arnoldi" shift-invert: just left of the kernel
+
+
 class SpectrumError(RuntimeError):
     pass
 
@@ -78,13 +81,12 @@ def _as_generator(obj: "LindbladSpec | SuperOp") -> SuperOp:
 
 
 def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
-             k: int = 12, sigma: float = -1e-3,
-             want_vectors: bool = False):
+             k: int = 12, want_vectors: bool = False):
     """Eigenvalues, zero-mode count and spectral gap of a generator.
 
     mode "dense" computes the full spectrum (block-wise when a grading is
     conserved); "arnoldi" computes the k eigenvalues nearest zero by
-    shift-inverted iteration at shift ``sigma`` and is valid as long as
+    shift-inverted iteration at shift -1e-3 and is valid as long as
     k exceeds the kernel dimension.
     """
     gen = _as_generator(obj)
@@ -123,10 +125,10 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
             raise ValueError(f"arnoldi needs k < dim-1, got k={k}, dim={dim}")
         try:
             if want_vectors:
-                w, v = spla.eigs(gen.matrix.tocsc(), k=k, sigma=sigma,
+                w, v = spla.eigs(gen.matrix.tocsc(), k=k, sigma=_SHIFT,
                                  which="LM")
             else:
-                w = spla.eigs(gen.matrix.tocsc(), k=k, sigma=sigma,
+                w = spla.eigs(gen.matrix.tocsc(), k=k, sigma=_SHIFT,
                               which="LM", return_eigenvectors=False)
                 v = None
         except spla.ArpackNoConvergence as err:

@@ -1,3 +1,10 @@
+import os
+
+# Tier-1 runs many small dense kernels (a Krylov test takes over a thousand
+# 41x41 exponentials); OpenBLAS's thread start-up makes each far slower than
+# the work on a two-core machine.  Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -142,8 +142,17 @@ def test_evolve_converge_exit_codes(tmp_path):
      "auto", "initial.bits"),
     ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous"}, "auto",
      "missing key evolution.t"),
+    ({"id": "mv-spread"}, {"bits": "011"}, {"kind": "discrete", "steps": -1},
+     "auto", "max_steps must be non-negative"),
+    # a run that converges, so that an unchecked horizon returns
+    ({"id": "fuks", "params": {"p": 0.3}}, {"bits": "001"},
+     {"kind": "converge", "horizon": float("inf")}, "auto",
+     "horizon must be finite and non-negative"),
+    ({"id": "fuks"}, {"bits": "001"}, {"kind": "converge", "horizon": -5},
+     "auto", "horizon must be finite and non-negative"),
 ], ids=["negative-t", "infinite-t", "nan-t", "diagonal-not-basis-preserving",
-        "diagonal-coherent-state", "bad-bits", "missing-t"])
+        "diagonal-coherent-state", "bad-bits", "missing-t", "negative-steps",
+        "infinite-horizon", "negative-horizon"])
 def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
                                 method, message):
     cfg = {"model": model, "n_sites": 3, "initial": initial,
@@ -152,6 +161,19 @@ def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["dense", "diagonal"])
+def test_evolve_non_finite_rates_exit_3_without_output(tmp_path, capsys,
+                                                       method):
+    cfg = {"model": {"id": "fuks", "params": {"gamma": 1e308}},
+           "n_sites": 3, "initial": {"bits": "001"},
+           "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
+    code, out = run(tmp_path, "evolve", cfg, extra=["--method", method])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
 
 

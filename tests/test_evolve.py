@@ -64,6 +64,42 @@ def test_discrete_run_trajectory_columns():
     assert np.allclose(out.trajectory[:, 3], 1.0, atol=1e-8)
 
 
+def test_discrete_run_stop_gets_the_index_of_each_state():
+    step = fuks_step(FuksParams(0.3), 3)
+    seen = []
+
+    def stop(prev, cur, k):
+        seen.append(k)
+        return k == 3
+    out = discrete_run(step, vectorize(basis_density([0, 0, 1])),
+                       max_steps=10, stop=stop)
+    assert seen == [1, 2, 3]
+    assert out.converged and out.time_reached == 3.0
+    assert out.trajectory[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_discrete_run_rejects_negative_steps():
+    step = fuks_step(FuksParams(0.3), 3)
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        discrete_run(step, vectorize(basis_density([0, 0, 1])), max_steps=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_kind_of_run_rejects_a_non_finite_state():
+    state = vectorize(basis_density([0, 0, 1]))
+    blowup = SuperOp(3, sp.identity(64, format="csr", dtype=complex) * np.inf,
+                     "step")
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        discrete_run(blowup, state, max_steps=3)
+    huge = fuks_lindblad(FuksParams(0.3, gamma=1e308), 3)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        continuous_evolve(huge, state, 1.0, method="dense", samples=2)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        converge_to_fixed_point(huge, state, horizon=5, method="dense")
+    with pytest.raises(FloatingPointError, match="not finite"):
+        continuous_evolve(huge, state, 1.0, method="diagonal", samples=2)
+
+
 def test_mv_schedule_run_spreads_cluster():
     # after the spreading budget no two adjacent ones remain (N=12 cluster)
     from qcadc.classical import has_adjacent_ones
@@ -577,6 +613,33 @@ def test_dephasing_continuous_steady_states():
         assert abs(probs[idx] - 1 / 3) < 1e-6
 
 
+def test_mixed_width_spec_is_not_diagonal_and_auto_runs_dense():
+    # every jump is basis preserving, but the move table takes one width
+    fuks = fuks_lindblad(FuksParams(0.3), 3)
+    mixed = LindbladSpec(3, (), fuks.jumps
+                         + ((LocalOperator((0,), SIGMA_MINUS), 0.5),))
+    assert not is_basis_preserving(mixed)
+    state = vectorize(basis_density([0, 1, 1]))
+    out = continuous_evolve(mixed, state, 1.0, samples=2)
+    assert out.method_used == "dense"
+    with pytest.raises(NotBasisPreservingError, match="mixed jump widths"):
+        continuous_evolve(mixed, state, 1.0, method="diagonal")
+
+
+def test_zero_rate_superposition_jump_keeps_the_diagonal_path():
+    fuks = fuks_lindblad(FuksParams(0.3), 3)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    spec = LindbladSpec(3, (), fuks.jumps
+                        + ((LocalOperator((0, 1, 2), np.kron(
+                            hadamard, np.kron(ID2, ID2))), 0.0),))
+    assert is_basis_preserving(spec)
+    state = vectorize(basis_density([0, 0, 1]))
+    out = continuous_evolve(spec, state, 2.0, samples=4)
+    want = continuous_evolve(fuks, state, 2.0, samples=4)
+    assert out.method_used == want.method_used == "diagonal"
+    assert np.array_equal(out.trajectory, want.trajectory)
+
+
 def test_auto_method_selection():
     spec = fuks_lindblad(FuksParams(0.3), 3)
     out = continuous_evolve(spec, vectorize(basis_density([0, 0, 1])), 1.0)
@@ -803,6 +866,24 @@ def test_converge_flags_horizon_exceeded():
     out = converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
                                   tol=1e-14, horizon=2)
     assert not out.converged
+
+
+def test_converge_runs_ceil_of_the_horizon_in_unit_steps():
+    spec = fuks_lindblad(FuksParams(0.1), 3)
+    out = converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
+                                  tol=1e-14, horizon=2.5)
+    assert not out.converged
+    assert out.time_reached == 3.0
+    assert out.trajectory[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, -5.0])
+def test_converge_rejects_bad_horizon(horizon):
+    # fuks from 001 converges, so an unchecked infinite horizon would return
+    spec = fuks_lindblad(FuksParams(0.3), 3)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
+                                horizon=horizon)
 
 
 def test_converge_diagonal_markov_preserves_sz():
