@@ -8,8 +8,17 @@ center updates) are derived from the same three-site Kraus lists that build
 the quantum steps, by probing all eight basis states, and are applied in the
 block order of the same schedules; agreement tests guard both.
 
+The majority-voting sublayers have one kernel, batched over rings: the
+windows of an mv phase are disjoint, so a sublayer is one table lookup over
+every window of every ring at once.  :func:`mv_classify` runs a single ring
+or a (B, N) batch through it, each ring stopping on its own, which makes
+exhaustive verification of the sublayer budget one pass per chunk of
+rings.  The center rules and the unpartitioned spreading sweep have
+overlapping windows and are applied window by window.
+
 Bitstrings are numpy uint8 arrays, site 1 leftmost; ASCII '0'/'1' strings
-are accepted everywhere.
+are accepted everywhere.  Array inputs must hold exactly 0 or 1 (numeric or
+boolean); nothing is rounded.
 """
 from __future__ import annotations
 
@@ -45,10 +54,20 @@ def parse_bits(bits) -> np.ndarray:
             raise ValueError(f"bitstring must be over 0/1, got {bits!r}")
         arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         return arr.copy()
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
+    arr = np.asarray(bits)
+    if arr.ndim != 1:
         raise ValueError("expected a 1-d array of 0/1 values")
-    return arr.copy()
+    return _zero_one(arr)
+
+
+def _zero_one(arr: np.ndarray) -> np.ndarray:
+    """uint8 copy of a numeric array whose values are exactly 0 or 1; 0.5,
+    2, -1 and NaN are refused, not rounded."""
+    bad = (arr[arr != arr.astype(bool)] if arr.dtype.kind in "biuf"
+           else arr.ravel())
+    if bad.size:
+        raise ValueError(f"expected 0/1 values, got {bad[:1].tolist()[0]!r}")
+    return arr.astype(np.uint8)
 
 
 def format_bits(bits: np.ndarray) -> str:
@@ -60,13 +79,22 @@ def popcount(bits) -> int:
 
 
 def has_adjacent_ones(bits) -> bool:
-    arr = parse_bits(bits)
-    return bool(np.any(arr & np.roll(arr, -1)))
+    return bool(_adjacent_ones(parse_bits(bits)))
 
 
 def is_uniform(bits) -> bool:
-    arr = parse_bits(bits)
-    return bool(np.all(arr == arr[0]))
+    return not _mixed(parse_bits(bits))
+
+
+def _adjacent_ones(rings: np.ndarray) -> np.ndarray:
+    """Per ring of site-major ``rings`` (sites along axis 0): does some site
+    share a one with its right neighbor, wrap included?"""
+    return (rings & np.roll(rings, -1, axis=0)).any(axis=0)
+
+
+def _mixed(rings: np.ndarray) -> np.ndarray:
+    """Per ring of site-major ``rings``: is it neither all 0 nor all 1?"""
+    return (rings != rings[0]).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +145,7 @@ def _rule_table(rule: int | str) -> np.ndarray:
             table[s] = t
     if (table < 0).any():
         raise RuntimeError(f"rule {rule} table has no image for some input")
+    table = table.astype(np.uint8)
     table.setflags(write=False)
     return table
 
@@ -135,11 +164,6 @@ def _apply_table(arr: np.ndarray, table: np.ndarray, starts) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _center_starts(n_sites: int, phase_order: str) -> tuple[int, ...]:
     return _center_windows(fuks_schedule(n_sites, phase_order).phases, n_sites)
-
-
-@lru_cache(maxsize=None)
-def _mv_phases(n_sites: int) -> tuple[tuple[int, ...], ...]:
-    return mv_schedule(n_sites).phases
 
 
 def partitioned_rule_step(rule: int, bits,
@@ -196,12 +220,61 @@ def _prob_one(p: float, rings: np.ndarray) -> np.ndarray:
 # majority-voting sublayers
 
 
+@lru_cache(maxsize=None)
+def _mv_windows(n_sites: int) -> tuple[np.ndarray, ...]:
+    """Per phase of :func:`models.mv_schedule`, a (3, N/3) array: the left,
+    middle and right site of each of its disjoint windows."""
+    phases = []
+    for starts in mv_schedule(n_sites).phases:
+        sites = (np.asarray(starts) + np.arange(3)[:, None]) % n_sites
+        sites.setflags(write=False)
+        phases.append(sites)
+    return tuple(phases)
+
+
+def _mv_step(rings: np.ndarray, rule: str, phase: int) -> None:
+    """One majority-voting sublayer, in place, on site-major ``rings``
+    (sites along axis 0, any number of rings along the rest).  The windows
+    of a phase are disjoint, so the phase is one lookup of the rule table
+    over every window of every ring at once."""
+    left, mid, right = _mv_windows(len(rings))[phase - 1]
+    out = _rule_table(rule)[(rings[left] << 2) | (rings[mid] << 1)
+                            | rings[right]]
+    rings[left], rings[mid], rings[right] = out >> 2, (out >> 1) & 1, out & 1
+
+
+def _mv_run(rings: np.ndarray, rule: str, count: int, going) -> np.ndarray:
+    """Up to ``count`` sublayers of ``rule``, in place, on site-major rings
+    (N, B), phases in :func:`mv_sublayer_sequence` order.  A ring stops
+    before the first sublayer at which the per-ring predicate ``going`` is
+    false for it; only the rings still active are stepped.  Returns the
+    sublayers each ring used."""
+    used = np.zeros(rings.shape[1], dtype=np.int64)
+    active = np.arange(rings.shape[1])
+    live = rings
+    sequence = mv_sublayer_sequence(count)
+    for k, phase in enumerate(sequence):
+        go = going(live)
+        if not go.all():
+            stop = active[~go]
+            rings[:, stop] = live[:, ~go]
+            used[stop] = k
+            live, active = live[:, go], active[go]
+            if not active.size:
+                break
+        _mv_step(live, rule, phase)
+    if live is not rings:
+        rings[:, active] = live
+    used[active] = len(sequence)
+    return used
+
+
 def _mv_sublayer(bits, phase: int, rule: str) -> np.ndarray:
-    arr = parse_bits(bits)
-    phases = _mv_phases(len(arr))
     if phase not in (1, 2, 3):
         raise ValueError(f"phase must be 1, 2 or 3, got {phase}")
-    return _apply_table(arr, _rule_table(rule), phases[phase - 1])
+    arr = parse_bits(bits)
+    _mv_step(arr, rule, phase)
+    return arr
 
 
 def mv_spread_classical(bits, phase: int) -> np.ndarray:
@@ -257,34 +330,40 @@ def tau_formula(n_sites: int) -> int:
     return 4 * (n_sites // 2) + 2 * n_sites // 3 - 5
 
 
-def mv_classify(bits) -> tuple[int, int]:
+def mv_classify(bits):
     """Run spreading until no two ones are adjacent (or its budget ends),
-    then consensus until uniform.  Returns (majority label, sublayers used).
+    then consensus until uniform.
+
+    ``bits`` is one ring (a 0/1 string or 1-d array), for which the result
+    is (majority label, sublayers used) as ints, or a (B, N) batch of
+    rings, for which it is (labels, sublayers used) as int arrays.  Both go
+    through one batched kernel, in which every ring stops on its own.
 
     Raises :class:`ClassificationFailureError` if the budget of
-    :func:`tau_formula` sublayers does not yield a uniform state; that
-    would falsify the closed-form bound.
+    :func:`tau_formula` sublayers does not yield a uniform state for some
+    ring; that would falsify the closed-form bound.
     """
-    arr = parse_bits(bits)
-    n = len(arr)
-    if n % 3 != 0:
-        raise ValueError(f"length {n} is not a multiple of 3; apply mv_pad first")
+    batch = np.ndim(bits) == 2
+    start = _zero_one(np.asarray(bits)) if batch else parse_bits(bits)[None]
+    rings = np.ascontiguousarray(start.T)
+    n = len(rings)
+    if n == 0 or n % 3 != 0:
+        raise ValueError(f"length {n} is not a positive multiple of 3; "
+                         f"apply mv_pad first")
     tau_a, tau_b, _total = mv_layer_counts(n)
-    used = 0
-    for phase in mv_sublayer_sequence(tau_a):
-        if not has_adjacent_ones(arr):
-            break
-        arr = mv_spread_classical(arr, phase)
-        used += 1
-    for phase in mv_sublayer_sequence(tau_b):
-        if is_uniform(arr):
-            break
-        arr = mv_consensus_classical(arr, phase)
-        used += 1
-    if not is_uniform(arr):
+    used = (_mv_run(rings, "spread", tau_a, _adjacent_ones)
+            + _mv_run(rings, "consensus", tau_b, _mixed))
+    failed = np.flatnonzero(_mixed(rings))
+    if failed.size:
+        i = failed[0]
         raise ClassificationFailureError(
-            f"state {format_bits(arr)} not uniform after {used} sublayers")
-    return int(arr[0]), used
+            f"ring {format_bits(start[i])} (index {i}) at state "
+            f"{format_bits(rings[:, i])} not uniform after {used[i]} "
+            f"sublayers")
+    labels = rings[0].astype(np.int64)
+    if batch:
+        return labels, used
+    return int(labels[0]), int(used[0])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ def write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
+def _whole(value, where: str) -> int:
+    """A count from the config; a fractional or non-finite number is a
+    ConfigError, not truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    try:
+        if not fractional:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be a whole number, got {value!r}")
+
+
 def _stamp(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "engine_version": ENGINE_VERSION}
 
@@ -173,7 +185,7 @@ def build_initial(cfg: dict, n_sites: int):
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
         dim = 2 ** n_sites
         rho = np.zeros((dim, dim), dtype=complex)
-        idx = int(cfg["bits"], 2)
+        idx = int(classical.format_bits(bits), 2)
         rho[idx, idx] = 1.0
         return vectorize(rho)
     if "named" in cfg:
@@ -229,6 +241,8 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     need = {"continuous": "t", "discrete": "steps"}.get(kind)
     if need is not None and need not in evo:
         raise ConfigError(f"missing key evolution.{need}")
+    if kind == "discrete":
+        steps = _whole(evo["steps"], "evolution.steps")
     model = (build_step if kind == "discrete" else build_spec)(cfg["model"], n)
     # evolve raises ValueError for what the run cannot take: a negative or
     # non-finite t or horizon, a negative step count, a bad tol, the
@@ -239,7 +253,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
             result = evolve.continuous_evolve(model, state, float(evo["t"]),
                                               method=method, samples=samples)
         elif kind == "discrete":
-            result = evolve.discrete_run(model, state, int(evo["steps"]))
+            result = evolve.discrete_run(model, state, steps)
         else:
             result = evolve.converge_to_fixed_point(
                 model, state, tol=float(evo.get("tol", 1e-9)),
@@ -328,26 +342,41 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
     return 0
 
 
+# rings per mv_classify call in exhaustive verification; it bounds the
+# memory of a size's pass, whatever 2^N is
+_VERIFY_CHUNK = 1 << 16
+_VERIFY_MAX_N = 21
+
+
+def _verify_all_rings(n: int) -> tuple[int, int]:
+    """Classify every ring of ``n`` sites, site 1 the most significant bit
+    of its code, in chunks; returns (correctly labeled, worst sublayers)."""
+    shifts = np.arange(n - 1, -1, -1)
+    correct = worst = 0
+    for first in range(0, 2 ** n, _VERIFY_CHUNK):
+        codes = np.arange(first, min(first + _VERIFY_CHUNK, 2 ** n))
+        rings = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
+        labels, used = classical.mv_classify(rings)
+        correct += int((labels == (rings.sum(axis=1) > n / 2)).sum())
+        worst = max(worst, int(used.max()))
+    return correct, worst
+
+
 def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"n_values": True, "seed": False}, "config")
     n_values = [int(x) for x in cfg["n_values"]]
+    for n in n_values:
+        if n < 3 or n % 3 != 0:
+            raise ConfigError(f"n_values entry {n} is not a positive multiple "
+                              f"of 3 (pad the input first)")
+        if n > _VERIFY_MAX_N:
+            raise ConfigError(f"exhaustive verification capped at "
+                              f"N={_VERIFY_MAX_N}, got {n}")
     rows = []
     all_ok = True
     for n in n_values:
-        if n % 3 != 0:
-            raise ConfigError(f"n_values entry {n} is not a multiple of 3 "
-                              f"(pad the input first)")
-        if n > 15:
-            raise ConfigError(f"exhaustive verification capped at N=15, got {n}")
         budget = classical.tau_formula(n)
-        worst = 0
-        correct = 0
-        for code in range(2 ** n):
-            bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
-            want = 1 if sum(bits) > n / 2 else 0
-            label, used = classical.mv_classify(bits)
-            worst = max(worst, used)
-            correct += int(label == want)
+        correct, worst = _verify_all_rings(n)
         ok = correct == 2 ** n and worst <= budget
         all_ok &= ok
         rows.append((n, 2 ** n, correct, worst, budget, str(ok).lower()))
@@ -434,9 +463,12 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     if not (np.isfinite(t_max) and t_max >= 0):
         raise ConfigError(f"t must be finite and non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
-    occ, method = evolve.mean_occupancy(
-        spec, bits, t_grid, int(cfg.get("n_traj", 400)),
-        np.random.default_rng(seed), evolve.DEFAULT_EXACT_CAP)
+    try:
+        occ, method = evolve.mean_occupancy(
+            spec, bits, t_grid, int(cfg.get("n_traj", 400)),
+            np.random.default_rng(seed), evolve.DEFAULT_EXACT_CAP)
+    except ValueError as err:
+        raise ConfigError(f"t: {err}") from err
     dens = occ.sum(axis=1) / n
     rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
             for i in range(len(t_grid))]
@@ -609,12 +641,8 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
             models.dephasing_lindblad(models.DephasingParams(), 3)).null_dim == 4
 
     def c_mv_budget():
-        for n in (6,):
-            for code in range(2 ** n):
-                bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
-                want = 1 if sum(bits) > n / 2 else 0
-                label, used = classical.mv_classify(bits)
-                assert label == want and used <= classical.tau_formula(n)
+        correct, worst = _verify_all_rings(6)
+        assert correct == 2 ** 6 and worst <= classical.tau_formula(6)
 
     def c_diagonal_oracle():
         from .observables import diag_indices

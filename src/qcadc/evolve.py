@@ -573,13 +573,17 @@ def crossing_time(t_grid: np.ndarray, values: np.ndarray,
 _POISSON_TAIL = 1e-16
 _PROJECT_CHUNK = 64
 _SMALL_K = 15
+# most expected jumps (exit rate x time) a uniformized pass streams: about
+# that many sparse products and 1/64 as many blocks of Poisson weights
+_MAX_JUMPS = 1e8
 _FACTORIAL = np.cumprod(np.r_[1.0, np.arange(1.0, _SMALL_K + 1)])
 
 
 def _poisson_cutoff(mean: float) -> int:
     """Smallest K with P(X > K) <= 1e-16 for X ~ Poisson(mean)."""
-    # Bernstein's inequality puts that K below mean + 9 sqrt(mean) + 30
-    ks = np.arange(int(mean + 9.0 * np.sqrt(mean)) + 31)
+    # K is at least floor(mean), below which the tail exceeds 1/2, and
+    # Bernstein's inequality puts it below mean + 9 sqrt(mean) + 30
+    ks = np.arange(int(mean), int(mean + 9.0 * np.sqrt(mean)) + 31)
     return int(ks[np.flatnonzero(pdtrc(ks, mean) <= _POISSON_TAIL)[0]])
 
 
@@ -630,7 +634,8 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
     each block's Poisson weights are built for it alone and added into the
     rows, normalized to unit weight over k <= K at the end.  Time is linear
     in K, about L * max(t_grid) sparse matrix-vector products; memory is
-    that of 64 vectors and 64 rows of weights, whatever K is.
+    that of 64 vectors and 64 rows of weights, whatever K is.  More than
+    1e8 expected jumps (L * max(t_grid)) is refused with a ValueError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.min() < 0:
@@ -639,6 +644,11 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
     if t_grid.size and not np.isfinite(rate * t_grid.max()):
         raise FloatingPointError(f"exit rate {rate:g} over time "
                                  f"{t_grid.max():g} is not finite")
+    if t_grid.size and rate * t_grid.max() > _MAX_JUMPS:
+        raise ValueError(f"exit rate {rate:g} x time {t_grid.max():g} = "
+                         f"{rate * t_grid.max():g} expected jumps is too "
+                         f"large to stream by uniformization (at most "
+                         f"{_MAX_JUMPS:g})")
     means = rate * t_grid
     K = _poisson_cutoff(means.max()) if t_grid.size else 0
     step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None

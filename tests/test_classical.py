@@ -208,6 +208,115 @@ def test_classify_rejects_unpadded_length():
         mv_classify("10110")
 
 
+# ---------------------------------------------------------------------------
+# batched classification against the per-ring reference
+
+
+def _reference_classify(bits):
+    """The per-ring classifier the batched kernel replaced: window by
+    window through ``_apply_table`` in the windows of ``mv_schedule``,
+    phases 3, 2, 1 repeating, each stage restarting at phase 3.  Returns
+    (label, sublayers used), or None if the budget leaves the ring mixed."""
+    from qcadc.classical import _apply_table, _rule_table
+    from qcadc.models import mv_schedule
+    arr = parse_bits(bits)
+    n = len(arr)
+    phases = mv_schedule(n).phases
+    tau_a, tau_b, _ = mv_layer_counts(n)
+    used = 0
+    for rule, count, going in (
+            ("spread", tau_a, lambda a: np.any(a & np.roll(a, -1))),
+            ("consensus", tau_b, lambda a: np.any(a != a[0]))):
+        for i in range(count):
+            if not going(arr):
+                break
+            _apply_table(arr, _rule_table(rule), phases[(2, 1, 0)[i % 3]])
+            used += 1
+    return (int(arr[0]), used) if np.all(arr == arr[0]) else None
+
+
+def _all_rings(n):
+    codes = np.arange(2 ** n)
+    return ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_batch_matches_per_ring_reference_on_every_ring(n):
+    rings = _all_rings(n)
+    labels, used = mv_classify(rings)
+    assert labels.shape == used.shape == (2 ** n,)
+    assert np.issubdtype(labels.dtype, np.integer)
+    assert np.issubdtype(used.dtype, np.integer)
+    want = np.array([_reference_classify(r) for r in rings])
+    assert np.array_equal(labels, want[:, 0])
+    assert np.array_equal(used, want[:, 1])
+
+
+@given(st.sampled_from([3, 6, 9, 12, 15]).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                    min_size=1, max_size=32),
+           st.lists(st.integers(0, 31), max_size=32))))
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_reference_on_random_batches(case):
+    rows, repeats = case
+    batch = rows + [rows[i % len(rows)] for i in repeats]    # duplicates
+    want = [_reference_classify(row) for row in batch]
+    if None in want:
+        # some 3-site rings are not classified within their budget
+        first = want.index(None)
+        ring = "".join(map(str, batch[first]))
+        with pytest.raises(ClassificationFailureError,
+                           match=rf"ring {ring} \(index {first}\)"):
+            mv_classify(np.array(batch, dtype=np.uint8))
+        return
+    labels, used = mv_classify(np.array(batch, dtype=np.uint8))
+    assert list(zip(labels.tolist(), used.tolist())) == want
+
+
+def test_single_ring_and_batch_of_one_agree():
+    for bits in ("111111000000", "010101", "110110100", "000", "111"):
+        label, used = mv_classify(bits)
+        assert type(label) is int and type(used) is int
+        labels, useds = mv_classify(parse_bits(bits)[None])
+        assert (labels.tolist(), useds.tolist()) == ([label], [used])
+        assert mv_classify([int(c) for c in bits]) == (label, used)
+
+
+def test_batch_failure_names_first_unclassified_ring(monkeypatch):
+    import qcadc.classical as classical
+    monkeypatch.setattr(classical, "mv_layer_counts", lambda n: (1, 1, 2))
+    batch = np.array([parse_bits(b) for b in
+                      ("000000", "111111", "110000", "101010")])
+    with pytest.raises(ClassificationFailureError,
+                       match=r"ring 110000 \(index 2\) .* after 2 sublayers"):
+        mv_classify(batch)
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([[1, 1, 0], [1, 2, 0]]), np.array([[1, 1, 0.5]]),
+    np.ones((2, 4), dtype=np.uint8), np.ones((2, 0), dtype=np.uint8)])
+def test_batch_rejects_bad_rings(bits):
+    with pytest.raises(ValueError):
+        mv_classify(bits)
+
+
+@pytest.mark.parametrize("bits", [
+    [1, 1, 0.5, 0, 0.9, 0], [1.0, 1.7, 0], [1, 2, 0], [1, -1, 0],
+    [1, float("nan"), 0], [1, None, 0]])
+def test_parse_bits_refuses_values_other_than_0_and_1(bits):
+    with pytest.raises(ValueError, match="0/1"):
+        parse_bits(bits)
+    with pytest.raises(ValueError, match="0/1"):
+        popcount(bits)
+
+
+def test_parse_bits_takes_exact_zeros_and_ones_of_any_numeric_type():
+    for bits in ([1, 0, 1], [1.0, 0.0, 1.0], [True, False, True],
+                 np.array([1, 0, 1], dtype=np.int8), "101"):
+        got = parse_bits(bits)
+        assert got.dtype == np.uint8 and format_bits(got) == "101"
+
+
 def test_quantum_classical_agreement_n6():
     # the quantum discrete track restricted to basis states equals the
     # classical triple maps, sublayer by sublayer, for all 64 inputs

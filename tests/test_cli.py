@@ -43,6 +43,18 @@ def test_evolve_continuous_fuks_example(tmp_path):
     assert "config_hash" in summary and "engine_version" in summary
 
 
+def test_evolve_takes_initial_bits_as_a_list(tmp_path):
+    cfg = {"model": {"id": "fuks", "params": {"p": 0.3}}, "n_sites": 3,
+           "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
+    _, as_str = run(tmp_path / "str", "evolve",
+                    {**cfg, "initial": {"bits": "001"}})
+    code, as_list = run(tmp_path / "list", "evolve",
+                        {**cfg, "initial": {"bits": [0, 0, 1]}})
+    assert code == 0
+    assert ((as_str / "trajectory.csv").read_bytes()
+            == (as_list / "trajectory.csv").read_bytes())
+
+
 def test_evolve_rejects_unknown_model(tmp_path):
     cfg = {
         "model": {"id": "nope"},
@@ -228,6 +240,27 @@ def test_mv_verify_rejects_unpadded(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("n_values", [[24], [6, 24], [27]])
+def test_mv_verify_refuses_sizes_past_21(tmp_path, capsys, n_values):
+    code, out = run(tmp_path, "mv-verify", {"n_values": n_values})
+    assert code == 1
+    assert "capped at N=21" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mv_verify_chunks_give_the_unchunked_rows(tmp_path, monkeypatch):
+    from qcadc import cli
+    cfg = {"n_values": [6, 9]}
+    _, whole = run(tmp_path / "whole", "mv-verify", cfg)
+    monkeypatch.setattr(cli, "_VERIFY_CHUNK", 7)      # 512 = 73 * 7 + 1
+    _, chunked = run(tmp_path / "chunked", "mv-verify", cfg)
+    for name in ("verify.csv", "summary.json"):
+        assert (whole / name).read_bytes() == (chunked / name).read_bytes()
+    _, rows = read_csv(whole / "verify.csv")
+    assert [r[:5] for r in rows] == [["6", "64", "64", "9", "11"],
+                                     ["9", "512", "512", "16", "17"]]
+
+
 def test_mv_run_scan_and_fit(tmp_path):
     cfg = {"scan": {"n_values": [6, 9, 12], "n_traj": 100}, "seed": 3}
     code, out = run(tmp_path, "mv-run", cfg)
@@ -322,6 +355,67 @@ def test_mv_run_single_rejects_bad_input(tmp_path, capsys, cfg, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", [[1, 1, 0.5, 0, 0, 0], [1, 1, 2, 0, 0, 0],
+                                  [1, 1, -1, 0, 0, 0]])
+def test_mv_run_single_refuses_non_binary_bit_lists(tmp_path, capsys, bits):
+    cfg = {"n_sites": 6, "initial": {"bits": bits}, "track": "discrete"}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: initial.bits: ")
+    assert not out.exists()
+
+
+def test_mv_run_single_takes_a_bit_list(tmp_path):
+    cfg = {"n_sites": 6, "initial": {"bits": [1, 1, 1, 1, 0, 0]},
+           "track": "discrete"}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["label"] == 1
+
+
+@pytest.mark.parametrize("steps", [float("inf"), float("nan"), 2.5, None])
+def test_evolve_refuses_steps_that_are_not_whole(tmp_path, capsys, steps):
+    cfg = {"model": {"id": "mv-spread"}, "n_sites": 3,
+           "initial": {"bits": "110"},
+           "evolution": {"kind": "discrete", "steps": steps}}
+    code, out = run(tmp_path, "evolve", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evolution.steps must be a whole number")
+    assert not out.exists()
+
+
+def test_evolve_takes_whole_float_steps(tmp_path):
+    cfg = {"model": {"id": "mv-spread"}, "n_sites": 3,
+           "initial": {"bits": "110"},
+           "evolution": {"kind": "discrete", "steps": 2.0}}
+    code, out = run(tmp_path, "evolve", cfg)
+    assert code == 0
+    _, rows = read_csv(out / "trajectory.csv")
+    assert len(rows) == 3
+
+
+def test_evolve_refuses_uniformization_too_long_to_stream(tmp_path, capsys):
+    cfg = {"model": {"id": "fuks", "params": {"gamma": 1e300}},
+           "n_sites": 3, "initial": {"bits": "001"},
+           "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
+    code, out = run(tmp_path, "evolve", cfg, extra=["--method", "diagonal"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evolution: exit rate 2e+300 x time 1 = ")
+    assert "too large to stream" in err
+    assert not out.exists()
+
+
+def test_mv_run_refuses_uniformization_too_long_to_stream(tmp_path, capsys):
+    cfg = {"n_sites": 6, "initial": {"bits": "110000"},
+           "track": "continuous", "phase": "spread", "t": 1e300}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 1
+    assert "too large to stream" in capsys.readouterr().err
     assert not out.exists()
 
 

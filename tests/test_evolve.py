@@ -537,6 +537,28 @@ def test_uniformized_rows_memory_does_not_grow_with_horizon():
     assert peak < 4e6
 
 
+def test_poisson_cutoff_equals_the_search_from_zero():
+    # the cutoff search starts at floor(mean); the search from k = 0 it
+    # replaced is the reference
+    from scipy.special import pdtrc
+    from qcadc.evolve import _poisson_cutoff
+    for mean in np.r_[0.0, np.geomspace(1e-6, 1e6, 80),
+                      np.arange(0.25, 40.0, 0.25)]:
+        ks = np.arange(int(mean + 9.0 * np.sqrt(mean)) + 31)
+        want = ks[np.flatnonzero(pdtrc(ks, mean) <= 1e-16)[0]]
+        assert _poisson_cutoff(mean) == want, mean
+
+
+def test_uniformized_rows_refuses_too_many_jumps():
+    Q = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    p0, obs = np.array([1.0, 0.0]), np.eye(2)
+    uniformized_rows(Q, p0, obs, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"exit rate 1 x time 2e\+08 = "
+                                         r"2e\+08 expected jumps is too "
+                                         r"large to stream"):
+        uniformized_rows(Q, p0, obs, np.array([0.0, 2e8]))
+
+
 def test_mean_occupancy_exact_matches_full_expm():
     n = 9
     spec = mv_lindblads(n)[1]
