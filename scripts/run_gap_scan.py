@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Spectral-gap scan of both number-conserving generators.
 
-Dense block eigendecomposition for the three-site rule on rings N=3..7 and
-the bond-projector model on N=4..7, log-log fits, and the per-size ratio.
+Dense eigendecomposition, per graded block of each ring-momentum sector,
+for the three-site rule on rings N = 3..nmax and the bond-projector model
+on N = 4..nmax (``--nmax``, default 8; N = 8 takes seconds per model), with
+log-log fits and the per-size ratio.
+
+    PYTHONPATH=src python scripts/run_gap_scan.py --out results/gap_scan
 """
 import argparse
 import json
@@ -16,7 +20,7 @@ from qcadc import models, spectra
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("results/gap_scan"))
-    ap.add_argument("--nmax", type=int, default=7)
+    ap.add_argument("--nmax", type=int, default=8)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 

@@ -2,8 +2,9 @@
 outputs.
 
 Exit codes: 0 success, 1 configuration or user error, 2 non-convergence,
-3 numerical failure.  Identical config + seed produce byte-identical output
-files; every output embeds the config hash and engine version.
+3 numerical failure or a ring the majority-voting rule leaves unclassified
+within its sublayer budget.  Identical config + seed produce byte-identical
+output files; every output embeds the config hash and engine version.
 """
 from __future__ import annotations
 
@@ -228,12 +229,12 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"model": True, "n_sites": True, "initial": True,
                         "evolution": True, "samples": False, "seed": False},
                   "config")
-    n = int(cfg["n_sites"])
+    n = _whole(cfg["n_sites"], "n_sites")
     state = build_initial(cfg["initial"], n)
     evo = cfg["evolution"]
     _require_keys(evo, {"kind": True, "t": False, "steps": False,
                         "tol": False, "horizon": False}, "evolution")
-    samples = int(cfg.get("samples", evolve.DEFAULT_SAMPLES))
+    samples = _whole(cfg.get("samples", evolve.DEFAULT_SAMPLES), "samples")
     method = args.method
     kind = evo["kind"]
     if kind not in ("continuous", "discrete", "converge"):
@@ -303,7 +304,8 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
                               "fit_exclude": False}, "models[]")
         if entry["id"] not in _FAMILIES:
             raise ConfigError(f"model {entry['id']!r} has no gap family")
-        n_values = [int(x) for x in entry["n_values"]]
+        n_values = [_whole(x, "models[].n_values entry")
+                    for x in entry["n_values"]]
         if not n_values:
             raise ConfigError("models[].n_values is empty")
         family = lambda n, e=entry: build_spec(
@@ -346,6 +348,9 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
 # memory of a size's pass, whatever 2^N is
 _VERIFY_CHUNK = 1 << 16
 _VERIFY_MAX_N = 21
+# the closed-form sublayer budget holds from N = 6: at N = 3 it is
+# (-1, 2), and the ring 010 is still mixed after it
+_MV_MIN_N = 6
 
 
 def _verify_all_rings(n: int) -> tuple[int, int]:
@@ -364,11 +369,11 @@ def _verify_all_rings(n: int) -> tuple[int, int]:
 
 def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"n_values": True, "seed": False}, "config")
-    n_values = [int(x) for x in cfg["n_values"]]
+    n_values = [_whole(x, "n_values entry") for x in cfg["n_values"]]
     for n in n_values:
-        if n < 3 or n % 3 != 0:
-            raise ConfigError(f"n_values entry {n} is not a positive multiple "
-                              f"of 3 (pad the input first)")
+        if n < _MV_MIN_N or n % 3 != 0:
+            raise ConfigError(f"n_values entry {n} is not a multiple of 3 "
+                              f"from {_MV_MIN_N} on (pad the input first)")
         if n > _VERIFY_MAX_N:
             raise ConfigError(f"exhaustive verification capped at "
                               f"N={_VERIFY_MAX_N}, got {n}")
@@ -397,9 +402,11 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         scan = cfg["scan"]
         _require_keys(scan, {"n_values": True, "n_traj": False,
                              "exact_cap": False}, "scan")
-        n_traj = int(scan.get("n_traj", 400))
-        cap = int(scan.get("exact_cap", evolve.DEFAULT_EXACT_CAP))
-        n_values = [int(x) for x in scan["n_values"]]
+        n_traj = _whole(scan.get("n_traj", 400), "scan.n_traj")
+        cap = _whole(scan.get("exact_cap", evolve.DEFAULT_EXACT_CAP),
+                     "scan.exact_cap")
+        n_values = [_whole(x, "scan.n_values entry")
+                    for x in scan["n_values"]]
         seeds = np.random.SeedSequence(seed).spawn(len(n_values))
         results = [evolve.mv_worst_case_times(
                        n, n_traj=n_traj, rng=np.random.default_rng(s),
@@ -431,7 +438,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     for key in ("n_sites", "initial", "track"):
         if key not in cfg:
             raise ConfigError(f"missing key config.{key}")
-    n = int(cfg["n_sites"])
+    n = _whole(cfg["n_sites"], "n_sites")
     _require_keys(cfg["initial"], {"bits": True}, "initial")
     try:
         bits = classical.parse_bits(cfg["initial"]["bits"])
@@ -450,6 +457,9 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         if n % 3 != 0:
             raise ConfigError(f"n_sites={n} is not a multiple of 3; pad the "
                               f"input first")
+        if n < _MV_MIN_N:
+            raise ConfigError(f"n_sites={n}: the discrete rule needs at "
+                              f"least {_MV_MIN_N} sites")
         label, used = classical.mv_classify(bits)
         write_json(out / "summary.json", {
             **_stamp(cfg), "label": label, "sublayers_used": used,
@@ -465,7 +475,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     t_grid = np.linspace(0.0, t_max, 400)
     try:
         occ, method = evolve.mean_occupancy(
-            spec, bits, t_grid, int(cfg.get("n_traj", 400)),
+            spec, bits, t_grid, _whole(cfg.get("n_traj", 400), "n_traj"),
             np.random.default_rng(seed), evolve.DEFAULT_EXACT_CAP)
     except ValueError as err:
         raise ConfigError(f"t: {err}") from err
@@ -489,6 +499,9 @@ def cmd_classify(cfg: dict, out: Path, args) -> int:
     if len(padded) % 3 != 0:
         raise ConfigError(f"bits length {len(padded)} is not a multiple of 3 "
                           f"and padding is disabled")
+    if len(padded) < _MV_MIN_N:
+        raise ConfigError(f"padded bits {padded!r} have {len(padded)} sites; "
+                          f"the discrete rule needs at least {_MV_MIN_N}")
     label, used = classical.mv_classify(padded)
     write_json(out / "summary.json", {
         **_stamp(cfg), "input_bits": bits, "padded_bits": padded,
@@ -545,7 +558,7 @@ def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
              if cfg.get("start") == "published" else None)
     res = mlopt.optimize_weights(
         _training_set_from(cfg.get("training_set")),
-        restarts=int(cfg.get("restarts", 8)),
+        restarts=_whole(cfg.get("restarts", 8), "restarts"),
         rng=np.random.default_rng(seed), start=start)
     trunc = mlopt.truncate_weights(res.weights)
     write_json(out / "summary.json", {
@@ -563,8 +576,8 @@ def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
                         "n_seeds": False, "seed": False}, "config")
     bits = cfg["bits"]
     p = float(cfg.get("p", 0.5))
-    steps = int(cfg.get("steps", 1000))
-    n_seeds = int(cfg.get("n_seeds", 20))
+    steps = _whole(cfg.get("steps", 1000), "steps")
+    n_seeds = _whole(cfg.get("n_seeds", 20), "n_seeds")
     base = int(cfg.get("seed", args.seed or 0))
     seeds = np.random.SeedSequence(base).spawn(n_seeds)
     rows = []
@@ -719,6 +732,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except classical.ClassificationFailureError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except (evolve.KrylovError, FloatingPointError, MemoryError,
             spectra.SpectrumError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

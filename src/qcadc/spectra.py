@@ -1,11 +1,17 @@
 """Generator spectra, steady-state kernels, gap scans and power-law fits.
 
-Dense mode exploits conserved index gradings.  Both number-conserving model
-families commute with doubled-space occupation counts (jointly per ket/bra
-copy, or their difference), which splits the 4^N generator into blocks small
-enough for full eigendecomposition up to N = 7 in minutes.  The grading is
+Dense mode splits the 4^N generator twice before diagonalizing.  Both
+number-conserving model families commute with doubled-space occupation
+counts (jointly per ket/bra copy, or their difference); the grading is
 detected from the sparsity pattern, not assumed per model, by
 :func:`superop.conserved_grading`, the detector time evolution also uses.
+Every model here is also invariant under the ring shift, and
+:func:`superop.translation_sectors` splits the space into N momentum
+sectors (Buca & Prosen, New J. Phys. 14, 073007, 2012) when the generator
+commutes with it numerically, or returns one identity sector when it does
+not.  Each graded block of each sector is diagonalized on its own: about
+N^2 less work than the graded blocks alone, so N = 8 takes seconds.  For a
+real generator sector N-k is the conjugate of sector k and is not computed.
 
 The gap is min |lambda| over eigenvalues that do not count as zero; an
 eigenvalue counts as zero below ``TOL.null`` times the max-column-sum norm
@@ -21,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .config import DENSE_SUPEROP_CAP, TOL
 from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
-                      conserved_grading)
+                      conserved_grading, translation_sectors)
 
 __all__ = [
     "SpectrumReport", "FitReport", "SpectrumError", "spectrum",
@@ -59,16 +65,6 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# graded blocks
-
-
-def _blocks(grading: np.ndarray):
-    values = np.unique(grading)
-    for v in values:
-        yield np.flatnonzero(grading == v)
-
-
-# ---------------------------------------------------------------------------
 # spectrum
 
 
@@ -84,10 +80,10 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
              k: int = 12, want_vectors: bool = False):
     """Eigenvalues, zero-mode count and spectral gap of a generator.
 
-    mode "dense" computes the full spectrum (block-wise when a grading is
-    conserved); "arnoldi" computes the k eigenvalues nearest zero by
-    shift-inverted iteration at shift -1e-3 and is valid as long as
-    k exceeds the kernel dimension.
+    mode "dense" computes the full spectrum, block by block over the
+    momentum sectors and conserved gradings; "arnoldi" computes the k
+    eigenvalues nearest zero by shift-inverted iteration at shift -1e-3
+    and is valid as long as k exceeds the kernel dimension.
     """
     gen = _as_generator(obj)
     n = gen.n_sites
@@ -105,20 +101,36 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
         if dim > DENSE_SUPEROP_CAP:
             raise ValueError(f"dense mode refused above 4^N={DENSE_SUPEROP_CAP}")
         kind, grading = conserved_grading(gen.matrix, n)
-        eigenvalues = []
-        for block in _blocks(grading):
-            sub = gen.matrix[np.ix_(block, block)].toarray()
-            if want_vectors:
-                w, v = np.linalg.eig(sub)
+        sectors = translation_sectors(gen.matrix, n)
+        # a real generator's sector N-k is the conjugate of sector k, and
+        # sectors 0 and N/2 are real; the identity sector (no ring
+        # symmetry) keeps complex arithmetic
+        real = len(sectors) > 1 and not gen.matrix.data.imag.any()
+        stop = len(sectors) // 2 + 1 if real else len(sectors)
+        eigenvalues, twins = [], []
+        for q, (basis, reps) in enumerate(sectors[:stop]):
+            paired = real and 0 < 2 * q < len(sectors)
+            # columns grouped by grading: h is block diagonal in ranges
+            sizes = np.unique(grading[reps], return_counts=True)[1]
+            ends = np.cumsum(sizes)
+            basis = basis[:, np.argsort(grading[reps], kind="stable")]
+            h = (basis.conj().T @ gen.matrix @ basis).tocsr()
+            for block in map(slice, ends - sizes, ends):
+                sub = h[block, block].toarray()
+                if real and not paired:
+                    sub = sub.real
+                if want_vectors:
+                    w, v = np.linalg.eig(sub)
+                    null = np.abs(w) < TOL.null * norm
+                    for i in np.flatnonzero(null):
+                        full = basis[:, block] @ v[:, i]
+                        vectors += [full, full.conj()] if paired else [full]
+                else:
+                    w = np.linalg.eigvals(sub)
                 eigenvalues.append(w)
-                null = np.abs(w) < TOL.null * norm
-                for i in np.flatnonzero(null):
-                    full = np.zeros(dim, dtype=complex)
-                    full[block] = v[:, i]
-                    vectors.append(full)
-            else:
-                eigenvalues.append(np.linalg.eigvals(sub))
-        ev = np.concatenate(eigenvalues)
+                if paired:
+                    twins.append(w.conj())
+        ev = np.concatenate(eigenvalues + twins).astype(complex)
         method = f"dense/{kind}"
     elif mode == "arnoldi":
         if k >= dim - 1:

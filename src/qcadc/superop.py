@@ -46,7 +46,7 @@ __all__ = [
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
     "basis_moves", "kraus_to_superop", "assemble_lindbladian",
-    "conserved_grading",
+    "conserved_grading", "translation_sectors",
     "apply_adjoint_generator", "kraus_completeness_residual",
     "ChannelInvalidError",
 ]
@@ -404,6 +404,54 @@ def conserved_grading(matrix: sp.spmatrix,
     if np.array_equal(diff[coo.row], diff[coo.col]):
         return "difference", diff
     return "none", np.zeros(matrix.shape[0], dtype=np.int64)
+
+
+def translation_sectors(matrix: sp.spmatrix, n_sites: int
+                        ) -> list[tuple[sp.csr_matrix, np.ndarray]]:
+    """Momentum sectors of the ring shift T for a doubled-space matrix M.
+
+    T moves every site one step round the ring: doubled index i goes to
+    ``i // 4 + (i % 4) * 4**(N-1)``.  When M commutes with T (to
+    ``TOL.null`` times its max-column-sum norm: assembly sums the same
+    terms in a different order on each site), the result holds one
+    ``(P_k, reps_k)`` per momentum k = 0..N-1.  Column c of the sparse
+    isometry P_k is ``sum_j omega**(-k j) T^j |r> / sqrt(p)`` (omega =
+    exp(2 pi i / N)) for the orbit representative ``r = reps_k[c]``, the
+    smallest index of its orbit, of period p; an orbit is kept only where
+    k p = 0 mod N, since its sum vanishes otherwise.  ``P_k^H M P_k`` is M
+    on sector k, and the sectors' spectra together make up M's.  Every
+    orbit member shares the representative's (ket, bra) counts, so each
+    sector splits further by :func:`conserved_grading` read at ``reps_k``.
+
+    When M does not commute with T, the result is the single identity
+    sector ``[(I, arange(4^N))]``: each index is its own orbit.
+    """
+    dim = matrix.shape[0]
+    idx = np.arange(dim, dtype=np.int64)
+    shift = idx // 4 + (idx % 4) * 4 ** (n_sites - 1)
+    t = sp.csr_matrix((np.ones(dim), (shift, idx)), shape=(dim, dim))
+    comm = abs(t @ matrix - matrix @ t).sum(axis=0).max()
+    if comm > TOL.null * abs(matrix).sum(axis=0).max():
+        return [(sp.identity(dim, dtype=complex, format="csr"), idx)]
+    orbit = [idx]                       # orbit[j][i] = T^j i
+    for _ in range(n_sites - 1):
+        orbit.append(shift[orbit[-1]])
+    orbit = np.array(orbit)
+    reps = np.flatnonzero(orbit.min(axis=0) == idx)
+    members = orbit[:, reps]
+    period = n_sites // (members == reps).sum(axis=0)   # T^j r = r, N/p times
+    j = np.arange(n_sites)[:, None]
+    sectors = []
+    for k in range(n_sites):
+        keep = np.flatnonzero(k * period % n_sites == 0)
+        on = j < period[keep]
+        cols = np.broadcast_to(np.arange(len(keep)), on.shape)[on]
+        vals = (np.exp(-2j * np.pi * (k * j % n_sites) / n_sites)
+                / np.sqrt(period[keep]))[on]
+        basis = sp.csr_matrix((vals, (members[:, keep][on], cols)),
+                              shape=(dim, len(keep)))
+        sectors.append((basis, reps[keep]))
+    return sectors
 
 
 def apply_adjoint_generator(spec: LindbladSpec,

@@ -507,3 +507,51 @@ def test_missing_config_file(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, where", [
+    ("gap-scan", {"models": [{"id": "fuks", "n_values": [4.7]}]},
+     "models[].n_values entry"),
+    ("gap-scan", {"models": [{"id": "fuks", "n_values": ["four"]}]},
+     "models[].n_values entry"),
+    ("mv-verify", {"n_values": [6.9]}, "n_values entry"),
+    ("mv-run", {"scan": {"n_values": [6], "n_traj": 10.5}}, "scan.n_traj"),
+    ("fates-demo", {"bits": "110", "steps": 2.5}, "steps"),
+])
+def test_fractional_config_counts_are_config_errors(tmp_path, capsys,
+                                                    command, cfg, where):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} must be a whole number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("classify", {"bits": "010", "pad": False}, "needs at least 6"),
+    ("classify", {"bits": "0"}, "'001' have 3 sites"),
+    ("mv-verify", {"n_values": [3]}, "multiple of 3 from 6 on"),
+    ("mv-run", {"n_sites": 3, "initial": {"bits": "010"},
+                "track": "discrete"}, "needs at least 6 sites"),
+])
+def test_rings_below_six_sites_are_config_errors(tmp_path, capsys, command,
+                                                 cfg, message):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_classification_failure_is_an_error_line(tmp_path, capsys,
+                                                 monkeypatch):
+    from qcadc import classical
+
+    def fail(bits):
+        raise classical.ClassificationFailureError("ring still mixed")
+
+    monkeypatch.setattr(classical, "mv_classify", fail)
+    code, out = run(tmp_path, "classify", {"bits": "110100"})
+    assert code == 3
+    assert capsys.readouterr().err == "error: ring still mixed\n"
+    assert not out.exists()

@@ -1,17 +1,22 @@
 """Spectra: zero modes, gaps, kernels, scans and fits."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
+from qcadc import spectra
 from qcadc.models import (
     DephasingParams, FuksParams, dephasing_lindblad, fuks_lindblad,
-    steady_family_state,
+    ml_lindblad, published_ml_weights, steady_family_state,
 )
 from qcadc.spectra import (
     FitReport, SpectrumError, gap_scan, loglog_fit, spectrum,
     steady_state_basis,
 )
 from qcadc.superop import (
-    SIGMA_MINUS, LindbladSpec, LocalOperator, assemble_lindbladian, vectorize,
+    P1, SIGMA_MINUS, SIGMA_PLUS, LindbladSpec, LocalOperator,
+    assemble_lindbladian, conserved_grading, translation_sectors, vectorize,
 )
 from conftest import basis_density, ghz_density
 
@@ -161,3 +166,135 @@ def test_desk_scale_fuks_slope_in_band():
     rows = gap_scan(fam, [3, 4, 5, 6])
     fit = loglog_fit([(n, r.gap) for n, r, _ in rows])
     assert -2.3 <= fit.c <= -1.6
+
+
+# ---------------------------------------------------------------------------
+# ring-momentum sectors
+
+
+def _same_multiset(got, want, tol=1e-8):
+    """True when a one-to-one pairing of ``got`` with ``want`` moves no
+    eigenvalue by more than ``tol`` (a perfect matching in the graph of
+    pairs closer than tol)."""
+    if len(got) != len(want):
+        return False
+    points = lambda z: np.column_stack([z.real, z.imag])
+    near = cKDTree(points(got)).sparse_distance_matrix(
+        cKDTree(points(want)), tol, output_type="coo_matrix")
+    graph = sp.csr_matrix((np.ones(len(near.row)), (near.row, near.col)),
+                          shape=(len(got), len(want)))
+    return bool((maximum_bipartite_matching(graph, perm_type="column")
+                 >= 0).all())
+
+
+def _identity_sector(matrix, n_sites):
+    dim = matrix.shape[0]
+    return [(sp.identity(dim, dtype=complex, format="csr"), np.arange(dim))]
+
+
+def _graded_blocks_eigvals(spec):
+    """The unsplit reference: complex eigvals of every graded block of the
+    whole generator, blocks in ascending label order."""
+    gen = assemble_lindbladian(spec)
+    _, grading = conserved_grading(gen.matrix, spec.n_sites)
+    return np.concatenate([
+        np.linalg.eigvals(gen.matrix[np.ix_(block, block)].toarray())
+        for block in (np.flatnonzero(grading == g)
+                      for g in np.unique(grading))])
+
+
+def right_hopping_lindblad(n):
+    """Particles hop one site to the right only, faster behind an occupied
+    site: a real, translation invariant generator with neither the
+    reflection nor the reflection-and-particle-hole symmetry that would
+    make each momentum sector's spectrum closed under conjugation."""
+    hop = np.kron(SIGMA_MINUS, SIGMA_PLUS)       # site j's particle to j + 1
+    return LindbladSpec(n, (), tuple(
+        [(LocalOperator((j, (j + 1) % n), hop), 1.0) for j in range(n)]
+        + [(LocalOperator(((j - 1) % n, j, (j + 1) % n),
+                          np.kron(P1, hop)), 0.5) for j in range(n)]))
+
+
+SECTOR_FAMILIES = {
+    "fuks": lambda n: fuks_lindblad(FuksParams(0.3), n),
+    "dephasing": lambda n: dephasing_lindblad(DephasingParams(0.0), n),
+    "dephasing-omega": lambda n: dephasing_lindblad(DephasingParams(1.0), n),
+    "ml": lambda n: ml_lindblad(published_ml_weights(), n),
+    "right-hopping": right_hopping_lindblad,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", sorted(SECTOR_FAMILIES))
+def test_sector_split_matches_identity_sector(family, n, monkeypatch):
+    spec = SECTOR_FAMILIES[family](n)
+    assert len(translation_sectors(assemble_lindbladian(spec).matrix, n)) == n
+    split = spectrum(spec)
+    monkeypatch.setattr(spectra, "translation_sectors", _identity_sector)
+    unsplit = spectrum(spec)
+    assert split.null_dim == unsplit.null_dim
+    assert split.method == unsplit.method
+    assert _same_multiset(split.eigenvalues, unsplit.eigenvalues)
+    assert abs(split.gap - unsplit.gap) < 1e-12
+
+
+def _site_dependent(spec, scale):
+    """The spec with jump i's rate scaled by scale(i): no ring symmetry."""
+    return LindbladSpec(spec.n_sites, spec.hamiltonian_terms,
+                        tuple((op, rate * scale(i))
+                              for i, (op, rate) in enumerate(spec.jumps)))
+
+
+@pytest.mark.parametrize("spec", [
+    _site_dependent(fuks_lindblad(FuksParams(0.3), 4),
+                    lambda i: 1 + 0.25 * (i // 6)),
+    _site_dependent(dephasing_lindblad(DephasingParams(1.0), 5),
+                    lambda i: 1 + 0.5 * (i // 4 == 2)),
+], ids=["fuks-rates", "dephasing-omega-rates"])
+def test_non_invariant_spec_takes_identity_sector_bit_for_bit(spec):
+    gen = assemble_lindbladian(spec)
+    sectors = translation_sectors(gen.matrix, spec.n_sites)
+    assert len(sectors) == 1
+    basis, reps = sectors[0]
+    assert np.array_equal(reps, np.arange(4 ** spec.n_sites))
+    assert (basis != sp.identity(len(reps), format="csr")).nnz == 0
+    assert np.array_equal(spectrum(spec).eigenvalues,
+                          _graded_blocks_eigvals(spec))
+
+
+@pytest.mark.parametrize("family, n", [("fuks", 5), ("fuks", 6),
+                                       ("dephasing", 6), ("ml", 5),
+                                       ("right-hopping", 5),
+                                       ("right-hopping", 6)])
+def test_conjugate_paired_sectors_equal_full_momentum_loop(family, n):
+    spec = SECTOR_FAMILIES[family](n)
+    gen = assemble_lindbladian(spec)
+    _, grading = conserved_grading(gen.matrix, n)
+    full = []
+    for basis, reps in translation_sectors(gen.matrix, n):
+        h = (basis.conj().T @ gen.matrix @ basis).toarray()
+        for g in np.unique(grading[reps]):
+            block = np.flatnonzero(grading[reps] == g)
+            full.append(np.linalg.eigvals(h[np.ix_(block, block)]))
+    rep = spectrum(spec)
+    assert _same_multiset(rep.eigenvalues, np.concatenate(full))
+
+
+def test_sector_kernel_vectors_span_the_unsplit_kernel(monkeypatch):
+    spec = fuks_lindblad(FuksParams(0.3), 4)
+    split = steady_state_basis(spec)
+    monkeypatch.setattr(spectra, "translation_sectors", _identity_sector)
+    unsplit = steady_state_basis(spec)
+    a = np.column_stack([v.amplitudes for v in split])
+    b = np.column_stack([v.amplitudes for v in unsplit])
+    assert a.shape == b.shape == (256, 4)
+    assert np.linalg.norm(a @ (a.conj().T @ b) - b) < 1e-9
+
+
+def test_n7_gaps_match_closed_forms():
+    fuks = spectrum(fuks_lindblad(FuksParams(0.3), 7))
+    deph = spectrum(dephasing_lindblad(DephasingParams(0.0), 7))
+    assert abs(fuks.gap - 2 * (1 - np.cos(np.pi / 7))) < 1e-12
+    assert abs(deph.gap - (1 - np.cos(2 * np.pi / 7))) < 1e-12
+    assert (fuks.null_dim, deph.null_dim) == (4, 8)
+    assert (fuks.method, deph.method) == ("dense/difference", "dense/joint")

@@ -15,7 +15,8 @@ from qcadc.superop import (
     ID2, P0, P1, PAULI_X, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS,
     ChannelInvalidError, LindbladSpec, LocalOperator, VecState,
     apply_adjoint_generator, assemble_lindbladian, devectorize, doubled,
-    embed_local, embed_physical, kraus_to_superop, vectorize,
+    embed_local, embed_physical, kraus_to_superop, translation_sectors,
+    vectorize,
 )
 from conftest import basis_density, ghz_density, random_density, random_hermitian
 
@@ -335,3 +336,49 @@ def test_adjoint_matches_trace_pairing(rng):
     lhs = np.trace(O @ devectorize(gen @ vectorize(rho)))
     rhs = np.trace(apply_adjoint_generator(spec, O) @ rho)
     assert abs(lhs - rhs) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# ring-momentum sectors
+
+
+def ring_shift_oracle(n):
+    """Doubled-space matrix of rho -> U rho U^dag, U moving the qubit of
+    site j to site j + 1 (site N to site 1), built column by column through
+    vectorize/devectorize."""
+    dim = 2 ** n
+    u = np.zeros((dim, dim))
+    for b in range(dim):
+        u[(b >> 1) | ((b & 1) << (n - 1)), b] = 1.0
+    cols = []
+    for i in range(4 ** n):
+        e = np.zeros(4 ** n, dtype=complex)
+        e[i] = 1.0
+        cols.append(vectorize(u @ devectorize(e) @ u.T).amplitudes)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_translation_sectors_are_momentum_eigenbases(n):
+    from qcadc.models import DephasingParams, dephasing_lindblad
+    spec = dephasing_lindblad(DephasingParams(1.0), n)
+    sectors = translation_sectors(assemble_lindbladian(spec).matrix, n)
+    assert len(sectors) == n
+    shift = ring_shift_oracle(n)
+    total = np.zeros((4 ** n, 4 ** n), dtype=complex)
+    for k, (basis, reps) in enumerate(sectors):
+        p = basis.toarray()
+        assert np.abs(p.conj().T @ p - np.eye(len(reps))).max() < 1e-12
+        assert np.abs(shift @ p - np.exp(2j * np.pi * k / n) * p).max() < 1e-12
+        # the representative is the smallest index its column touches
+        assert np.array_equal(reps, [np.flatnonzero(c)[0] for c in p.T])
+        total += p @ p.conj().T
+    assert np.abs(total - np.eye(4 ** n)).max() < 1e-12
+
+
+def test_translation_sectors_refuse_a_broken_ring_symmetry():
+    spec = LindbladSpec(3, (), ((LocalOperator((0,), SIGMA_MINUS), 1.0),))
+    matrix = assemble_lindbladian(spec).matrix
+    [(basis, reps)] = translation_sectors(matrix, 3)
+    assert np.array_equal(reps, np.arange(64))
+    assert (basis != sp.identity(64, format="csr")).nnz == 0
