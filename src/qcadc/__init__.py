@@ -12,7 +12,7 @@ from .superop import (
     assemble_lindbladian, apply_adjoint_generator,
 )
 from .models import (
-    FuksParams, DephasingParams, MLWeights, PartitionSchedule,
+    FuksParams, DephasingParams, MLWeights,
     fuks_step, fuks_lindblad, dephasing_lindblad,
     mv_spread_step, mv_consensus_step, mv_lindblads, mv_layer_counts, mv_pad,
     fates_step, ml_lindblad, published_ml_weights, steady_family_state,

@@ -6,7 +6,7 @@ rings and exhaustive scans stay cheap.  No rule table is hand-coded: the
 tables of the partitioned rules (the majority-voting triples and the 184/232
 center updates) are derived from the same three-site Kraus lists that build
 the quantum steps, by probing all eight basis states, and are applied in the
-block order of the same schedules; agreement tests guard both.
+same window order; agreement tests guard both.
 
 The majority-voting sublayers have one kernel, batched over rings: the
 windows of an mv phase are disjoint, so a sublayer is one table lookup over
@@ -26,9 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import (_center_kraus, _center_windows, _mv_consensus_kraus,
-                     _mv_spread_kraus, fates_kraus_sets, fuks_schedule,
-                     mv_layer_counts, mv_schedule)
+from .models import (MV_PHASE_ORDER, center_windows, mv_layer_counts,
+                     mv_windows, rule_kraus)
 from .superop import basis_moves
 
 __all__ = [
@@ -117,9 +116,6 @@ def eca_step(rule: int, bits) -> np.ndarray:
 # partitioned rules, derived from the quantum Kraus lists
 
 
-_MV_KRAUS = {"spread": _mv_spread_kraus, "consensus": _mv_consensus_kraus}
-
-
 @lru_cache(maxsize=None)
 def _rule_table(rule: int | str) -> np.ndarray:
     """Deterministic 8-entry lookup, basis triple in -> basis triple out, of
@@ -130,12 +126,8 @@ def _rule_table(rule: int | str) -> np.ndarray:
     one operator must act on each input, yielding one basis state with unit
     weight.
     """
-    if rule in _MV_KRAUS:
-        ops = [op.matrix for op in _MV_KRAUS[rule]((0, 1, 2))]
-    else:
-        ops = _center_kraus(fates_kraus_sets(rule))
     table = np.full(8, -1, dtype=np.int64)
-    for K in ops:
+    for K in rule_kraus(rule):
         moves = basis_moves(K)
         if moves is None:
             raise RuntimeError(f"rule {rule} Kraus set is not basis-deterministic")
@@ -161,17 +153,12 @@ def _apply_table(arr: np.ndarray, table: np.ndarray, starts) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _center_starts(n_sites: int, phase_order: str) -> tuple[int, ...]:
-    return _center_windows(fuks_schedule(n_sites, phase_order).phases, n_sites)
-
-
 def partitioned_rule_step(rule: int, bits,
                           phase_order: str = "odd_first") -> np.ndarray:
     """Center-update partitioned step of a deterministic rule.
 
     Mirrors the quantum discrete convention exactly: the windows of
-    :func:`models.fuks_schedule`, two center phases, each applied in
+    :func:`models.center_windows`, two center phases, each applied in
     descending site order with updates visible to later centers of the same
     phase.  The traffic/majority mixture pins odd centers first (see the
     quantum builder for why).
@@ -180,7 +167,7 @@ def partitioned_rule_step(rule: int, bits,
         raise ValueError(f"unsupported partitioned rule {rule}")
     arr = parse_bits(bits)
     return _apply_table(arr, _rule_table(rule),
-                        _center_starts(len(arr), phase_order))
+                        center_windows(len(arr), phase_order))
 
 
 def fates_classical_trajectory(p: float, bits, n_steps: int,
@@ -221,15 +208,13 @@ def _prob_one(p: float, rings: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mv_windows(n_sites: int) -> tuple[np.ndarray, ...]:
-    """Per phase of :func:`models.mv_schedule`, a (3, N/3) array: the left,
-    middle and right site of each of its disjoint windows."""
-    phases = []
-    for starts in mv_schedule(n_sites).phases:
-        sites = (np.asarray(starts) + np.arange(3)[:, None]) % n_sites
-        sites.setflags(write=False)
-        phases.append(sites)
-    return tuple(phases)
+def _mv_sites(n_sites: int, phase: int) -> np.ndarray:
+    """A (3, N/3) array: the left, middle and right site of each of the
+    disjoint windows of an mv phase (see :func:`models.mv_windows`)."""
+    sites = (np.asarray(mv_windows(n_sites, phase))
+             + np.arange(3)[:, None]) % n_sites
+    sites.setflags(write=False)
+    return sites
 
 
 def _mv_step(rings: np.ndarray, rule: str, phase: int) -> None:
@@ -237,7 +222,7 @@ def _mv_step(rings: np.ndarray, rule: str, phase: int) -> None:
     (sites along axis 0, any number of rings along the rest).  The windows
     of a phase are disjoint, so the phase is one lookup of the rule table
     over every window of every ring at once."""
-    left, mid, right = _mv_windows(len(rings))[phase - 1]
+    left, mid, right = _mv_sites(len(rings), phase)
     out = _rule_table(rule)[(rings[left] << 2) | (rings[mid] << 1)
                             | rings[right]]
     rings[left], rings[mid], rings[right] = out >> 2, (out >> 1) & 1, out & 1
@@ -290,9 +275,9 @@ def mv_consensus_classical(bits, phase: int) -> np.ndarray:
 
 
 def mv_sublayer_sequence(count: int):
-    """Phase indices in application order; a full layer is phases 3, 2, 1."""
-    order = (3, 2, 1)
-    return [order[i % 3] for i in range(count)]
+    """Phase indices in application order; a full layer is the phases of
+    :data:`models.MV_PHASE_ORDER`."""
+    return [MV_PHASE_ORDER[i % 3] for i in range(count)]
 
 
 def mv_spread_sweep(bits) -> np.ndarray:
@@ -305,7 +290,7 @@ def mv_spread_sweep(bits) -> np.ndarray:
     arr = parse_bits(bits)
     n = len(arr)
     return _apply_table(arr, _rule_table("spread"),
-                        _center_windows((range(n),), n))
+                        [(j - 1) % n for j in range(n - 1, -1, -1)])
 
 
 def mv_separated_target(bits) -> np.ndarray:
@@ -390,14 +375,14 @@ def p_from_gamma_tau(gamma_tau: float) -> float:
 
 
 def absorption_time_trials(p: float, n_sites: int, n_trials: int,
-                           density: float, rng: np.random.Generator,
-                           max_steps: int | None = None) -> np.ndarray:
+                           density: float, rng: np.random.Generator
+                           ) -> np.ndarray:
     """Steps until all-zeros/all-ones under the probabilistic rule, batched.
 
-    Initial configurations draw each cell one with probability ``density``.
+    Initial configurations draw each cell one with probability ``density``;
+    a trial still mixed after 400 N^2 steps raises.
     """
-    if max_steps is None:
-        max_steps = 400 * n_sites ** 2
+    max_steps = 400 * n_sites ** 2
     state = (rng.random((n_trials, n_sites)) < density).astype(np.uint8)
     times = np.full(n_trials, -1, dtype=np.int64)
     alive = np.ones(n_trials, dtype=bool)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ENGINE_VERSION
+from .config import DENSE_SUPEROP_CAP, ENGINE_VERSION
 from . import classical, evolve, mlopt, models, observables, spectra
 from .superop import vectorize
 
@@ -104,6 +104,13 @@ def _whole(value, where: str) -> int:
     raise ConfigError(f"{where} must be a whole number, got {value!r}")
 
 
+def _number(value, where: str):
+    """A JSON number from the config, returned as given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
 def _stamp(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "engine_version": ENGINE_VERSION}
 
@@ -122,14 +129,37 @@ _MODEL_PARAM_KEYS = {
 }
 
 
-def build_spec(model_cfg: dict, n_sites: int):
-    """LindbladSpec for continuous model ids; raises ConfigError otherwise."""
+def _model(model_cfg: dict) -> tuple[str, dict]:
+    """The id and checked params of a model config: every key known, every
+    scalar parameter a number, and the ML weights parsed."""
     _require_keys(model_cfg, {"id": True, "params": False}, "model")
     mid = model_cfg["id"]
     params = model_cfg.get("params", {})
     if mid not in _MODEL_PARAM_KEYS:
         raise ConfigError(f"unknown model id {mid!r}")
     _require_keys(params, _MODEL_PARAM_KEYS[mid], "model.params")
+    return mid, {key: (_ml_weights(value, "model.params.weights")
+                       if key == "weights"
+                       else _number(value, f"model.params.{key}"))
+                 for key, value in params.items()}
+
+
+def _ml_weights(value, where: str) -> models.MLWeights:
+    if value == "published":
+        return models.published_ml_weights()
+    if not isinstance(value, list):
+        raise ConfigError(f'{where} must be "published" or a list of 8 '
+                          f'numbers, got {value!r}')
+    weights = tuple(_number(x, f"{where} entry") for x in value)
+    try:
+        return models.MLWeights(weights)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def build_spec(model_cfg: dict, n_sites: int):
+    """LindbladSpec for continuous model ids; raises ConfigError otherwise."""
+    mid, params = _model(model_cfg)
     try:
         if mid == "fuks":
             return models.fuks_lindblad(
@@ -144,18 +174,15 @@ def build_spec(model_cfg: dict, n_sites: int):
         if mid == "mv-consensus":
             return models.mv_lindblads(n_sites)[1]
         if mid == "ml":
-            w = params["weights"]
-            if w == "published":
-                return models.ml_lindblad(models.published_ml_weights(), n_sites)
-            return models.ml_lindblad(models.MLWeights(tuple(w)), n_sites)
+            return models.ml_lindblad(params["weights"], n_sites)
     except ValueError as err:
         raise ConfigError(f"model.params: {err}") from err
     raise ConfigError(f"model id {mid!r} has no continuous generator")
 
 
 def build_step(model_cfg: dict, n_sites: int):
-    mid = model_cfg["id"]
-    params = model_cfg.get("params", {})
+    """Step SuperOp for discrete model ids; raises ConfigError otherwise."""
+    mid, params = _model(model_cfg)
     try:
         if mid == "fuks":
             return models.fuks_step(
@@ -225,11 +252,18 @@ def build_initial(cfg: dict, n_sites: int):
 # subcommands
 
 
+# numpy's largest array holds 2^63 bytes: 4^29 complex amplitudes, not 4^30
+_MAX_DOUBLED_N = 29
+
+
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"model": True, "n_sites": True, "initial": True,
                         "evolution": True, "samples": False, "seed": False},
                   "config")
     n = _whole(cfg["n_sites"], "n_sites")
+    if not 1 <= n <= _MAX_DOUBLED_N:
+        raise ConfigError(f"n_sites={n}: the 4^N doubled space holds 1 to "
+                          f"{_MAX_DOUBLED_N} sites")
     state = build_initial(cfg["initial"], n)
     evo = cfg["evolution"]
     _require_keys(evo, {"kind": True, "t": False, "steps": False,
@@ -293,12 +327,14 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"models": True, "mode": False, "seed": False},
                   "config")
     mode = cfg.get("mode", "dense")
+    if mode not in ("dense", "arnoldi"):
+        raise ConfigError(f"unknown mode {mode!r}; choose dense or arnoldi")
     entries = cfg["models"]
     if not entries:
         raise ConfigError("models list is empty")
-    all_rows = []
-    fits = {}
-    per_model_gaps = {}
+    # every spec is built before any spectrum, so a size the family refuses
+    # is a config error, not a row
+    specs = []
     for entry in entries:
         _require_keys(entry, {"id": True, "params": False, "n_values": True,
                               "fit_exclude": False}, "models[]")
@@ -308,13 +344,23 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
                     for x in entry["n_values"]]
         if not n_values:
             raise ConfigError("models[].n_values is empty")
-        family = lambda n, e=entry: build_spec(
-            {"id": e["id"], "params": e.get("params", {})}, n)
-        reports = spectra.gap_scan(family, n_values, mode=mode)
+        for n in n_values:
+            if mode == "dense" and 4 ** n > DENSE_SUPEROP_CAP:
+                raise ConfigError(f"models[].n_values entry {n}: dense mode "
+                                  f"is capped at 4^N = {DENSE_SUPEROP_CAP}")
+        model = {"id": entry["id"], "params": entry.get("params", {})}
+        specs.append((n_values, {n: build_spec(model, n) for n in n_values}))
+    all_rows = []
+    fits = {}
+    per_model_gaps = {}
+    failed = []
+    for entry, (n_values, spec_of) in zip(entries, specs):
+        reports = spectra.gap_scan(spec_of.__getitem__, n_values, mode=mode)
         gaps = {}
         for n, rep, err in reports:
             if rep is None:
                 all_rows.append((entry["id"], n, "nan", -1, f"error:{err}"))
+                failed.append(f"{entry['id']} N={n}")
             else:
                 all_rows.append((entry["id"], n, rep.gap, rep.null_dim,
                                  rep.method))
@@ -341,6 +387,10 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
         ratio_rows = [(n, gb[n] / ga[n]) for n in shared if ga[n] > 0]
         write_csv(out / "ratios.csv", [f"N", f"{name_b}_over_{name_a}"],
                   ratio_rows)
+    if failed:
+        print(f"numerical failure: no spectrum for {', '.join(failed)}",
+              file=sys.stderr)
+        return 3
     return 0
 
 
@@ -392,12 +442,17 @@ def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
     return 0 if all_ok else 3
 
 
+# the continuous rules act on three sites, and the diagonal path keeps a
+# ring in one non-negative int64 code
+_MV_CONTINUOUS_MAX_N = 63
+
+
 def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"scan": False, "n_sites": False, "initial": False,
                         "track": False, "sublayers": False, "t": False,
                         "phase": False, "seed": False, "n_traj": False},
                   "config")
-    seed = int(cfg.get("seed", args.seed or 0))
+    seed = _whole(cfg.get("seed", 0), "seed")
     if "scan" in cfg:
         scan = cfg["scan"]
         _require_keys(scan, {"n_values": True, "n_traj": False,
@@ -407,6 +462,11 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
                      "scan.exact_cap")
         n_values = [_whole(x, "scan.n_values entry")
                     for x in scan["n_values"]]
+        for n in n_values:
+            if not 3 <= n <= _MV_CONTINUOUS_MAX_N:
+                raise ConfigError(f"scan.n_values entry {n}: the continuous "
+                                  f"rules run on 3 to {_MV_CONTINUOUS_MAX_N} "
+                                  f"sites")
         seeds = np.random.SeedSequence(seed).spawn(len(n_values))
         results = [evolve.mv_worst_case_times(
                        n, n_traj=n_traj, rng=np.random.default_rng(s),
@@ -467,9 +527,12 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         return 0
     if cfg["track"] != "continuous":
         raise ConfigError(f"unknown track {cfg['track']!r}")
+    if n > _MV_CONTINUOUS_MAX_N:
+        raise ConfigError(f"n_sites={n}: the continuous rules run on 3 to "
+                          f"{_MV_CONTINUOUS_MAX_N} sites")
     spec = (models.mv_lindblads(n)[0] if phase == "spread"
             else models.mv_lindblads(n)[1])
-    t_max = float(cfg.get("t", 3.0 * n))
+    t_max = float(_number(cfg.get("t", 3.0 * n), "t"))
     if not (np.isfinite(t_max) and t_max >= 0):
         raise ConfigError(f"t must be finite and non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
@@ -513,8 +576,7 @@ def cmd_classify(cfg: dict, out: Path, args) -> int:
 def cmd_ml_cost(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"weights": True, "training_set": False,
                         "seed": False}, "config")
-    weights = (models.published_ml_weights() if cfg["weights"] == "published"
-               else models.MLWeights(tuple(cfg["weights"])))
+    weights = _ml_weights(cfg["weights"], "weights")
     tset = _training_set_from(cfg.get("training_set"))
     scores = mlopt.per_state_scores(weights, tset)
     write_json(out / "summary.json", {
@@ -553,7 +615,7 @@ def _training_set_from(raw):
 def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"restarts": False, "seed": False, "start": False,
                         "training_set": False}, "config")
-    seed = int(cfg.get("seed", args.seed or 0))
+    seed = _whole(cfg.get("seed", 0), "seed")
     start = (models.published_ml_weights()
              if cfg.get("start") == "published" else None)
     res = mlopt.optimize_weights(
@@ -575,10 +637,10 @@ def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"bits": True, "p": False, "steps": False,
                         "n_seeds": False, "seed": False}, "config")
     bits = cfg["bits"]
-    p = float(cfg.get("p", 0.5))
+    p = float(_number(cfg.get("p", 0.5), "p"))
     steps = _whole(cfg.get("steps", 1000), "steps")
     n_seeds = _whole(cfg.get("n_seeds", 20), "n_seeds")
-    base = int(cfg.get("seed", args.seed or 0))
+    base = _whole(cfg.get("seed", 0), "seed")
     seeds = np.random.SeedSequence(base).spawn(n_seeds)
     rows = []
     reached = 0
@@ -613,7 +675,7 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         except Exception as err:
             checks.append((name, False, f"{type(err).__name__}: {err}"))
 
-    rng = np.random.default_rng(int(cfg.get("seed", args.seed or 0)))
+    rng = np.random.default_rng(_whole(cfg.get("seed", 0), "seed"))
 
     def random_density(n):
         dim = 2 ** n

@@ -57,6 +57,10 @@ __all__ = [
 
 DEFAULT_SAMPLES = 64
 DEFAULT_EXACT_CAP = 40_000  # reachable states solved exactly, not sampled
+_KRYLOV_TOL = 1e-10         # Krylov error budget relative to |v|, over t
+_KRYLOV_DIM = 40            # Arnoldi basis size per Krylov substep
+_MV_SAMPLES = 600           # time-grid points of each mv worst-case run
+_MV_THRESHOLD = 0.99        # the fraction at which that run is done
 
 
 class KrylovError(RuntimeError):
@@ -141,8 +145,8 @@ def discrete_run(step: SuperOp, state: VecState, max_steps: int,
 # Krylov matrix exponential action
 
 
-def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
-                 max_dim: int = 40, max_substeps: int = 10000) -> np.ndarray:
+def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float,
+                 max_substeps: int = 10000) -> np.ndarray:
     """Arnoldi approximation of exp(A t) v with adaptive substepping.
 
     The Arnoldi basis is kept as contiguous rows and orthogonalized by two
@@ -168,11 +172,11 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
         beta = np.linalg.norm(w)
         if beta == 0:
             return w
-        V = np.zeros((max_dim + 1, len(w)), dtype=complex)
-        H = np.zeros((max_dim + 1, max_dim + 1), dtype=complex)
+        V = np.zeros((_KRYLOV_DIM + 1, len(w)), dtype=complex)
+        H = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1), dtype=complex)
         V[0] = w / beta
-        m = max_dim
-        for j in range(max_dim):
+        m = _KRYLOV_DIM
+        for j in range(_KRYLOV_DIM):
             u = A @ V[j]
             basis = V[:j + 1]
             for _ in range(2):           # the second pass restores orthogonality
@@ -188,7 +192,7 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float, tol: float = 1e-10,
         while True:                      # the basis serves every retry
             F = expm(H[:m + 1, :m + 1] * dt)
             err = abs(beta * F[m, 0])
-            budget = tol * scale * (dt / abs(t))
+            budget = _KRYLOV_TOL * scale * (dt / abs(t))
             if err <= budget:
                 break
             if dt <= abs(t) / max_substeps:
@@ -692,15 +696,14 @@ def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
 
 def mv_worst_case_times(n_sites: int, n_traj: int = 400,
                         rng: np.random.Generator | None = None,
-                        exact_cap: int = DEFAULT_EXACT_CAP,
-                        samples: int = 600, threshold: float = 0.99) -> dict:
+                        exact_cap: int = DEFAULT_EXACT_CAP) -> dict:
     """Worst-case spreading and consensus times on one ring.
 
     Spreading starts from the single half-filling cluster and stops when the
     mean occupation of the separated-target sites (the classical spreading
-    endpoint) exceeds ``threshold`` of the achievable count.  Consensus
-    starts from the maximal alternation with one minimal cluster and stops
-    when the total density exceeds ``threshold``.
+    endpoint) exceeds 0.99 of the achievable count.  Consensus starts from
+    the maximal alternation with one minimal cluster and stops when the
+    total density exceeds 0.99.
     """
     from .classical import (mv_separated_target, mv_worst_consensus_input,
                             mv_worst_spread_input)
@@ -710,18 +713,18 @@ def mv_worst_case_times(n_sites: int, n_traj: int = 400,
 
     bits_a = mv_worst_spread_input(n_sites)
     target = np.flatnonzero(mv_separated_target(bits_a))
-    t_grid = np.linspace(0.0, 4.0 * n_sites, samples)
+    t_grid = np.linspace(0.0, 4.0 * n_sites, _MV_SAMPLES)
     occ, method_a = mean_occupancy(spread_spec, bits_a, t_grid, n_traj, rng,
                                    exact_cap)
     restricted = occ[:, target].sum(axis=1) / len(target)
-    tau_spread = crossing_time(t_grid, restricted, threshold)
+    tau_spread = crossing_time(t_grid, restricted, _MV_THRESHOLD)
 
     bits_b = mv_worst_consensus_input(n_sites)
-    t_grid_b = np.linspace(0.0, 3.0 * n_sites, samples)
+    t_grid_b = np.linspace(0.0, 3.0 * n_sites, _MV_SAMPLES)
     occ_b, method_b = mean_occupancy(consensus_spec, bits_b, t_grid_b,
                                      n_traj, rng, exact_cap)
     density = occ_b.sum(axis=1) / n_sites
-    tau_consensus = crossing_time(t_grid_b, density, threshold)
+    tau_consensus = crossing_time(t_grid_b, density, _MV_THRESHOLD)
 
     return {
         "n_sites": n_sites,

@@ -14,7 +14,7 @@ full doubled-space route (``method="dense"``) exists for cross-checking.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +71,9 @@ def default_training_set() -> TrainingSet:
 
 
 _XATOL = 1e-4                 # simplex tolerance, in weight and in cost
+_WORST_DT = 0.5               # time step of the worst-case march
+_WORST_T_MAX = 800.0          # the march gives up here
+_WORST_THRESHOLD = 0.99       # all-ones weight at which an input is done
 
 
 def default_horizon(n_sites: int) -> float:
@@ -175,39 +178,36 @@ def ml_cost(weights: MLWeights, tset: TrainingSet | None = None,
                                                method)))
 
 
-def truncate_weights(weights: MLWeights, digits: int = 3) -> MLWeights:
-    """Reporting convention: keep the first ``digits`` decimals."""
-    factor = 10 ** digits
-    return MLWeights(tuple(float(np.floor(x * factor) / factor)
+def truncate_weights(weights: MLWeights) -> MLWeights:
+    """Reporting convention: keep the first three decimals."""
+    return MLWeights(tuple(float(np.floor(x * 1000) / 1000)
                            for x in weights.w))
 
 
-def ml_worst_case_time(weights: MLWeights, n_sites: int, dt: float = 0.5,
-                       t_max: float = 800.0, threshold: float = 0.99
+def ml_worst_case_time(weights: MLWeights, n_sites: int
                        ) -> tuple[float, tuple[int, ...]]:
     """Slowest majority-sector input to reach the all-ones target.
 
-    An input is done when its all-ones weight exceeds ``threshold``.
-    Marches the full classical propagator so every input is timed in one
-    pass.
+    An input is done when its all-ones weight exceeds 0.99.  Marches the
+    full classical propagator so every input is timed in one pass.
     """
-    prop = expm(ml_rate_matrix(weights, n_sites) * dt)
+    prop = expm(ml_rate_matrix(weights, n_sites) * _WORST_DT)
     dim = 2 ** n_sites
     pop = np.array([bin(s).count("1") for s in range(dim)])
     M = np.eye(dim)
     todo = {s for s in range(dim) if pop[s] > n_sites / 2}
     taus: dict[int, float] = {}
     t = 0.0
-    while todo and t < t_max:
+    while todo and t < _WORST_T_MAX:
         M = prop @ M
-        t += dt
-        hit = {s for s in todo if M[dim - 1, s] > threshold}
+        t += _WORST_DT
+        hit = {s for s in todo if M[dim - 1, s] > _WORST_THRESHOLD}
         for s in hit:
             taus[s] = t
         todo -= hit
     if todo:
         raise RuntimeError(
-            f"{len(todo)} majority inputs unconverged by t={t_max}")
+            f"{len(todo)} majority inputs unconverged by t={_WORST_T_MAX}")
     worst = max(taus, key=taus.get)
     bits = tuple((worst >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
     return taus[worst], bits
@@ -219,7 +219,6 @@ class OptimizeResult:
     cost: float
     restarts_run: int
     evaluations: int
-    history: list = field(default_factory=list)
 
 
 def optimize_weights(tset: TrainingSet | None = None, restarts: int = 8,
@@ -251,14 +250,12 @@ def optimize_weights(tset: TrainingSet | None = None, restarts: int = 8,
         starts.append(rng.uniform(0.0, 1.0, size=6))
 
     best_w, best_c = None, np.inf
-    history = []
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"xatol": _XATOL, "fatol": _XATOL,
                                 "maxiter": 2000})
         w = MLWeights.from_free(np.clip(res.x, 0.0, 1.0))
         c = float(res.fun)
-        history.append((w, c))
         if c < best_c:
             best_w, best_c = w, c
-    return OptimizeResult(best_w, best_c, len(starts), evaluations, history)
+    return OptimizeResult(best_w, best_c, len(starts), evaluations)

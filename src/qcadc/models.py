@@ -15,15 +15,17 @@ Five families live here:
 
 Every discrete rule is one list of three-site Kraus operators: the center
 rules (fuks, fates) condition a center set on the neighbors through
-projectors, ``kron(P_a, K, P_b)``, and the majority-voting triples are
-written out directly.  Its local channel is ``sum(doubled(K))``, its
-classical table is probed from the same list (see ``classical``), and both
-are applied window by window in the block order of a
-:class:`PartitionSchedule`.
+projectors, ``kron(P_a, K, P_b)``, and a majority-voting rule is its jumps
+plus the passive remainder ``I - sum(J^dag J)``, the same jumps its
+continuous generator puts on every window.  Its local channel is
+``sum(doubled(K))``, its classical table is probed from the same list (see
+``classical``), and both are applied window by window in the order that
+:func:`center_windows` or :func:`mv_windows` gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +37,12 @@ from .superop import (
 )
 
 __all__ = [
-    "FuksParams", "DephasingParams", "MLWeights", "PartitionSchedule",
-    "fuks_kraus_sets", "fuks_neighborhood_channel", "fuks_schedule",
-    "fuks_step", "fuks_lindblad", "dephasing_lindblad",
-    "mv_schedule", "mv_spread_step", "mv_consensus_step", "mv_lindblads",
-    "mv_layer_counts", "mv_pad", "fates_kraus_sets", "fates_rule_step",
-    "fates_step", "ml_lindblad", "published_ml_weights",
+    "FuksParams", "DephasingParams", "MLWeights",
+    "fuks_kraus_sets", "fuks_neighborhood_channel", "center_windows",
+    "fuks_step", "fuks_lindblad", "dephasing_lindblad", "rule_kraus",
+    "MV_PHASE_ORDER", "mv_windows", "mv_spread_step", "mv_consensus_step",
+    "mv_lindblads", "mv_layer_counts", "mv_pad", "fates_kraus_sets",
+    "fates_rule_step", "fates_step", "ml_lindblad", "published_ml_weights",
     "steady_family_state", "BELL_PLUS", "BELL_MINUS",
 ]
 
@@ -115,41 +117,12 @@ def published_ml_weights() -> MLWeights:
     return MLWeights((0.0, 1.000, 0.043, 0.0, 0.040, 0.0, 0.075, 0.0))
 
 
-@dataclass(frozen=True)
-class PartitionSchedule:
-    """Ordered update phases on the ring.
-
-    Each phase lists the starting (leftmost) site of every written block;
-    blocks of ``block_width`` sites within one phase must not overlap.
-    Read-only overlap between blocks of the same phase is fine.
-    """
-
-    phases: tuple[tuple[int, ...], ...]
-    block_width: int
-    n_sites: int
-
-    def __post_init__(self):
-        for phase in self.phases:
-            written: set[int] = set()
-            for start in phase:
-                block = {(start + i) % self.n_sites for i in range(self.block_width)}
-                if written & block:
-                    raise ValueError(
-                        f"phase {phase} writes site(s) {sorted(written & block)} twice"
-                    )
-                written |= block
-        covered = {
-            (start + i) % self.n_sites
-            for phase in self.phases for start in phase
-            for i in range(self.block_width)
-        }
-        if covered != set(range(self.n_sites)):
-            missing = sorted(set(range(self.n_sites)) - covered)
-            raise ValueError(f"schedule never updates site(s) {missing}")
-
-
 # ---------------------------------------------------------------------------
-# three-site Kraus lists and their block order
+# three-site Kraus lists and their window order
+
+
+def _kron3(left: np.ndarray, center: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.kron(np.kron(left, center), right)
 
 
 def fuks_kraus_sets(p: float) -> dict[tuple[int, int], list[np.ndarray]]:
@@ -171,7 +144,7 @@ def _center_kraus(kraus_by_nbhd: dict[tuple[int, int], list[np.ndarray]]
     for (a, b), kraus in kraus_by_nbhd.items():
         if kraus_completeness_residual(kraus) > 1e-12:
             raise ValueError(f"neighborhood {(a, b)} Kraus set is not complete")
-        ops += [np.kron(np.kron(proj[a], K), proj[b]) for K in kraus]
+        ops += [_kron3(proj[a], K, proj[b]) for K in kraus]
     return ops
 
 
@@ -179,12 +152,25 @@ def fuks_neighborhood_channel(p: float) -> np.ndarray:
     return sum(doubled(K) for K in _center_kraus(fuks_kraus_sets(p)))
 
 
-def _center_windows(phases, n_sites: int) -> tuple[int, ...]:
-    """Leftmost site of every 3-site window of a center schedule, in
-    application order: phase by phase, centers in descending site order
-    (see :func:`fuks_schedule`), each window reading one site either side."""
-    return tuple((c - 1) % n_sites
-                 for phase in phases for c in sorted(phase, reverse=True))
+@lru_cache(maxsize=None)
+def center_windows(n_sites: int, phase_order: str) -> tuple[int, ...]:
+    """Leftmost site of every 3-site window of a center rule, in application
+    order: all even 1-based centers, then all odd ones ("even_first"), or
+    the reverse ("odd_first"); each window reads one site either side.
+
+    Within a phase, centers at ring distance >= 2 commute; for odd N the
+    wrap pair (site N, site 1) does not, so the application order inside a
+    phase is pinned to descending site index.  With that order the single
+    isolated-one worked example relaxes onto the continuum fixed point.
+    """
+    if n_sites < 3:
+        raise ValueError(f"need at least 3 sites, got {n_sites}")
+    if phase_order not in ("even_first", "odd_first"):
+        raise ValueError(f"unknown phase_order {phase_order!r}")
+    # 0-based site j is the 1-based center j + 1
+    first = 1 if phase_order == "even_first" else 0
+    return tuple((j - 1) % n_sites for parity in (first, 1 - first)
+                 for j in range(n_sites - 1, -1, -1) if j % 2 == parity)
 
 
 def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
@@ -198,37 +184,17 @@ def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
     return SuperOp(n_sites, mat, "step")
 
 
-def fuks_schedule(n_sites: int, phase_order: str = "even_first") -> PartitionSchedule:
-    """Center-update phases: all even 1-based centers, then all odd ones.
-
-    Within a phase, centers at ring distance >= 2 commute; for odd N the
-    wrap pair (site N, site 1) does not, so the application order inside a
-    phase is pinned to descending site index.  With that order the single
-    isolated-one worked example relaxes onto the continuum fixed point.
-    """
-    if n_sites < 3:
-        raise ValueError(f"need at least 3 sites, got {n_sites}")
-    evens = tuple(j for j in range(n_sites) if (j + 1) % 2 == 0)
-    odds = tuple(j for j in range(n_sites) if (j + 1) % 2 == 1)
-    if phase_order == "even_first":
-        phases = (evens, odds)
-    elif phase_order == "odd_first":
-        phases = (odds, evens)
-    else:
-        raise ValueError(f"unknown phase_order {phase_order!r}")
-    return PartitionSchedule(phases, block_width=1, n_sites=n_sites)
+def _rule_step(rule: int | str, starts, n_sites: int) -> SuperOp:
+    """:func:`_compose` of the local channel of a :func:`rule_kraus` rule."""
+    return _compose(sum(doubled(K) for K in rule_kraus(rule)), starts, n_sites)
 
 
 def fuks_step(params: FuksParams, n_sites: int,
-              schedule: PartitionSchedule | None = None) -> SuperOp:
-    """One full discrete update (all phases) of the probabilistic rule."""
-    if n_sites < 3:
-        raise ValueError(f"need at least 3 sites, got {n_sites}")
-    if schedule is None:
-        schedule = fuks_schedule(n_sites)
+              phase_order: str = "even_first") -> SuperOp:
+    """One full discrete update (both center phases) of the probabilistic
+    rule."""
     return _compose(fuks_neighborhood_channel(params.p),
-                    _center_windows(schedule.phases, schedule.n_sites),
-                    schedule.n_sites)
+                    center_windows(n_sites, phase_order), n_sites)
 
 
 def fuks_lindblad(params: FuksParams, n_sites: int) -> LindbladSpec:
@@ -273,88 +239,86 @@ def dephasing_lindblad(params: DephasingParams, n_sites: int) -> LindbladSpec:
 # majority voting: spreading and consensus triples
 
 
+# A full layer applies the phases in this order in time: the operator
+# product (phase 1)(phase 2)(phase 3).
+MV_PHASE_ORDER = (3, 2, 1)
+
+# the jumps of each majority-voting rule on one (left, middle, right) window
+_MV_JUMPS = {
+    "spread": (_kron3(P1, SIGMA_MINUS, SIGMA_PLUS),),      # 110 -> 101
+    "consensus": (_kron3(P0, SIGMA_MINUS, P0),             # 010 -> 000
+                  _kron3(P1, P1, SIGMA_PLUS),              # 110 -> 111
+                  _kron3(SIGMA_PLUS, P1, P1)),             # 011 -> 111
+}
+
+
+def rule_kraus(rule: int | str) -> list[np.ndarray]:
+    """Three-site Kraus list of a partitioned rule.
+
+    A majority-voting rule ("spread", "consensus") is its jumps plus the
+    passive remainder I - sum J^dag J; a branch of the traffic/majority
+    mixture (184, 232) is its center update read through neighbor
+    projectors.
+    """
+    if rule in _MV_JUMPS:
+        jumps = [J.copy() for J in _MV_JUMPS[rule]]
+        return jumps + [np.eye(8, dtype=complex)
+                        - sum(J.conj().T @ J for J in jumps)]
+    if rule in (184, 232):
+        return _center_kraus(fates_kraus_sets(rule))
+    raise ValueError(f"unknown partitioned rule {rule!r}")
+
+
 def _mv_spread_kraus(sites: tuple[int, int, int]) -> list[LocalOperator]:
     """K0 relocates the middle of a 1,1,0 triple; K1 passes everything else."""
-    k0 = np.kron(np.kron(P1, SIGMA_MINUS), SIGMA_PLUS)
-    k1 = np.eye(8, dtype=complex) - np.kron(np.kron(P1, P1), P0)
-    return [LocalOperator(sites, k0), LocalOperator(sites, k1)]
+    return [LocalOperator(sites, K) for K in rule_kraus("spread")]
 
 
 def _mv_consensus_kraus(sites: tuple[int, int, int]) -> list[LocalOperator]:
-    """Deletes isolated ones and grows clusters one site left or right."""
-    k0 = np.kron(np.kron(P0, SIGMA_MINUS), P0)
-    k1 = np.kron(np.kron(P1, P1), SIGMA_PLUS)
-    k2 = np.kron(np.kron(SIGMA_PLUS, P1), P1)
-    k3 = np.eye(8, dtype=complex) - (
-        np.kron(np.kron(P0, P1), P0)
-        + np.kron(np.kron(P1, P1), P0)
-        + np.kron(np.kron(P0, P1), P1)
-    )
-    return [LocalOperator(sites, k) for k in (k0, k1, k2, k3)]
+    """Deletes isolated ones and grows clusters one site left or right; the
+    last operator passes everything else."""
+    return [LocalOperator(sites, K) for K in rule_kraus("consensus")]
 
 
-def mv_schedule(n_sites: int) -> PartitionSchedule:
-    """Three phases of disjoint triples; phase x starts at sites = x-1 mod 3.
+def mv_windows(n_sites: int, phase: int | None = None) -> tuple[int, ...]:
+    """Leftmost site of every window of a majority-voting sublayer, in
+    application order.
 
-    A full layer is the operator product (phase 1)(phase 2)(phase 3), so
-    phase 3 acts first in time; sublayer counting follows that order.
+    Phase x holds the disjoint triples starting at sites = x-1 mod 3; a
+    full layer (phase None) is the phases in :data:`MV_PHASE_ORDER`, so
+    phase 3 acts first in time and sublayer counting follows that order.
     """
     if n_sites < 3 or n_sites % 3 != 0:
         raise ValueError(f"triple partition needs n_sites % 3 == 0, got {n_sites}")
-    phases = tuple(tuple(range(off, n_sites, 3)) for off in range(3))
-    return PartitionSchedule(phases, block_width=3, n_sites=n_sites)
-
-
-def _mv_phase_step(kraus_fn, n_sites: int, phase: int) -> SuperOp:
-    schedule = mv_schedule(n_sites)
+    if phase is None:
+        return sum((mv_windows(n_sites, x) for x in MV_PHASE_ORDER), ())
     if phase not in (1, 2, 3):
         raise ValueError(f"phase must be 1, 2 or 3, got {phase}")
-    local = sum(doubled(op.matrix) for op in kraus_fn((0, 1, 2)))
-    return _compose(local, schedule.phases[phase - 1], n_sites)
-
-
-def _mv_layer(kraus_fn, n_sites: int) -> SuperOp:
-    mat = None
-    for phase in (3, 2, 1):          # phase 3 earliest in time
-        step = _mv_phase_step(kraus_fn, n_sites, phase)
-        mat = step.matrix if mat is None else step.matrix @ mat
-    mat.sort_indices()
-    return SuperOp(n_sites, mat, "step")
+    return tuple(range(phase - 1, n_sites, 3))
 
 
 def mv_spread_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Popcount-preserving sublayer (or full layer when phase is None)."""
-    if phase is None:
-        return _mv_layer(_mv_spread_kraus, n_sites)
-    return _mv_phase_step(_mv_spread_kraus, n_sites, phase)
+    return _rule_step("spread", mv_windows(n_sites, phase), n_sites)
 
 
 def mv_consensus_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Cluster-growing / isolated-one-deleting sublayer (or full layer)."""
-    if phase is None:
-        return _mv_layer(_mv_consensus_kraus, n_sites)
-    return _mv_phase_step(_mv_consensus_kraus, n_sites, phase)
+    return _rule_step("consensus", mv_windows(n_sites, phase), n_sites)
 
 
 def mv_lindblads(n_sites: int) -> tuple[LindbladSpec, LindbladSpec]:
-    """Continuous generators of the spreading and consensus dynamics."""
+    """Continuous generators of the spreading and consensus dynamics: each
+    rule's jumps on every window, at unit rate."""
     if n_sites < 3:
         raise ValueError(f"need at least 3 sites, got {n_sites}")
-    spread = []
-    consensus = []
-    for j in range(n_sites):
-        sites = ((j - 1) % n_sites, j, (j + 1) % n_sites)
-        spread.append((LocalOperator(
-            sites, np.kron(np.kron(P1, SIGMA_MINUS), SIGMA_PLUS)), 1.0))
-        consensus += [
-            (LocalOperator(sites, np.kron(np.kron(P0, SIGMA_MINUS), P0)), 1.0),
-            (LocalOperator(sites, np.kron(np.kron(P1, P1), SIGMA_PLUS)), 1.0),
-            (LocalOperator(sites, np.kron(np.kron(SIGMA_PLUS, P1), P1)), 1.0),
-        ]
-    return (
-        LindbladSpec(n_sites, (), tuple(spread)),
-        LindbladSpec(n_sites, (), tuple(consensus)),
-    )
+
+    def spec(rule: str) -> LindbladSpec:
+        return LindbladSpec(n_sites, (), tuple(
+            (LocalOperator(((j - 1) % n_sites, j, (j + 1) % n_sites), J), 1.0)
+            for j in range(n_sites) for J in _MV_JUMPS[rule]))
+
+    return spec("spread"), spec("consensus")
 
 
 def mv_layer_counts(n_sites: int) -> tuple[int, int, int]:
@@ -397,7 +361,7 @@ def fates_kraus_sets(rule: int) -> dict[tuple[int, int], list[np.ndarray]]:
 
 
 def fates_rule_step(rule: int, n_sites: int,
-                    schedule: PartitionSchedule | None = None) -> SuperOp:
+                    phase_order: str = "odd_first") -> SuperOp:
     """Full partitioned center update of one mixture branch rule.
 
     Default phase order is odd centers first: with even-first phases the
@@ -405,15 +369,10 @@ def fates_rule_step(rule: int, n_sites: int,
     all-ones, which contradicts the documented failure of this mixture, so
     the failure demo pins the other order.
     """
-    if schedule is None:
-        schedule = fuks_schedule(n_sites, "odd_first")
-    local = sum(doubled(K) for K in _center_kraus(fates_kraus_sets(rule)))
-    return _compose(local, _center_windows(schedule.phases, schedule.n_sites),
-                    schedule.n_sites)
+    return _rule_step(rule, center_windows(n_sites, phase_order), n_sites)
 
 
-def fates_step(p: float, n_sites: int,
-               schedule: PartitionSchedule | None = None) -> SuperOp:
+def fates_step(p: float, n_sites: int) -> SuperOp:
     """Average map p * step(184) + (1-p) * step(232).
 
     Trajectory sampling draws one global coin per time step instead; see
@@ -421,8 +380,8 @@ def fates_step(p: float, n_sites: int,
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    s184 = fates_rule_step(184, n_sites, schedule)
-    s232 = fates_rule_step(232, n_sites, schedule)
+    s184 = fates_rule_step(184, n_sites)
+    s232 = fates_rule_step(232, n_sites)
     mat = (p * s184.matrix + (1 - p) * s232.matrix).tocsr()
     mat.sort_indices()
     return SuperOp(n_sites, mat, "step")

@@ -145,7 +145,8 @@ class PhysicalityReport:
         return self.trace_ok and self.herm_ok and self.positive_ok
 
 
-def physicality_check(state: VecState, tol: float = TOL.physical) -> PhysicalityReport:
+def physicality_check(state: VecState) -> PhysicalityReport:
+    tol = TOL.physical
     tr = trace_of(state)
     hres = herm_residual(state)
     rho = devectorize(state)

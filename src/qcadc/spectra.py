@@ -20,7 +20,7 @@ part) is reported separately so complex drift would be caught.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -51,7 +51,6 @@ class SpectrumReport:
     method: str
     norm: float
     max_re_nonzero: float
-    smallest: np.ndarray          # the 8 smallest-|lambda| eigenvalues
     warnings: tuple[str, ...] = ()
 
 
@@ -83,7 +82,8 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
     mode "dense" computes the full spectrum, block by block over the
     momentum sectors and conserved gradings; "arnoldi" computes the k
     eigenvalues nearest zero by shift-inverted iteration at shift -1e-3
-    and is valid as long as k exceeds the kernel dimension.
+    and is valid as long as k exceeds the kernel dimension.  Kernel vectors
+    (``want_vectors``) come from dense mode only.
     """
     gen = _as_generator(obj)
     n = gen.n_sites
@@ -91,8 +91,7 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
     norm = float(np.abs(gen.matrix).sum(axis=0).max())
     if norm == 0.0:
         ev = np.zeros(dim, dtype=complex)
-        report = SpectrumReport(n, ev, dim, float("nan"), mode, 0.0, 0.0,
-                                ev[:8])
+        report = SpectrumReport(n, ev, dim, float("nan"), mode, 0.0, 0.0)
         return (report, [VecState(n, e) for e in np.eye(dim, dtype=complex)]) \
             if want_vectors else report
 
@@ -135,21 +134,14 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
     elif mode == "arnoldi":
         if k >= dim - 1:
             raise ValueError(f"arnoldi needs k < dim-1, got k={k}, dim={dim}")
+        if want_vectors:
+            raise ValueError("kernel vectors come from dense mode only")
         try:
-            if want_vectors:
-                w, v = spla.eigs(gen.matrix.tocsc(), k=k, sigma=_SHIFT,
-                                 which="LM")
-            else:
-                w = spla.eigs(gen.matrix.tocsc(), k=k, sigma=_SHIFT,
-                              which="LM", return_eigenvectors=False)
-                v = None
+            ev = spla.eigs(gen.matrix.tocsc(), k=k, sigma=_SHIFT, which="LM",
+                           return_eigenvectors=False)
         except spla.ArpackNoConvergence as err:
             raise SpectrumError(
                 f"shift-invert iteration did not converge: {err}") from err
-        ev = np.asarray(w)
-        if v is not None:
-            null = np.abs(ev) < TOL.null * norm
-            vectors = [v[:, i] for i in np.flatnonzero(null)]
         method = "arnoldi"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -170,19 +162,18 @@ def spectrum(obj: "LindbladSpec | SuperOp", mode: str = "dense",
         warnings.append(
             f"{len(border)} eigenvalue(s) within a decade of the zero "
             f"threshold {TOL.null * norm:.3e}; smallest {border.min():.3e}")
-    order = np.argsort(np.abs(ev))
     report = SpectrumReport(n, ev, null_dim, gap, method, norm, max_re,
-                            ev[order[:8]], tuple(warnings))
+                            tuple(warnings))
     if want_vectors:
         return report, [VecState(n, w) for w in vectors]
     return report
 
 
-def steady_state_basis(obj: "LindbladSpec | SuperOp",
-                       mode: str = "dense", k: int = 12) -> list[VecState]:
-    """Orthonormal basis of the generator kernel, residual-checked."""
+def steady_state_basis(obj: "LindbladSpec | SuperOp") -> list[VecState]:
+    """Orthonormal basis of the generator kernel from the dense spectrum,
+    residual-checked."""
     gen = _as_generator(obj)
-    report, raw = spectrum(gen, mode=mode, k=k, want_vectors=True)
+    report, raw = spectrum(gen, want_vectors=True)
     if not raw:
         return []
     stack = np.column_stack([v.amplitudes for v in raw])
@@ -204,7 +195,7 @@ def steady_state_basis(obj: "LindbladSpec | SuperOp",
 # scans and fits
 
 
-def gap_scan(family, n_values, mode: str = "dense", k: int = 12):
+def gap_scan(family, n_values, mode: str = "dense"):
     """Per-size spectrum reports for ``family(N) -> LindbladSpec``.
 
     Failures are recorded per N (entry value None plus the error string) and
@@ -213,7 +204,7 @@ def gap_scan(family, n_values, mode: str = "dense", k: int = 12):
     results = []
     for n in n_values:
         try:
-            rep = spectrum(family(n), mode=mode, k=k)
+            rep = spectrum(family(n), mode=mode)
             results.append((int(n), rep, None))
         except Exception as err:    # recorded, not raised: partial scans stay usable
             results.append((int(n), None, f"{type(err).__name__}: {err}"))

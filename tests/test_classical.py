@@ -214,14 +214,13 @@ def test_classify_rejects_unpadded_length():
 
 def _reference_classify(bits):
     """The per-ring classifier the batched kernel replaced: window by
-    window through ``_apply_table`` in the windows of ``mv_schedule``,
+    window through ``_apply_table`` in the windows of ``mv_windows``,
     phases 3, 2, 1 repeating, each stage restarting at phase 3.  Returns
     (label, sublayers used), or None if the budget leaves the ring mixed."""
     from qcadc.classical import _apply_table, _rule_table
-    from qcadc.models import mv_schedule
+    from qcadc.models import mv_windows
     arr = parse_bits(bits)
     n = len(arr)
-    phases = mv_schedule(n).phases
     tau_a, tau_b, _ = mv_layer_counts(n)
     used = 0
     for rule, count, going in (
@@ -230,7 +229,8 @@ def _reference_classify(bits):
         for i in range(count):
             if not going(arr):
                 break
-            _apply_table(arr, _rule_table(rule), phases[(2, 1, 0)[i % 3]])
+            _apply_table(arr, _rule_table(rule),
+                         mv_windows(n, (3, 2, 1)[i % 3]))
             used += 1
     return (int(arr[0]), used) if np.all(arr == arr[0]) else None
 

@@ -555,3 +555,98 @@ def test_classification_failure_is_an_error_line(tmp_path, capsys,
     assert code == 3
     assert capsys.readouterr().err == "error: ring still mixed\n"
     assert not out.exists()
+
+
+_DISCRETE = {"n_sites": 3, "initial": {"bits": "001"},
+             "evolution": {"kind": "discrete", "steps": 2}}
+
+
+@pytest.mark.parametrize("model, extra, message", [
+    ({"id": "fuks", "params": {"pp": 0.2, "junk": 1}}, {"extra": 3},
+     "unknown key model"),
+    ({"id": "fates"}, {}, "missing key model.params.p"),
+    ({"id": "fuks", "params": {"p": "x"}}, {},
+     "model.params.p must be a number"),
+], ids=["unknown-keys", "fates-without-p", "non-numeric-p"])
+def test_discrete_evolve_checks_its_model(tmp_path, capsys, model, extra,
+                                          message):
+    code, out = run(tmp_path, "evolve",
+                    {**_DISCRETE, "model": {**model, **extra}})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("fates-demo", {"bits": "1101100", "steps": 2, "n_seeds": 1}),
+    ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},
+                "track": "continuous", "t": 1.0, "n_traj": 1}),
+    ("ml-opt", {"restarts": 1}),
+    ("selftest", {}),
+])
+def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
+    code, out = run(tmp_path, command, {**cfg, "seed": 1.7})
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: seed must be a whole number, got 1.7")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("ml-cost", {"weights": [0, 1, 0]}, "expected 8 weights"),
+    ("ml-cost", {"weights": [0.1, 1, 0, 0, 0, 0, 0, 0]}, "w1 and w8"),
+    ("ml-cost", {"weights": "publishd"}, 'must be "published" or a list'),
+    ("fates-demo", {"bits": "1101100", "p": "x"}, "p must be a number"),
+    ("mv-run", {"scan": {"n_values": [2]}}, "run on 3 to 63 sites"),
+    ("mv-run", {"scan": {"n_values": [66]}}, "run on 3 to 63 sites"),
+    ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},
+                "track": "continuous", "t": "abc"}, "t must be a number"),
+    ("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": 30,
+                "initial": {"bits": "0" * 30}}, "holds 1 to 29 sites"),
+], ids=["ml-cost-3-weights", "ml-cost-w1", "ml-cost-misspelt",
+        "fates-demo-p", "mv-scan-2", "mv-scan-66", "mv-run-t",
+        "evolve-30-sites"])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,
+                                             message):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"models": [{"id": "fuks", "n_values": [2, 4]}]}, "need at least 3"),
+    ({"models": [{"id": "fuks", "n_values": [4, 9]}]},
+     "entry 9: dense mode is capped"),
+    ({"models": [{"id": "fuks", "n_values": [3, 4]}], "mode": "foo"},
+     "unknown mode 'foo'"),
+], ids=["refused-size", "above-dense-cap", "unknown-mode"])
+def test_gap_scan_refuses_sizes_and_modes_up_front(tmp_path, capsys, cfg,
+                                                    message):
+    code, out = run(tmp_path, "gap-scan", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_gap_scan_exits_3_naming_the_sizes_that_fail(tmp_path, capsys,
+                                                     monkeypatch):
+    from qcadc import spectra
+    spectrum = spectra.spectrum
+
+    def fail_at_4(spec, **kwargs):
+        if spec.n_sites == 4:
+            raise spectra.SpectrumError("no convergence")
+        return spectrum(spec, **kwargs)
+
+    monkeypatch.setattr(spectra, "spectrum", fail_at_4)
+    code, out = run(tmp_path, "gap-scan",
+                    {"models": [{"id": "fuks", "n_values": [3, 4]}]})
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: no spectrum for fuks N=4\n")
+    _, rows = read_csv(out / "gaps.csv")
+    assert rows[1][:3] == ["fuks", "4", "nan"]

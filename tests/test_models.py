@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 from qcadc.classical import eca_step, parse_bits
 from qcadc.models import (
     BELL_MINUS, BELL_PLUS, DephasingParams, FuksParams, MLWeights,
-    PartitionSchedule, dephasing_lindblad, fates_kraus_sets, fates_rule_step,
-    fates_step, fuks_kraus_sets, fuks_lindblad, fuks_schedule, fuks_step,
-    ml_lindblad, mv_consensus_step, mv_layer_counts, mv_lindblads, mv_pad,
-    mv_schedule, mv_spread_step, published_ml_weights, steady_family_state,
+    center_windows, dephasing_lindblad, fates_kraus_sets, fates_rule_step,
+    fates_step, fuks_kraus_sets, fuks_lindblad, fuks_step, ml_lindblad,
+    mv_consensus_step, mv_layer_counts, mv_lindblads, mv_pad, mv_spread_step,
+    mv_windows, published_ml_weights, rule_kraus, steady_family_state,
 )
 from qcadc.observables import density_n, diag_probabilities, expval_sz, trace_of
 from qcadc.superop import (
-    PAULI_Z, LocalOperator, assemble_lindbladian, devectorize, doubled,
-    embed_local, kraus_completeness_residual, vectorize,
+    P0, P1, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, LindbladSpec, LocalOperator,
+    assemble_lindbladian, devectorize, doubled, embed_local,
+    kraus_completeness_residual, vectorize,
 )
 from conftest import basis_density, ghz_density, random_density
 
@@ -31,7 +32,7 @@ def run_steps(step, rho, n_steps):
 
 
 # ---------------------------------------------------------------------------
-# parameter and schedule validation
+# parameter validation and window order
 
 
 def test_fuks_params_range():
@@ -50,14 +51,27 @@ def test_ml_weights_validation():
     assert published_ml_weights().free == (1.000, 0.043, 0.0, 0.040, 0.0, 0.075)
 
 
-def test_schedule_rejects_overlap():
-    with pytest.raises(ValueError, match="twice"):
-        PartitionSchedule(((0, 2),), block_width=3, n_sites=6)
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_mv_phase_windows_are_disjoint_and_tile_the_ring(n):
+    for phase in (1, 2, 3):
+        sites = [(s + i) % n for s in mv_windows(n, phase) for i in range(3)]
+        assert sorted(sites) == list(range(n))
+    assert mv_windows(n) == sum((mv_windows(n, x) for x in (3, 2, 1)), ())
 
 
-def test_schedule_rejects_uncovered_sites():
-    with pytest.raises(ValueError, match="never updates"):
-        PartitionSchedule(((0,), (1,)), block_width=1, n_sites=3)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("order", ["even_first", "odd_first"])
+def test_center_windows_visit_every_center_once_by_parity(n, order):
+    # a window starting at s updates the 0-based center s + 1, i.e. the
+    # 1-based site s + 2
+    centers = [(s + 1) % n + 1 for s in center_windows(n, order)]
+    assert sorted(centers) == list(range(1, n + 1))
+    evens = [c for c in centers if c % 2 == 0]
+    odds = [c for c in centers if c % 2 == 1]
+    first, second = (evens, odds) if order == "even_first" else (odds, evens)
+    assert centers == first + second
+    assert first == sorted(first, reverse=True)
+    assert second == sorted(second, reverse=True)
 
 
 def test_all_kraus_sets_complete():
@@ -129,8 +143,8 @@ def test_fuks_discrete_fixed_point_from_010_frozen_oracle():
 
 
 def test_fuks_phase_order_flag_changes_map():
-    a = fuks_step(FuksParams(0.3), 5, fuks_schedule(5, "even_first"))
-    b = fuks_step(FuksParams(0.3), 5, fuks_schedule(5, "odd_first"))
+    a = fuks_step(FuksParams(0.3), 5, "even_first")
+    b = fuks_step(FuksParams(0.3), 5, "odd_first")
     assert abs(a.matrix - b.matrix).max() > 1e-3
 
 
@@ -278,6 +292,35 @@ def test_mv_steps_trace_preserving(rng):
             assert abs(trace_of(out) - 1) < 1e-10
 
 
+def assert_same_csr(a, b):
+    """Bit-identical sparse matrices: the same indptr, indices and data."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    a.sort_indices()
+    b.sort_indices()
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("build", [mv_spread_step, mv_consensus_step])
+def test_mv_full_layer_is_the_phase_product(build, n):
+    # one window chain over the layer equals (phase 1)(phase 2)(phase 3)
+    p1, p2, p3 = (build(n, phase).matrix for phase in (1, 2, 3))
+    assert_same_csr(build(n).matrix, p1 @ (p2 @ p3))
+
+
+def test_mv_passive_kraus_is_the_jump_remainder():
+    def proj(bits):
+        return functools.reduce(np.kron, [P1 if b else P0 for b in bits])
+
+    eye = np.eye(8, dtype=complex)
+    assert np.array_equal(rule_kraus("spread")[-1], eye - proj((1, 1, 0)))
+    assert np.array_equal(
+        rule_kraus("consensus")[-1],
+        eye - (proj((0, 1, 0)) + proj((1, 1, 0)) + proj((0, 1, 1))))
+
+
 # ---------------------------------------------------------------------------
 # majority voting generators
 
@@ -301,6 +344,27 @@ def test_mv_generator_jump_counts():
     spread, consensus = mv_lindblads(5)
     assert len(spread.jumps) == 5
     assert len(consensus.jumps) == 15
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mv_generators_match_hand_written_jumps(n):
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    spread, consensus = [], []
+    for j in range(n):
+        sites = ((j - 1) % n, j, (j + 1) % n)
+        spread.append((LocalOperator(sites, kron3(P1, SIGMA_MINUS,
+                                                  SIGMA_PLUS)), 1.0))
+        consensus += [
+            (LocalOperator(sites, kron3(P0, SIGMA_MINUS, P0)), 1.0),
+            (LocalOperator(sites, kron3(P1, P1, SIGMA_PLUS)), 1.0),
+            (LocalOperator(sites, kron3(SIGMA_PLUS, P1, P1)), 1.0),
+        ]
+    for got, jumps in zip(mv_lindblads(n), (spread, consensus)):
+        want = LindbladSpec(n, (), tuple(jumps))
+        assert_same_csr(assemble_lindbladian(got).matrix,
+                        assemble_lindbladian(want).matrix)
 
 
 def test_spread_generator_commutes_with_sz(rng):
@@ -367,7 +431,7 @@ def test_fates_tables_are_the_wolfram_rules():
 
 @functools.lru_cache(maxsize=None)
 def _fates_step_cached(rule, n, order):
-    return fates_rule_step(rule, n, fuks_schedule(n, order))
+    return fates_rule_step(rule, n, order)
 
 
 @given(st.integers(min_value=3, max_value=7).flatmap(
