@@ -144,6 +144,22 @@ def _model(model_cfg: dict) -> tuple[str, dict]:
                  for key, value in params.items()}
 
 
+# the one fuks parameter each kind of run reads; the other is accepted and
+# named on stderr
+_FUKS_READS = {"discrete": "p", "continuous": "gamma"}
+
+
+def _note_ignored(model_cfg: dict, kind: str) -> None:
+    """One stderr line per model parameter a ``kind`` run never reads; the
+    commands call it once the config has been accepted."""
+    if model_cfg["id"] != "fuks":
+        return
+    for key in model_cfg.get("params", {}):
+        if key != _FUKS_READS[kind]:
+            print(f"note: model.params.{key} is ignored: a {kind} fuks run "
+                  f"reads only {_FUKS_READS[kind]}", file=sys.stderr)
+
+
 def _ml_weights(value, where: str) -> models.MLWeights:
     if value == "published":
         return models.published_ml_weights()
@@ -295,6 +311,8 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
                 horizon=float(evo.get("horizon", 1000.0)), method=method)
     except ValueError as err:
         raise ConfigError(f"evolution: {err}") from err
+    _note_ignored(cfg["model"],
+                  "discrete" if kind == "discrete" else "continuous")
 
     rows = [(r[0], r[1], r[2], r[3], result.method_used)
             for r in result.trajectory]
@@ -350,6 +368,8 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
                                   f"is capped at 4^N = {DENSE_SUPEROP_CAP}")
         model = {"id": entry["id"], "params": entry.get("params", {})}
         specs.append((n_values, {n: build_spec(model, n) for n in n_values}))
+    for entry in entries:
+        _note_ignored(entry, "continuous")
     all_rows = []
     fits = {}
     per_model_gaps = {}

@@ -369,29 +369,37 @@ class DiagonalDynamics:
     def gillespie_mean_occupancy(self, bits0: np.ndarray, t_grid: np.ndarray,
                                  n_traj: int, rng: np.random.Generator
                                  ) -> np.ndarray:
-        """Trajectory-averaged per-site occupation on a fixed time grid."""
+        """Trajectory-averaged per-site occupation on a fixed time grid.
+
+        Each visited code's bits, enabled moves, cumulative rates and total
+        rate are computed once per call; after each jump, the grid points
+        the state held through are filled in one slice.
+        """
         n = self.n_sites
         t = self._table
         acc = np.zeros((len(t_grid), n))
         shifts = n - 1 - np.arange(n)
+        seen = {}
         for _ in range(n_traj):
             code = _code_of(bits0)
             now = 0.0
             gi = 0
             while gi < len(t_grid):
-                bits = (code >> shifts) & 1
-                match = np.flatnonzero((code & t.mask) == t.match)
+                if code not in seen:
+                    match = np.flatnonzero((code & t.mask) == t.match)
+                    rates = t.rate[match]
+                    seen[code] = ((code >> shifts) & 1, match,
+                                  np.cumsum(rates), rates.sum())
+                bits, match, cum_rates, total = seen[code]
                 if len(match) == 0:
                     acc[gi:] += bits
                     break
-                rates = t.rate[match]
-                total = rates.sum()
                 dt = rng.exponential(1.0 / total)
-                while gi < len(t_grid) and t_grid[gi] < now + dt:
-                    acc[gi] += bits
-                    gi += 1
+                gj = np.searchsorted(t_grid, now + dt, side="left")
+                acc[gi:gj] += bits
+                gi = gj
                 now += dt
-                pick = match[np.searchsorted(np.cumsum(rates),
+                pick = match[np.searchsorted(cum_rates,
                                              rng.random() * total)]
                 code = (code & ~int(t.mask[pick])) | int(t.put[pick])
         return acc / n_traj

@@ -20,7 +20,8 @@ plus the passive remainder ``I - sum(J^dag J)``, the same jumps its
 continuous generator puts on every window.  Its local channel is
 ``sum(doubled(K))``, its classical table is probed from the same list (see
 ``classical``), and both are applied window by window in the order that
-:func:`center_windows` or :func:`mv_windows` gives.
+:func:`center_windows` or :func:`mv_windows` gives; an mv phase, whose
+windows are disjoint, is built as one Kronecker power (see :func:`_compose`).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 from .superop import (
     ID2, P0, P1, PAULI_X, PAULI_Y, SIGMA_MINUS, SIGMA_PLUS,
     LindbladSpec, LocalOperator, SuperOp, doubled, embed_local,
-    kraus_completeness_residual,
+    kraus_completeness_residual, rotate_ring,
 )
 
 __all__ = [
@@ -175,13 +176,45 @@ def center_windows(n_sites: int, phase_order: str) -> tuple[int, ...]:
 
 def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
     """Product of the 3-site channel ``local`` embedded at each window start,
-    the first start acting first."""
-    mat = sp.identity(4 ** n_sites, dtype=complex, format="csr")
-    for s in starts:
-        support = (s, (s + 1) % n_sites, (s + 2) % n_sites)
-        mat = embed_local(local, support, n_sites) @ mat
+    the first start acting first.
+
+    When the starts split into runs ``r, r + 3, ..., r + N - 3`` (r < 3),
+    each run tiles the ring with disjoint windows, as every phase of
+    :func:`mv_windows` does, and is built as one Kronecker power
+    (:func:`_tiling`).  Otherwise, as for the overlapping windows of
+    :func:`center_windows`, each window is embedded on its own
+    (:func:`embed_local`), so the float products keep their order.
+    """
+    starts = tuple(starts)
+    phases = {tuple(range(r, n_sites, 3)): r for r in range(3)}
+    runs = [starts[i:i + n_sites // 3]
+            for i in range(0, len(starts), n_sites // 3)]
+    if n_sites % 3 == 0 and all(run in phases for run in runs):
+        factors = [_tiling(local, phases[run], n_sites) for run in runs]
+    else:
+        factors = [embed_local(local, (s, (s + 1) % n_sites,
+                                       (s + 2) % n_sites), n_sites)
+                   for s in starts]
+    mat = factors[0]
+    for factor in factors[1:]:
+        mat = factor @ mat
     mat.sort_indices()
     return SuperOp(n_sites, mat, "step")
+
+
+def _tiling(local: np.ndarray, r: int, n_sites: int) -> sp.csr_matrix:
+    """``local`` on every window ``r, r + 3, ...`` of the ring at once: the
+    Kronecker power ``local^{(x) N/3}`` acts on the windows at 0, 3, ...,
+    and :func:`rotate_ring` moves its row and column indices r sites
+    round the ring."""
+    power = sp.coo_matrix(local)
+    for _ in range(n_sites // 3 - 1):
+        power = sp.kron(power, local, format="coo")
+    out = sp.coo_matrix((power.data, (rotate_ring(power.row, n_sites, r),
+                                      rotate_ring(power.col, n_sites, r))),
+                        shape=power.shape).tocsr()
+    out.sort_indices()
+    return out
 
 
 def _rule_step(rule: int | str, starts, n_sites: int) -> SuperOp:

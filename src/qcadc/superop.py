@@ -46,7 +46,7 @@ __all__ = [
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
     "basis_moves", "kraus_to_superop", "assemble_lindbladian",
-    "conserved_grading", "translation_sectors",
+    "conserved_grading", "rotate_ring", "translation_sectors",
     "apply_adjoint_generator", "kraus_completeness_residual",
     "ChannelInvalidError",
 ]
@@ -406,29 +406,42 @@ def conserved_grading(matrix: sp.spmatrix,
     return "none", np.zeros(matrix.shape[0], dtype=np.int64)
 
 
+def rotate_ring(idx: np.ndarray, n_sites: int, r: int) -> np.ndarray:
+    """Doubled indices ``idx`` after every site moves r steps round the ring.
+
+    Site j's digit goes to site (j + r) mod N: the last r digits wrap to
+    the front, ``i -> i // 4**r + (i % 4**r) * 4**(N-r)``.  As a map of
+    basis vectors this is the ring shift T of :func:`translation_sectors`
+    raised to the power r, for 0 <= r <= N.
+    """
+    low = 4 ** r
+    return idx // low + idx % low * 4 ** (n_sites - r)
+
+
 def translation_sectors(matrix: sp.spmatrix, n_sites: int
                         ) -> list[tuple[sp.csr_matrix, np.ndarray]]:
     """Momentum sectors of the ring shift T for a doubled-space matrix M.
 
     T moves every site one step round the ring: doubled index i goes to
-    ``i // 4 + (i % 4) * 4**(N-1)``.  When M commutes with T (to
-    ``TOL.null`` times its max-column-sum norm: assembly sums the same
-    terms in a different order on each site), the result holds one
-    ``(P_k, reps_k)`` per momentum k = 0..N-1.  Column c of the sparse
-    isometry P_k is ``sum_j omega**(-k j) T^j |r> / sqrt(p)`` (omega =
-    exp(2 pi i / N)) for the orbit representative ``r = reps_k[c]``, the
-    smallest index of its orbit, of period p; an orbit is kept only where
-    k p = 0 mod N, since its sum vanishes otherwise.  ``P_k^H M P_k`` is M
-    on sector k, and the sectors' spectra together make up M's.  Every
-    orbit member shares the representative's (ket, bra) counts, so each
-    sector splits further by :func:`conserved_grading` read at ``reps_k``.
+    ``rotate_ring(i, N, 1) = i // 4 + (i % 4) * 4**(N-1)``.  When M
+    commutes with T (to ``TOL.null`` times its max-column-sum norm:
+    assembly sums the same terms in a different order on each site), the
+    result holds one ``(P_k, reps_k)`` per momentum k = 0..N-1.  Column c
+    of the sparse isometry P_k is ``sum_j omega**(-k j) T^j |r> / sqrt(p)``
+    (omega = exp(2 pi i / N)) for the orbit representative
+    ``r = reps_k[c]``, the smallest index of its orbit, of period p; an
+    orbit is kept only where k p = 0 mod N, since its sum vanishes
+    otherwise.  ``P_k^H M P_k`` is M on sector k, and the sectors' spectra
+    together make up M's.  Every orbit member shares the representative's
+    (ket, bra) counts, so each sector splits further by
+    :func:`conserved_grading` read at ``reps_k``.
 
     When M does not commute with T, the result is the single identity
     sector ``[(I, arange(4^N))]``: each index is its own orbit.
     """
     dim = matrix.shape[0]
     idx = np.arange(dim, dtype=np.int64)
-    shift = idx // 4 + (idx % 4) * 4 ** (n_sites - 1)
+    shift = rotate_ring(idx, n_sites, 1)
     t = sp.csr_matrix((np.ones(dim), (shift, idx)), shape=(dim, dim))
     comm = abs(t @ matrix - matrix @ t).sum(axis=0).max()
     if comm > TOL.null * abs(matrix).sum(axis=0).max():

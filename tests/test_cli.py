@@ -578,6 +578,34 @@ def test_discrete_evolve_checks_its_model(tmp_path, capsys, model, extra,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("evolution, used, ignored", [
+    ({"kind": "continuous", "t": 2.0}, {"gamma": 0.5}, {"p": 0.3}),
+    ({"kind": "discrete", "steps": 2}, {"p": 0.2}, {"gamma": 2.0}),
+], ids=["continuous-p", "discrete-gamma"])
+def test_evolve_names_the_fuks_parameter_it_ignores(tmp_path, capsys,
+                                                    evolution, used, ignored):
+    cfg = {"n_sites": 3, "initial": {"bits": "001"}, "samples": 4,
+           "evolution": evolution}
+    code, bare = run(tmp_path / "bare", "evolve",
+                     {**cfg, "model": {"id": "fuks", "params": used}})
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    code, extra = run(tmp_path / "extra", "evolve", {
+        **cfg, "model": {"id": "fuks", "params": {**used, **ignored}}})
+    assert code == 0
+    [key], [read] = ignored, used
+    assert capsys.readouterr().err == (
+        f"note: model.params.{key} is ignored: a {evolution['kind']} fuks "
+        f"run reads only {read}\n")
+    assert ((bare / "trajectory.csv").read_bytes()
+            == (extra / "trajectory.csv").read_bytes())
+    summaries = [json.loads((out / "summary.json").read_text())
+                 for out in (bare, extra)]
+    for summary in summaries:
+        del summary["config_hash"]
+    assert summaries[0] == summaries[1]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("fates-demo", {"bits": "1101100", "steps": 2, "n_seeds": 1}),
     ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},

@@ -11,9 +11,10 @@ from qcadc.classical import eca_step, parse_bits
 from qcadc.models import (
     BELL_MINUS, BELL_PLUS, DephasingParams, FuksParams, MLWeights,
     center_windows, dephasing_lindblad, fates_kraus_sets, fates_rule_step,
-    fates_step, fuks_kraus_sets, fuks_lindblad, fuks_step, ml_lindblad,
-    mv_consensus_step, mv_layer_counts, mv_lindblads, mv_pad, mv_spread_step,
-    mv_windows, published_ml_weights, rule_kraus, steady_family_state,
+    fates_step, fuks_kraus_sets, fuks_lindblad, fuks_neighborhood_channel,
+    fuks_step, ml_lindblad, mv_consensus_step, mv_layer_counts, mv_lindblads,
+    mv_pad, mv_spread_step, mv_windows, published_ml_weights, rule_kraus,
+    steady_family_state,
 )
 from qcadc.observables import density_n, diag_probabilities, expval_sz, trace_of
 from qcadc.superop import (
@@ -293,13 +294,44 @@ def test_mv_steps_trace_preserving(rng):
 
 
 def assert_same_csr(a, b):
-    """Bit-identical sparse matrices: the same indptr, indices and data."""
+    """Bit-identical sparse matrices: the same indptr, indices and data,
+    dtypes included."""
     a, b = sp.csr_matrix(a), sp.csr_matrix(b)
     a.sort_indices()
     b.sort_indices()
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def window_chain(local, starts, n):
+    """Product of ``local`` embedded one window at a time, the first start
+    acting first."""
+    mat = sp.identity(4 ** n, dtype=complex, format="csr")
+    for s in starts:
+        mat = embed_local(local, (s, (s + 1) % n, (s + 2) % n), n) @ mat
+    mat.sort_indices()
+    return mat
+
+
+@pytest.mark.parametrize("phase", [None, 1, 2, 3])
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("rule, build", [("spread", mv_spread_step),
+                                         ("consensus", mv_consensus_step)])
+def test_mv_kronecker_steps_match_the_window_chain(rule, build, n, phase):
+    # each phase is built as a rotated Kronecker power of the local channel
+    local = sum(doubled(K) for K in rule_kraus(rule))
+    assert_same_csr(build(n, phase).matrix,
+                       window_chain(local, mv_windows(n, phase), n))
+
+
+@pytest.mark.parametrize("order", ["even_first", "odd_first"])
+def test_center_rule_keeps_the_window_chain(order):
+    # at N = 6 two disjoint center windows (0 and 3) follow one another,
+    # yet the overlapping rule is still multiplied window by window
+    local = fuks_neighborhood_channel(0.3)
+    assert_same_csr(fuks_step(FuksParams(0.3), 6, order).matrix,
+                       window_chain(local, center_windows(6, order), 6))
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])

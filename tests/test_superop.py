@@ -15,8 +15,8 @@ from qcadc.superop import (
     ID2, P0, P1, PAULI_X, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS,
     ChannelInvalidError, LindbladSpec, LocalOperator, VecState,
     apply_adjoint_generator, assemble_lindbladian, devectorize, doubled,
-    embed_local, embed_physical, kraus_to_superop, translation_sectors,
-    vectorize,
+    embed_local, embed_physical, kraus_to_superop, rotate_ring,
+    translation_sectors, vectorize,
 )
 from conftest import basis_density, ghz_density, random_density, random_hermitian
 
@@ -356,6 +356,28 @@ def ring_shift_oracle(n):
         e[i] = 1.0
         cols.append(vectorize(u @ devectorize(e) @ u.T).amplitudes)
     return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rotate_ring_one_step_is_the_ring_shift(n):
+    idx = np.arange(4 ** n, dtype=np.int64)
+    shift = rotate_ring(idx, n, 1)
+    assert np.array_equal(shift, idx // 4 + (idx % 4) * 4 ** (n - 1))
+    # basis vector i goes to basis vector shift[i] under the qubit shift
+    assert np.array_equal(np.argmax(np.abs(ring_shift_oracle(n)), axis=0),
+                          shift)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_rotate_ring_composes_and_inverts(n):
+    idx = np.arange(4 ** n, dtype=np.int64)
+    for r in range(n + 1):
+        moved = rotate_ring(idx, n, r)
+        assert np.array_equal(rotate_ring(moved, n, n - r), idx)
+        steps = idx
+        for _ in range(r):
+            steps = rotate_ring(steps, n, 1)
+        assert np.array_equal(moved, steps)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
