@@ -179,8 +179,7 @@ def build_spec(model_cfg: dict, n_sites: int):
     try:
         if mid == "fuks":
             return models.fuks_lindblad(
-                models.FuksParams(params.get("p", 0.3),
-                                  params.get("gamma", 1.0)), n_sites)
+                models.FuksParams(gamma=params.get("gamma", 1.0)), n_sites)
         if mid == "dephasing":
             return models.dephasing_lindblad(
                 models.DephasingParams(params.get("omega", 0.0),
@@ -467,6 +466,13 @@ def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
 _MV_CONTINUOUS_MAX_N = 63
 
 
+def _note_sampled(n: int, phase: str, n_traj: int, cap: int) -> None:
+    """The stderr line of a continuous mv run that fell back to sampling."""
+    print(f"note: N={n} {phase} sampled with {n_traj} Gillespie "
+          f"trajectories: reachable set exceeds exact_cap {cap}",
+          file=sys.stderr)
+
+
 def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"scan": False, "n_sites": False, "initial": False,
                         "track": False, "sublayers": False, "t": False,
@@ -492,6 +498,10 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
                        n, n_traj=n_traj, rng=np.random.default_rng(s),
                        exact_cap=cap)
                    for n, s in zip(n_values, seeds)]
+        for r in results:
+            for phase in ("spread", "consensus"):
+                if r[f"method_{phase}"] == "gillespie":
+                    _note_sampled(r["n_sites"], phase, n_traj, cap)
         rows = [(r["n_sites"], r["tau_spread"], r["tau_consensus"],
                  r["tau_total"], r["method_spread"], r["method_consensus"])
                 for r in results]
@@ -556,12 +566,15 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     if not (np.isfinite(t_max) and t_max >= 0):
         raise ConfigError(f"t must be finite and non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
+    n_traj = _whole(cfg.get("n_traj", 400), "n_traj")
     try:
         occ, method = evolve.mean_occupancy(
-            spec, bits, t_grid, _whole(cfg.get("n_traj", 400), "n_traj"),
-            np.random.default_rng(seed), evolve.DEFAULT_EXACT_CAP)
+            spec, bits, t_grid, n_traj, np.random.default_rng(seed),
+            evolve.DEFAULT_EXACT_CAP)
     except ValueError as err:
         raise ConfigError(f"t: {err}") from err
+    if method == "gillespie":
+        _note_sampled(n, phase, n_traj, evolve.DEFAULT_EXACT_CAP)
     dens = occ.sum(axis=1) / n
     rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
             for i in range(len(t_grid))]

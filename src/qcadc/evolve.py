@@ -61,6 +61,7 @@ _KRYLOV_TOL = 1e-10         # Krylov error budget relative to |v|, over t
 _KRYLOV_DIM = 40            # Arnoldi basis size per Krylov substep
 _MV_SAMPLES = 600           # time-grid points of each mv worst-case run
 _MV_THRESHOLD = 0.99        # the fraction at which that run is done
+_MOVE_CHUNK = 1 << 20       # move rows x codes matched in one broadcast
 
 
 class KrylovError(RuntimeError):
@@ -302,16 +303,22 @@ class DiagonalDynamics:
         """Every move enabled in the basis states ``codes``.
 
         Returns flat arrays ``(src, dst, rate)``, ordered by move-table row
-        and, within a row, as the states appear in ``codes``.
+        and, within a row, as the states appear in ``codes``.  The moves are
+        matched a chunk of table rows at a time, against every code at once.
         """
         codes = np.asarray(codes, dtype=np.int64)
         t = self._table
+        chunk = max(1, _MOVE_CHUNK // max(len(codes), 1))
         src, dst, rate = [codes[:0]], [codes[:0]], [np.empty(0)]
-        for m in range(len(t.rate)):
-            hit = codes[(codes & t.mask[m]) == t.match[m]]
+        for lo in range(0, len(t.rate), chunk):
+            hi = lo + chunk
+            move, at = np.nonzero(
+                (codes & t.mask[lo:hi, None]) == t.match[lo:hi, None])
+            move += lo
+            hit = codes[at]
             src.append(hit)
-            dst.append((hit & ~t.mask[m]) | t.put[m])
-            rate.append(np.full(len(hit), t.rate[m]))
+            dst.append((hit & ~t.mask[move]) | t.put[move])
+            rate.append(t.rate[move])
         return np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
 
     # -- full rate matrix --------------------------------------------------
@@ -373,35 +380,37 @@ class DiagonalDynamics:
 
         Each visited code's bits, enabled moves, cumulative rates and total
         rate are computed once per call; after each jump, the grid points
-        the state held through are filled in one slice.
+        the state held through are filled in one slice.  Times and moves
+        are looked up by bisection in Python lists.
         """
+        from bisect import bisect_left
         n = self.n_sites
         t = self._table
-        acc = np.zeros((len(t_grid), n))
+        mask, put = t.mask.tolist(), t.put.tolist()
+        grid = np.asarray(t_grid, dtype=float).tolist()
+        acc = np.zeros((len(grid), n))
         shifts = n - 1 - np.arange(n)
+        start = _code_of(bits0)
         seen = {}
         for _ in range(n_traj):
-            code = _code_of(bits0)
-            now = 0.0
-            gi = 0
-            while gi < len(t_grid):
+            code, now, gi = start, 0.0, 0
+            while gi < len(grid):
                 if code not in seen:
                     match = np.flatnonzero((code & t.mask) == t.match)
                     rates = t.rate[match]
-                    seen[code] = ((code >> shifts) & 1, match,
-                                  np.cumsum(rates), rates.sum())
+                    seen[code] = ((code >> shifts) & 1, match.tolist(),
+                                  np.cumsum(rates).tolist(), rates.sum())
                 bits, match, cum_rates, total = seen[code]
-                if len(match) == 0:
+                if not match:
                     acc[gi:] += bits
                     break
-                dt = rng.exponential(1.0 / total)
-                gj = np.searchsorted(t_grid, now + dt, side="left")
-                acc[gi:gj] += bits
-                gi = gj
-                now += dt
-                pick = match[np.searchsorted(cum_rates,
-                                             rng.random() * total)]
-                code = (code & ~int(t.mask[pick])) | int(t.put[pick])
+                now += rng.exponential(1.0 / total)
+                gj = bisect_left(grid, now)
+                if gj > gi:
+                    acc[gi:gj] += bits
+                    gi = gj
+                pick = match[bisect_left(cum_rates, rng.random() * total)]
+                code = (code & ~mask[pick]) | put[pick]
         return acc / n_traj
 
 
@@ -613,13 +622,16 @@ def _poisson_pmf(k: np.ndarray, means: np.ndarray) -> np.ndarray:
     exp(-stirling_error(k) - bd0) / sqrt(2 pi k), with bd0 = k log(k/mean)
     + mean - k summed as a series near k = mean, where the direct form
     cancels.  Neither takes a large logarithm, so the error stays a few
-    units in the last place of the largest weight, whatever the mean.
+    units in the last place of the largest weight, whatever the mean.  Each
+    form is evaluated only on the rows it serves.
     """
-    x = np.asarray(k, dtype=float)[:, None]
+    k = np.asarray(k, dtype=float)
     m = np.asarray(means, dtype=float)[None, :]
-    small = np.minimum(x, _SMALL_K)
-    direct = np.exp(-m) * m ** small / _FACTORIAL[small.astype(np.int64)]
-    xs, ms = np.maximum(x, _SMALL_K + 1), np.where(m > 0, m, 1.0)
+    out = np.empty((len(k), m.shape[1]))
+    small = k <= _SMALL_K
+    x = k[small][:, None]
+    out[small] = np.exp(-m) * m ** x / _FACTORIAL[x.astype(np.int64)]
+    xs, ms = k[~small][:, None], np.where(m > 0, m, 1.0)
     diff, both = np.broadcast_arrays(xs - ms, xs + ms)
     bd0 = xs * np.log(xs / ms) - diff
     near = np.abs(diff) < 0.25 * both
@@ -631,23 +643,23 @@ def _poisson_pmf(k: np.ndarray, means: np.ndarray) -> np.ndarray:
         total = total + term / (2 * j + 1)
     bd0[near] = total
     saddle = np.exp(-_stirling_error(xs) - bd0) / np.sqrt(2.0 * np.pi * xs)
-    return np.where(x <= _SMALL_K, direct, np.where(m > 0, saddle, 0.0))
+    out[~small] = np.where(m > 0, saddle, 0.0)
+    return out
 
 
-def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
-                     t_grid: np.ndarray) -> np.ndarray:
-    """Rows ``obs^T exp(Q t) p0`` for every time of ``t_grid``, in one pass.
+def _uniformized_blocks(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
+                        t_grid: np.ndarray
+                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of :func:`uniformized_rows` as they become final.
 
-    ``Q`` is a rate matrix (columns sum to zero, off-diagonal entries
-    non-negative).  Uniformization (Jensen's method): with the largest exit
-    rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
-    P^k p0 are streamed once, up to the K at which the Poisson tail at the
-    latest time is below 1e-16, and projected onto ``obs`` 64 at a time;
-    each block's Poisson weights are built for it alone and added into the
-    rows, normalized to unit weight over k <= K at the end.  Time is linear
-    in K, about L * max(t_grid) sparse matrix-vector products; memory is
-    that of 64 vectors and 64 rows of weights, whatever K is.  More than
-    1e8 expected jumps (L * max(t_grid)) is refused with a ValueError.
+    Yields ``(idx, rows)``: the grid indices whose rows are final after a
+    block of 64 powers, in order of their time, and those rows.  The row of
+    mean m = L t takes the Poisson weights of the blocks from the one that
+    reaches k = m - 9 sqrt(m) (the lower tail below it is under 3e-18) to
+    the one that reaches k = m + 9 sqrt(m) + 30, Bernstein's bound for an
+    upper tail under 1e-16, and is then final; weights are evaluated only
+    for those live rows.  The stream stops at the cutoff K of the latest
+    time, where every row left is final.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.min() < 0:
@@ -661,23 +673,79 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
                          f"{rate * t_grid.max():g} expected jumps is too "
                          f"large to stream by uniformization (at most "
                          f"{_MAX_JUMPS:g})")
-    means = rate * t_grid
-    K = _poisson_cutoff(means.max()) if t_grid.size else 0
+    order = np.argsort(t_grid, kind="stable")
+    means = rate * t_grid[order]
+    width = 9.0 * np.sqrt(means)
+    # m - 9 sqrt(m) falls below 0 before it rises; the running maximum
+    # keeps the live rows a prefix of the unfinished ones
+    first = np.maximum.accumulate(means - width)
+    last = means + width + 30.0
+    K = _poisson_cutoff(means[-1]) if means.size else 0
     step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None
-    rows = np.zeros((len(t_grid), obs.shape[1]))
-    weight = np.zeros(len(t_grid))
+    rows = np.zeros((len(means), obs.shape[1]))
+    weight = np.zeros(len(means))
+    done = 0                  # rows [0, done) of the sorted grid are out
     v = np.asarray(p0, dtype=float)
     block = np.empty((_PROJECT_CHUNK, len(v)))
     for k in range(K + 1):
         j = k % _PROJECT_CHUNK
         block[j] = v
         if j == _PROJECT_CHUNK - 1 or k == K:
-            w = _poisson_pmf(np.arange(k - j, k + 1), means)
-            rows += w.T @ (block[:j + 1] @ obs)
-            weight += w.sum(axis=0)
+            live = int(np.searchsorted(first, k, side="right"))
+            if live > done:
+                w = _poisson_pmf(np.arange(k - j, k + 1), means[done:live])
+                rows[done:live] += w.T @ (block[:j + 1] @ obs)
+                weight[done:live] += w.sum(axis=0)
+            final = (len(means) if k == K
+                     else int(np.searchsorted(last, k, side="right")))
+            if final > done:
+                yield (order[done:final],
+                       rows[done:final] / weight[done:final, None])
+                done = final
         if k < K:
             v = step @ v
-    return rows / weight[:, None]
+
+
+def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
+                     t_grid: np.ndarray) -> np.ndarray:
+    """Rows ``obs^T exp(Q t) p0`` for every time of ``t_grid``, in one pass.
+
+    ``Q`` is a rate matrix (columns sum to zero, off-diagonal entries
+    non-negative).  Uniformization (Jensen's method): with the largest exit
+    rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
+    P^k p0 are streamed once, up to the K at which the Poisson tail at the
+    latest time is below 1e-16, and projected onto ``obs`` 64 at a time.
+    Each block's Poisson weights are built for it alone, and only for the
+    live times: those whose window k in [m - 9 sqrt(m), m + 9 sqrt(m) + 30],
+    m = L t, the block reaches and has not passed (Fox & Glynn's truncation
+    window, Commun. ACM 31:440, 1988).  A time's row is final once the
+    stream passes its window, normalized to unit weight over the k it took
+    (:func:`_uniformized_blocks`).  Time is linear in K, about
+    L * max(t_grid) sparse matrix-vector products; memory is that of 64
+    vectors and 64 rows of weights, whatever K is.  More than 1e8 expected
+    jumps (L * max(t_grid)) is refused with a ValueError.
+    """
+    rows = np.empty((len(t_grid), obs.shape[1]))
+    for idx, final in _uniformized_blocks(Q, p0, obs, t_grid):
+        rows[idx] = final
+    return rows
+
+
+def _reachable_chain(spec: LindbladSpec, bits0: np.ndarray, exact_cap: int):
+    """``(dyn, chain)``: the :class:`DiagonalDynamics` of ``spec``, and the
+    arguments ``(Q, p0, bits_of)`` of :func:`uniformized_rows` on the set
+    reachable from ``bits0``, or None when that holds more than
+    ``exact_cap`` states."""
+    dyn = DiagonalDynamics(spec)
+    n = spec.n_sites
+    try:
+        codes, Q = dyn.reachable(bits0, cap=exact_cap)
+    except MemoryError:
+        return dyn, None
+    bits_of = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
+    p0 = np.zeros(len(codes))
+    p0[0] = 1.0
+    return dyn, (Q, p0, bits_of)
 
 
 def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
@@ -688,18 +756,36 @@ def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
     Exact on the reachable subspace, by :func:`uniformized_rows`, when that
     holds at most ``exact_cap`` states ("diagonal-exact"); else the mean of
     ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie").
+    Every time of ``t_grid`` is computed; :func:`_first_crossing` stops at
+    the first time a function of the curves crosses 0.99.
     """
-    dyn = DiagonalDynamics(spec)
-    n = spec.n_sites
-    try:
-        codes, Q = dyn.reachable(bits0, cap=exact_cap)
-    except MemoryError:
+    dyn, chain = _reachable_chain(spec, bits0, exact_cap)
+    if chain is None:
         return (dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng),
                 "gillespie")
-    bits_of = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
-    p0 = np.zeros(len(codes))
-    p0[0] = 1.0
-    return uniformized_rows(Q, p0, bits_of, t_grid), "diagonal-exact"
+    return uniformized_rows(*chain, t_grid), "diagonal-exact"
+
+
+def _first_crossing(spec: LindbladSpec, bits0: np.ndarray,
+                    t_grid: np.ndarray,
+                    reduce: Callable[[np.ndarray], np.ndarray], n_traj: int,
+                    rng: np.random.Generator, exact_cap: int
+                    ) -> tuple[float, str]:
+    """``(tau, method)``: the first time of the ascending ``t_grid`` at which
+    ``reduce`` of the :func:`mean_occupancy` rows exceeds 0.99, or NaN.
+
+    The exact path stops streaming at the block that makes that row final;
+    the Gillespie path fills every row and applies :func:`crossing_time`.
+    """
+    dyn, chain = _reachable_chain(spec, bits0, exact_cap)
+    if chain is None:
+        occ = dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng)
+        return crossing_time(t_grid, reduce(occ), _MV_THRESHOLD), "gillespie"
+    for idx, rows in _uniformized_blocks(*chain, t_grid):
+        hit = np.flatnonzero(reduce(rows) > _MV_THRESHOLD)
+        if len(hit):
+            return float(t_grid[idx[hit[0]]]), "diagonal-exact"
+    return float("nan"), "diagonal-exact"
 
 
 def mv_worst_case_times(n_sites: int, n_traj: int = 400,
@@ -711,7 +797,8 @@ def mv_worst_case_times(n_sites: int, n_traj: int = 400,
     mean occupation of the separated-target sites (the classical spreading
     endpoint) exceeds 0.99 of the achievable count.  Consensus starts from
     the maximal alternation with one minimal cluster and stops when the
-    total density exceeds 0.99.
+    total density exceeds 0.99.  Each phase is computed only up to that
+    first crossing (:func:`_first_crossing`).
     """
     from .classical import (mv_separated_target, mv_worst_consensus_input,
                             mv_worst_spread_input)
@@ -721,18 +808,15 @@ def mv_worst_case_times(n_sites: int, n_traj: int = 400,
 
     bits_a = mv_worst_spread_input(n_sites)
     target = np.flatnonzero(mv_separated_target(bits_a))
-    t_grid = np.linspace(0.0, 4.0 * n_sites, _MV_SAMPLES)
-    occ, method_a = mean_occupancy(spread_spec, bits_a, t_grid, n_traj, rng,
-                                   exact_cap)
-    restricted = occ[:, target].sum(axis=1) / len(target)
-    tau_spread = crossing_time(t_grid, restricted, _MV_THRESHOLD)
+    tau_spread, method_a = _first_crossing(
+        spread_spec, bits_a, np.linspace(0.0, 4.0 * n_sites, _MV_SAMPLES),
+        lambda occ: occ[:, target].sum(axis=1) / len(target), n_traj, rng,
+        exact_cap)
 
     bits_b = mv_worst_consensus_input(n_sites)
-    t_grid_b = np.linspace(0.0, 3.0 * n_sites, _MV_SAMPLES)
-    occ_b, method_b = mean_occupancy(consensus_spec, bits_b, t_grid_b,
-                                     n_traj, rng, exact_cap)
-    density = occ_b.sum(axis=1) / n_sites
-    tau_consensus = crossing_time(t_grid_b, density, _MV_THRESHOLD)
+    tau_consensus, method_b = _first_crossing(
+        consensus_spec, bits_b, np.linspace(0.0, 3.0 * n_sites, _MV_SAMPLES),
+        lambda occ: occ.sum(axis=1) / n_sites, n_traj, rng, exact_cap)
 
     return {
         "n_sites": n_sites,

@@ -271,6 +271,49 @@ def test_mv_run_scan_and_fit(tmp_path):
     assert header[:4] == ["N", "tau_spread", "tau_consensus", "tau_total"]
 
 
+def test_mv_run_scan_names_each_sampled_run(tmp_path, capsys):
+    # reachable sets: 4 and 8 states at N = 6, 8 and 56 at N = 9
+    cfg = {"scan": {"n_values": [6, 9], "n_traj": 50, "exact_cap": 7},
+           "seed": 2}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 0
+    assert capsys.readouterr().err == "".join(
+        f"note: N={n} {phase} sampled with 50 Gillespie trajectories: "
+        f"reachable set exceeds exact_cap 7\n"
+        for n, phase in ((6, "consensus"), (9, "spread"), (9, "consensus")))
+    assert (out / "mv_tau.csv").read_text() == (
+        "N,tau_spread,tau_consensus,tau_total,method_spread,"
+        "method_consensus\n"
+        "6,7.25208681135,1.98330550918,9.23539232053,diagonal-exact,"
+        "gillespie\n"
+        "9,12.9816360601,5.54424040067,18.5258764608,gillespie,gillespie\n")
+
+
+def test_mv_run_benchmark_scan_keeps_its_taus(tmp_path, capsys):
+    # the scan of the benchmark's majority-vote workload, seed 1: N = 24
+    # consensus (9,179 states) is past the cap and sampled
+    cfg = {"scan": {"n_values": list(range(6, 25, 3)), "n_traj": 300,
+                    "exact_cap": 5000}}
+    code, out = run(tmp_path, "mv-run", cfg, ("--seed", "1"))
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "note: N=24 consensus sampled with 300 Gillespie trajectories: "
+        "reachable set exceeds exact_cap 5000\n")
+    exact = "diagonal-exact"
+    assert (out / "mv_tau.csv").read_text() == "".join(line + "\n" for line in (
+        "N,tau_spread,tau_consensus,tau_total,method_spread,method_consensus",
+        f"6,7.25208681135,2.97495826377,10.2270450751,{exact},{exact}",
+        f"9,10.5776293823,5.49916527546,16.0767946578,{exact},{exact}",
+        f"12,17.3889816361,6.55091819699,23.9398998331,{exact},{exact}",
+        f"15,20.8347245409,8.86477462437,29.6994991653,{exact},{exact}",
+        f"18,27.7662771285,9.91652754591,37.6828046745,{exact},{exact}",
+        f"21,31.2721202003,12.2003338898,43.4724540902,{exact},{exact}",
+        f"24,38.4641068447,13.5826377295,52.0467445743,{exact},gillespie"))
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["b"] == pytest.approx(2.3094443119484858, rel=1e-12)
+    assert fit["q"] == pytest.approx(-4.192344383496286, rel=1e-12)
+
+
 def test_mv_run_scan_never_crossing_exits_2_without_nan(tmp_path, capsys,
                                                       monkeypatch):
     def fake(n_sites, **kwargs):
@@ -580,8 +623,11 @@ def test_discrete_evolve_checks_its_model(tmp_path, capsys, model, extra,
 
 @pytest.mark.parametrize("evolution, used, ignored", [
     ({"kind": "continuous", "t": 2.0}, {"gamma": 0.5}, {"p": 0.3}),
+    ({"kind": "continuous", "t": 2.0}, {"gamma": 0.5}, {"p": 0.9}),
     ({"kind": "discrete", "steps": 2}, {"p": 0.2}, {"gamma": 2.0}),
-], ids=["continuous-p", "discrete-gamma"])
+    ({"kind": "discrete", "steps": 2}, {"p": 0.2}, {"gamma": -2.0}),
+], ids=["continuous-p", "continuous-p-out-of-range", "discrete-gamma",
+        "discrete-gamma-out-of-range"])
 def test_evolve_names_the_fuks_parameter_it_ignores(tmp_path, capsys,
                                                     evolution, used, ignored):
     cfg = {"n_sites": 3, "initial": {"bits": "001"}, "samples": 4,
@@ -632,9 +678,16 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
                 "track": "continuous", "t": "abc"}, "t must be a number"),
     ("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": 30,
                 "initial": {"bits": "0" * 30}}, "holds 1 to 29 sites"),
+    *[("evolve", {**_DISCRETE, "evolution": {"kind": "continuous", "t": 1.0},
+                  "model": {"id": "fuks", "params": {"p": 0.3,
+                                                     "gamma": gamma}}},
+       "gamma must be positive") for gamma in (0.0, -2.0)],
+    ("evolve", {**_DISCRETE, "model": {"id": "fuks", "params": {"p": 0.9}}},
+     "p must lie in (0, 0.5]"),
 ], ids=["ml-cost-3-weights", "ml-cost-w1", "ml-cost-misspelt",
         "fates-demo-p", "mv-scan-2", "mv-scan-66", "mv-run-t",
-        "evolve-30-sites"])
+        "evolve-30-sites", "continuous-fuks-gamma-0",
+        "continuous-fuks-gamma-negative", "discrete-fuks-p-0.9"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,
                                              message):
     code, out = run(tmp_path, command, cfg)

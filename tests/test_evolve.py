@@ -1,20 +1,23 @@
 """Evolution engine: methods agree with each other and with closed forms."""
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qcadc.classical import (gamma_p_relation, mv_sublayer_sequence,
-                             mv_worst_consensus_input, mv_worst_spread_input,
-                             p_from_gamma_tau)
+from qcadc.classical import (gamma_p_relation, mv_separated_target,
+                             mv_sublayer_sequence, mv_worst_consensus_input,
+                             mv_worst_spread_input, p_from_gamma_tau)
 from qcadc.evolve import (
     DiagonalDynamics, EvolutionResult, KrylovError, NotBasisPreservingError,
     continuous_evolve, converge_to_fixed_point, crossing_time,
     diagonal_rate_matrix, discrete_run, is_basis_preserving, krylov_expmv,
-    mean_occupancy, trotter_even_odd, uniformized_rows,
+    mean_occupancy, mv_worst_case_times, trotter_even_odd, uniformized_rows,
 )
-from qcadc.evolve import _poisson_pmf
+from qcadc.evolve import (_first_crossing, _poisson_cutoff, _poisson_pmf,
+                          _uniformized_blocks)
 from qcadc.models import (
     DephasingParams, FuksParams, dephasing_lindblad, fuks_kraus_sets,
     fuks_lindblad, fuks_step, mv_consensus_step, mv_lindblads, mv_spread_step,
@@ -386,6 +389,29 @@ def test_enabled_moves_on_all_codes_match_rate_matrix():
                               rate.tolist())) == want
 
 
+@pytest.mark.parametrize("chunk", [1, 120, 1000])
+def test_enabled_moves_in_chunks_keep_the_per_move_order(monkeypatch, chunk):
+    # 40 codes: chunks of 1, 3 and 25 move-table rows
+    import qcadc.evolve as ev
+    monkeypatch.setattr(ev, "_MOVE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for spec in (fuks_lindblad(FuksParams(0.3), 7), *mv_lindblads(7),
+                 random_basis_preserving_spec(rng, 7)):
+        dyn = DiagonalDynamics(spec)
+        t = dyn._table
+        codes = rng.permutation(2 ** 7)[:40]
+        src, dst, rate = [codes[:0]], [codes[:0]], [np.empty(0)]
+        for m in range(len(t.rate)):         # one move-table row at a time
+            hit = codes[(codes & t.mask[m]) == t.match[m]]
+            src.append(hit)
+            dst.append((hit & ~t.mask[m]) | t.put[m])
+            rate.append(np.full(len(hit), t.rate[m]))
+        got = dyn.enabled_moves(codes)
+        for g, w in zip(got, (src, dst, rate)):
+            w = np.concatenate(w)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_reachable_subspace_matches_full_rate_matrix():
     spec = mv_lindblads(6)[1]
     dyn = DiagonalDynamics(spec)
@@ -480,6 +506,82 @@ def test_uniformized_rows_match_expm(rng, dim, rate_times_t):
     assert np.abs(got - want).max() < 1e-10
 
 
+def all_columns_rows(Q, p0, obs, t_grid):
+    """The single-pass reference: every block weights every time, out to
+    the cutoff of the latest time, and each row is normalized once at the
+    end."""
+    rate = max(float(-Q.diagonal().min()), 0.0)
+    means = rate * np.asarray(t_grid)
+    K = _poisson_cutoff(means.max())
+    step = sp.identity(Q.shape[0], format="csr") + Q / rate if rate else None
+    rows, weight = np.zeros((len(t_grid), obs.shape[1])), np.zeros(len(t_grid))
+    v, block = p0, np.empty((64, len(p0)))
+    for k in range(K + 1):
+        j = k % 64
+        block[j] = v
+        if j == 63 or k == K:
+            w = _poisson_pmf(np.arange(k - j, k + 1), means)
+            rows += w.T @ (block[:j + 1] @ obs)
+            weight += w.sum(axis=0)
+        if k < K:
+            v = step @ v
+    return rows / weight[:, None]
+
+
+@pytest.mark.parametrize("dim, rate_times_t", [(2, 0.0), (6, 5.0),
+                                               (12, 60.0), (16, 1000.0),
+                                               (20, 3000.0)])
+def test_uniformized_blocks_yield_final_rows_in_time_order(rng, dim,
+                                                           rate_times_t):
+    Q = random_rate_matrix(rng, dim)
+    T = 7.0
+    Q = sp.csr_matrix(Q * rate_times_t / (-np.diag(Q).min() * T))
+    p0 = rng.random(dim)
+    p0 /= p0.sum()
+    obs = rng.random((dim, 3))
+    # unsorted, with t = 0 twice and the latest time inside
+    t_grid = rng.permutation(np.r_[0.0, 0.0, T * rng.random(30), T])
+    want = all_columns_rows(Q, p0, obs, t_grid)
+    seen = []
+    for idx, rows in _uniformized_blocks(Q, p0, obs, t_grid):
+        assert np.abs(rows - want[idx]).max() <= 1e-15
+        seen += idx.tolist()
+    assert sorted(seen) == list(range(len(t_grid)))
+    assert np.all(np.diff(t_grid[seen]) >= 0)
+    assert np.abs(uniformized_rows(Q, p0, obs, t_grid) - want).max() <= 1e-15
+
+
+def test_uniformized_blocks_stream_rows_before_the_last_block():
+    # L t = 2000 at the latest time: K is about 2400, so 38 blocks; the
+    # early times are final long before the stream ends
+    Q = sp.csr_matrix(np.array([[-2.0, 1.0], [2.0, -1.0]]))
+    t_grid = np.linspace(0.0, 1000.0, 11)
+    stream = _uniformized_blocks(Q, np.array([1.0, 0.0]), np.eye(2), t_grid)
+    idx, _ = next(stream)
+    assert idx.tolist() == [0]
+    batches = [idx.tolist() for idx, _ in stream]
+    assert len(batches) == 10 and sum(batches, []) == list(range(1, 11))
+
+
+def test_uniformized_rows_of_a_counting_chain_are_the_poisson_law(rng):
+    # unit-rate jumps 0 -> 1 -> ... -> 399: P shifts by one state, so the
+    # row of time t is Pois(j; t) (scipy's to its own accuracy), and a row
+    # taken final too early misses the end-of-stream value by its upper tail
+    from scipy.stats import poisson
+    dim = 400
+    Q = sp.diags([-np.r_[np.ones(dim - 1), 0.0], np.ones(dim - 1)], [0, -1],
+                 format="csr")
+    t_grid = rng.permutation(np.r_[0.0, np.linspace(0.5, 150.0, 300)])
+    p0 = np.zeros(dim)
+    p0[0] = 1.0
+    got = uniformized_rows(Q, p0, np.eye(dim), t_grid)
+    want = poisson.pmf(np.arange(dim), t_grid[:, None])
+    want[:, -1] = poisson.sf(dim - 2, t_grid)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got - all_columns_rows(Q, p0, np.eye(dim), t_grid)
+                  ).max() <= 1e-15
+
+
 def test_uniformized_rows_one_state_and_zero_rates(rng):
     obs = np.array([[0.25, 1.0]])
     got = uniformized_rows(sp.csr_matrix((1, 1)), np.ones(1), obs,
@@ -514,6 +616,38 @@ def test_poisson_weights_match_exact_values(mean):
     seen = want > 1e-300
     assert np.all(np.abs(got - want)[seen] <= 1e-12 * want[seen])
     assert np.all(got[~seen] <= 1e-290)
+
+
+def single_expression_pmf(k, means):
+    """Both forms evaluated on every row, then one picked per row."""
+    from qcadc.evolve import _FACTORIAL, _SMALL_K, _stirling_error
+    x = np.asarray(k, dtype=float)[:, None]
+    m = np.asarray(means, dtype=float)[None, :]
+    small = np.minimum(x, _SMALL_K)
+    direct = np.exp(-m) * m ** small / _FACTORIAL[small.astype(np.int64)]
+    xs, ms = np.maximum(x, _SMALL_K + 1), np.where(m > 0, m, 1.0)
+    diff, both = np.broadcast_arrays(xs - ms, xs + ms)
+    bd0 = xs * np.log(xs / ms) - diff
+    near = np.abs(diff) < 0.25 * both
+    v = diff[near] / both[near]
+    total = diff[near] * v
+    term = 2.0 * np.broadcast_to(xs, near.shape)[near] * v
+    for j in range(1, 15):
+        term = term * (v * v)
+        total = total + term / (2 * j + 1)
+    bd0[near] = total
+    saddle = np.exp(-_stirling_error(xs) - bd0) / np.sqrt(2.0 * np.pi * xs)
+    return np.where(x <= _SMALL_K, direct, np.where(m > 0, saddle, 0.0))
+
+
+@pytest.mark.parametrize("ks", [np.arange(64), np.arange(10, 20),
+                                np.arange(15, 17), np.arange(16, 80),
+                                np.array([40, 3, 15, 16, 0])])
+def test_poisson_pmf_is_the_single_expression_form(ks):
+    means = np.r_[0.0, 1e-3, 0.5, 12.0, 15.5, 24.0, 693.0, 1e4,
+                  np.linspace(0.0, 96.0, 600)]
+    assert np.array_equal(_poisson_pmf(ks, means),
+                          single_expression_pmf(ks, means))
 
 
 def test_uniformized_rows_memory_does_not_grow_with_horizon():
@@ -577,6 +711,60 @@ def test_mean_occupancy_exact_matches_full_expm():
     size = len(DiagonalDynamics(spec).reachable(bits0)[0])
     _, method = mean_occupancy(spec, bits0, t_grid, 10, rng, size - 1)
     assert method == "gillespie"
+
+
+def mv_phases(n):
+    """(spec, input, grid, reduce) of the spread and consensus phases of
+    :func:`mv_worst_case_times`."""
+    spread, consensus = mv_lindblads(n)
+    bits_a = mv_worst_spread_input(n)
+    target = np.flatnonzero(mv_separated_target(bits_a))
+    return ((spread, bits_a, np.linspace(0.0, 4.0 * n, 600),
+             lambda occ: occ[:, target].sum(axis=1) / len(target)),
+            (consensus, mv_worst_consensus_input(n),
+             np.linspace(0.0, 3.0 * n, 600),
+             lambda occ: occ.sum(axis=1) / n))
+
+
+def assert_first_crossing_is_crossing_time(spec, bits0, t_grid, reduce,
+                                           cap, seed):
+    occ, method = mean_occupancy(spec, bits0, t_grid, 20,
+                                 np.random.default_rng(seed), cap)
+    want = crossing_time(t_grid, reduce(occ), 0.99)
+    tau, got_method = _first_crossing(spec, bits0, t_grid, reduce, 20,
+                                      np.random.default_rng(seed), cap)
+    assert got_method == method
+    assert tau == want or (np.isnan(tau) and np.isnan(want))
+    return tau
+
+
+@pytest.mark.parametrize("n", range(6, 22))
+def test_first_crossing_matches_crossing_time_mv(n):
+    taus = []
+    for spec, bits0, t_grid, reduce in mv_phases(n):
+        taus.append(assert_first_crossing_is_crossing_time(
+            spec, bits0, t_grid, reduce, 40_000, n))
+        # a cap of 3 states sends both phases to Gillespie
+        assert_first_crossing_is_crossing_time(spec, bits0, t_grid, reduce,
+                                               3, n)
+    got = mv_worst_case_times(n, n_traj=20)
+    assert [got["tau_spread"], got["tau_consensus"]] == taus
+    assert got["method_spread"] == got["method_consensus"] == "diagonal-exact"
+
+
+@given(st.integers(min_value=3, max_value=7),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_first_crossing_matches_crossing_time_random_specs(n, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_basis_preserving_spec(rng, n)
+    bits0 = rng.integers(0, 2, n)
+    t_grid = np.linspace(0.0, rng.uniform(0.5, 20.0), 50)
+    shift = rng.uniform(0.0, 1.0)
+    for cap in (2 ** n, 1):
+        assert_first_crossing_is_crossing_time(
+            spec, bits0, t_grid, lambda occ: occ.mean(axis=1) + shift, cap,
+            seed)
 
 
 # ---------------------------------------------------------------------------
@@ -785,14 +973,18 @@ SECTOR_SPECS = ("fuks", "dephasing", "dephasing-omega", "random")
 SECTOR_STATES = ("basis", "ghz", "random", "sectors")
 
 
-def make_sector_case(rng, n, family, kind):
-    spec = {
+def sector_spec(rng, n, family):
+    return {
         "fuks": lambda: fuks_lindblad(FuksParams(0.3), n),
         "dephasing": lambda: dephasing_lindblad(DephasingParams(0.0, 0.7), n),
         "dephasing-omega": lambda: dephasing_lindblad(
             DephasingParams(1.0, 0.7), n),
         "random": lambda: random_jump_spec(rng, n),
     }[family]()
+
+
+def make_sector_case(rng, n, family, kind):
+    spec = sector_spec(rng, n, family)
     rho = {
         "basis": lambda: basis_density(rng.integers(0, 2, n)),
         "ghz": lambda: ghz_density(n),
@@ -803,6 +995,18 @@ def make_sector_case(rng, n, family, kind):
     return spec, vectorize(rho)
 
 
+def full_space_propagator(spec, t):
+    """The oracle: a dense exponential of the whole 4^N generator."""
+    return expm(assemble_lindbladian(spec).dense() * t)
+
+
+@functools.lru_cache(maxsize=None)
+def rng_free_propagator(family, n, t):
+    """The oracle of a family whose spec draws nothing, built once per size:
+    at N = 5 it takes seconds, the steps it checks a few milliseconds."""
+    return full_space_propagator(sector_spec(None, n, family), t)
+
+
 @settings(max_examples=24, deadline=None)
 @given(n=st.integers(3, 5), family=st.sampled_from(SECTOR_SPECS),
        kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
@@ -810,7 +1014,9 @@ def test_sector_step_matches_full_space_expm(n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
     t = 0.8
-    want = expm(assemble_lindbladian(spec).dense() * t) @ state.amplitudes
+    prop = (full_space_propagator(spec, t) if family == "random"
+            else rng_free_propagator(family, n, t))
+    want = prop @ state.amplitudes
     for method, tol in (("dense", 1e-12), ("krylov", 1e-8)):
         got = continuous_evolve(spec, state, t, method=method, samples=2)
         assert got.method_used == method
