@@ -649,8 +649,11 @@ def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"restarts": False, "seed": False, "start": False,
                         "training_set": False}, "config")
     seed = _whole(cfg.get("seed", 0), "seed")
-    start = (models.published_ml_weights()
-             if cfg.get("start") == "published" else None)
+    start = cfg.get("start")
+    if start not in (None, "published"):
+        raise ConfigError(f'start must be "published" or absent, got '
+                          f'{start!r}')
+    start = models.published_ml_weights() if start == "published" else None
     res = mlopt.optimize_weights(
         _training_set_from(cfg.get("training_set")),
         restarts=_whole(cfg.get("restarts", 8), "restarts"),

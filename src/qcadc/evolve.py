@@ -39,7 +39,6 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 # not called; perfbench/tracer.py patches this name and fails without it
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
-from scipy.special import pdtrc
 
 from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
 from .observables import (density_n, diag_indices, diag_probabilities,
@@ -603,9 +602,13 @@ _FACTORIAL = np.cumprod(np.r_[1.0, np.arange(1.0, _SMALL_K + 1)])
 def _poisson_cutoff(mean: float) -> int:
     """Smallest K with P(X > K) <= 1e-16 for X ~ Poisson(mean)."""
     # K is at least floor(mean), below which the tail exceeds 1/2, and
-    # Bernstein's inequality puts it below mean + 9 sqrt(mean) + 30
-    ks = np.arange(int(mean), int(mean + 9.0 * np.sqrt(mean)) + 31)
-    return int(ks[np.flatnonzero(pdtrc(ks, mean) <= _POISSON_TAIL)[0]])
+    # Bernstein's inequality puts it below mean + 9 sqrt(mean) + 30.  The
+    # tail is summed from the far end, mean + 14 sqrt(mean) + 80, past
+    # which the weights are below 1e-32
+    ks = np.arange(int(mean), int(mean + 14.0 * np.sqrt(mean)) + 81)
+    w = _poisson_pmf(ks, np.array([mean]))[:, 0]
+    tail = np.cumsum(w[::-1])[::-1][1:]           # P(X > k), k in ks[:-1]
+    return int(ks[np.flatnonzero(tail <= _POISSON_TAIL)[0]])
 
 
 def _stirling_error(k: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .evolve import DiagonalDynamics, continuous_evolve
 from .models import MLWeights, ml_lindblad
@@ -71,6 +70,7 @@ def default_training_set() -> TrainingSet:
 
 
 _XATOL = 1e-4                 # simplex tolerance, in weight and in cost
+_MAXITER = 2000               # simplex iterations per start
 _WORST_DT = 0.5               # time step of the worst-case march
 _WORST_T_MAX = 800.0          # the march gives up here
 _WORST_THRESHOLD = 0.99       # all-ones weight at which an input is done
@@ -213,6 +213,61 @@ def ml_worst_case_time(weights: MLWeights, n_sites: int
     return taus[worst], bits
 
 
+def _nelder_mead(f, x0: np.ndarray, tol: float, maxiter: int
+                 ) -> tuple[np.ndarray, float]:
+    """Minimize f from x0 by the Nelder-Mead simplex (Comput. J. 7:308).
+
+    Step for step the method of scipy.optimize.minimize(method=
+    "Nelder-Mead") with xatol = fatol = tol and the given maxiter, which
+    this replaces so that no command imports scipy.optimize: the same
+    initial simplex, coefficients (reflection 1, expansion 2, contraction
+    1/2, shrink 1/2), ordering and stopping rule, written in the same
+    floating-point operations, so the iterates and the number of calls of
+    f are the same.  Returns the best vertex and min(fsim).
+    """
+    n = len(x0)
+    sim = np.repeat(np.asarray(x0, dtype=float)[None, :], n + 1, axis=0)
+    for k in range(n):
+        x = sim[k + 1, k]
+        sim[k + 1, k] = 1.05 * x if x != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim])
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= tol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]                       # reflection
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]               # expansion
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]       # outside contraction
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]       # inside contraction
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])  # shrink
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim))
+
+
 @dataclass
 class OptimizeResult:
     weights: MLWeights
@@ -251,11 +306,8 @@ def optimize_weights(tset: TrainingSet | None = None, restarts: int = 8,
 
     best_w, best_c = None, np.inf
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": _XATOL, "fatol": _XATOL,
-                                "maxiter": 2000})
-        w = MLWeights.from_free(np.clip(res.x, 0.0, 1.0))
-        c = float(res.fun)
+        x, c = _nelder_mead(objective, x0, _XATOL, _MAXITER)
+        w = MLWeights.from_free(np.clip(x, 0.0, 1.0))
         if c < best_c:
             best_w, best_c = w, c
     return OptimizeResult(best_w, best_c, len(starts), evaluations)

@@ -1,5 +1,9 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -684,10 +688,13 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
        "gamma must be positive") for gamma in (0.0, -2.0)],
     ("evolve", {**_DISCRETE, "model": {"id": "fuks", "params": {"p": 0.9}}},
      "p must lie in (0, 0.5]"),
+    ("ml-opt", {"restarts": 1, "start": "publshed"},
+     'start must be "published"'),
 ], ids=["ml-cost-3-weights", "ml-cost-w1", "ml-cost-misspelt",
         "fates-demo-p", "mv-scan-2", "mv-scan-66", "mv-run-t",
         "evolve-30-sites", "continuous-fuks-gamma-0",
-        "continuous-fuks-gamma-negative", "discrete-fuks-p-0.9"])
+        "continuous-fuks-gamma-negative", "discrete-fuks-p-0.9",
+        "ml-opt-start-misspelt"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,
                                              message):
     code, out = run(tmp_path, command, cfg)
@@ -731,3 +738,21 @@ def test_gap_scan_exits_3_naming_the_sizes_that_fail(tmp_path, capsys,
         "numerical failure: no spectrum for fuks N=4\n")
     _, rows = read_csv(out / "gaps.csv")
     assert rows[1][:3] == ["fuks", "4", "nan"]
+
+
+def test_import_loads_neither_scipy_optimize_nor_special():
+    # both cost a command 40-150 ms of start-up for one call each; the
+    # names checked last are the ones the benchmark tracer patches
+    probe = ("import sys, qcadc, qcadc.cli\n"
+             "from qcadc import evolve, mlopt\n"
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.special')\n"
+             "             if m in sys.modules))\n"
+             "evolve.expm, mlopt.expm, evolve.expm_multiply\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

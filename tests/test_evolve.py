@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from qcadc.classical import (gamma_p_relation, mv_separated_target,
                              mv_sublayer_sequence, mv_worst_consensus_input,
@@ -672,15 +673,16 @@ def test_uniformized_rows_memory_does_not_grow_with_horizon():
 
 
 def test_poisson_cutoff_equals_the_search_from_zero():
-    # the cutoff search starts at floor(mean); the search from k = 0 it
-    # replaced is the reference
+    # the reference is scipy's upper tail P(X > k) = pdtrc(k, mean), which
+    # falls with k: the first k from zero with a tail <= 1e-16 is the one
+    # whose tail is <= 1e-16 while the tail at k - 1 is not
     from scipy.special import pdtrc
-    from qcadc.evolve import _poisson_cutoff
-    for mean in np.r_[0.0, np.geomspace(1e-6, 1e6, 80),
-                      np.arange(0.25, 40.0, 0.25)]:
-        ks = np.arange(int(mean + 9.0 * np.sqrt(mean)) + 31)
-        want = ks[np.flatnonzero(pdtrc(ks, mean) <= 1e-16)[0]]
-        assert _poisson_cutoff(mean) == want, mean
+    means = np.r_[0.0, np.geomspace(1e-6, 1e6, 2000),
+                  np.linspace(0.0, 100.0, 1501), np.linspace(0.0, 1e6, 41)]
+    got = np.array([_poisson_cutoff(mean) for mean in means])
+    first = (got == 0) | (pdtrc(got - 1, means) > 1e-16)
+    bad = ~((pdtrc(got, means) <= 1e-16) & first)
+    assert not bad.any(), means[bad][:5]
 
 
 def test_uniformized_rows_refuses_too_many_jumps():
@@ -995,16 +997,21 @@ def make_sector_case(rng, n, family, kind):
     return spec, vectorize(rho)
 
 
-def full_space_propagator(spec, t):
-    """The oracle: a dense exponential of the whole 4^N generator."""
+@functools.lru_cache(maxsize=None)
+def rng_free_propagator(family, n, t):
+    """The oracle of a family whose spec draws nothing: a dense exponential
+    of the whole 4^N generator, built once per size, since at N = 5 it
+    takes seconds and the steps it checks a few milliseconds."""
+    spec = sector_spec(None, n, family)
     return expm(assemble_lindbladian(spec).dense() * t)
 
 
-@functools.lru_cache(maxsize=None)
-def rng_free_propagator(family, n, t):
-    """The oracle of a family whose spec draws nothing, built once per size:
-    at N = 5 it takes seconds, the steps it checks a few milliseconds."""
-    return full_space_propagator(sector_spec(None, n, family), t)
+def full_space_action(spec, t, state):
+    """The oracle of a drawn spec: exp(L t) on the state, by scipy's
+    expm_multiply on the whole sparse 4^N generator, which at N = 5 takes
+    milliseconds where the dense exponential takes seconds."""
+    return expm_multiply(assemble_lindbladian(spec).matrix * t,
+                         state.amplitudes)
 
 
 @settings(max_examples=24, deadline=None)
@@ -1014,9 +1021,8 @@ def test_sector_step_matches_full_space_expm(n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
     t = 0.8
-    prop = (full_space_propagator(spec, t) if family == "random"
-            else rng_free_propagator(family, n, t))
-    want = prop @ state.amplitudes
+    want = (full_space_action(spec, t, state) if family == "random"
+            else rng_free_propagator(family, n, t) @ state.amplitudes)
     for method, tol in (("dense", 1e-12), ("krylov", 1e-8)):
         got = continuous_evolve(spec, state, t, method=method, samples=2)
         assert got.method_used == method

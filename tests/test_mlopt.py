@@ -1,4 +1,7 @@
 """Weight-family cost function and the multistart search."""
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,9 @@ from scipy.linalg import expm
 
 from qcadc.evolve import diagonal_rate_matrix
 from qcadc.mlopt import (
-    TrainingPair, TrainingSet, default_horizon, default_training_set,
-    ml_cost, ml_rate_matrix, optimize_weights, per_state_scores,
-    truncate_weights,
+    TrainingPair, TrainingSet, _nelder_mead, default_horizon,
+    default_training_set, ml_cost, ml_rate_matrix, optimize_weights,
+    per_state_scores, truncate_weights,
 )
 from qcadc.models import MLWeights, ml_lindblad, published_ml_weights
 
@@ -155,3 +158,91 @@ def test_worst_case_time_slope_and_reported_value():
     slope = np.polyfit(xs, ys, 1)[0]
     assert abs(slope - 17.5) / 17.5 < 0.10
     assert abs(2 * slope - 34.992) / 34.992 < 0.10
+
+
+def nelder_mead_steps_taken(f, x0):
+    """Which commented steps of ``_nelder_mead`` ran on f from x0."""
+    lines, first = inspect.getsourcelines(_nelder_mead)
+    marks = {first + i: ln.split("# ")[-1].strip()
+             for i, ln in enumerate(lines) if "  # " in ln}
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is _nelder_mead.__code__ and event == "line":
+            seen.add(marks.get(frame.f_lineno))
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        _nelder_mead(f, np.array(x0, dtype=float), 1e-4, 2000)
+    finally:
+        sys.settrace(None)
+    return seen - {None}
+
+
+def assert_same_descent(f, x0, maxiter=2000):
+    """scipy's Nelder-Mead and ``_nelder_mead`` evaluate f at the same
+    points in the same order and return the same x and cost."""
+    from scipy.optimize import minimize
+    at_scipy, at_ours = [], []
+    res = minimize(lambda x: at_scipy.append(np.copy(x)) or f(x), x0,
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-4, "fatol": 1e-4, "maxiter": maxiter})
+    x, fun = _nelder_mead(lambda x: at_ours.append(np.copy(x)) or f(x),
+                          np.array(x0, dtype=float), 1e-4, maxiter)
+    assert np.array_equal(res.x, x) and res.fun == fun
+    assert len(at_scipy) == len(at_ours)
+    assert all(np.array_equal(a, b) for a, b in zip(at_scipy, at_ours))
+
+
+def ml_objective(free):
+    return ml_cost(MLWeights.from_free(np.clip(free, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("start", ["published", 0, 1, 2])
+def test_nelder_mead_replica_matches_scipy_on_the_ml_cost(start):
+    x0 = (np.array(published_ml_weights().free) if start == "published"
+          else np.random.default_rng(start).uniform(0.0, 1.0, size=6))
+    assert_same_descent(ml_objective, x0)
+
+
+def synthetic_problem(seed):
+    """A rough, tilted quadratic bowl in 2 to 6 dimensions."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    a = rng.normal(size=(dim, dim))
+    centre, bumps = rng.normal(size=dim), rng.uniform(0.0, 2.0, size=dim)
+
+    def f(x):
+        y = x - centre
+        return float(y @ (a @ a.T + 0.1 * np.eye(dim)) @ y
+                     + bumps @ np.abs(np.sin(3.0 * x)))
+
+    x0 = rng.normal(size=dim)
+    x0[rng.integers(dim)] = 0.0       # one coordinate starts at zero
+    return f, x0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nelder_mead_replica_matches_scipy_on_synthetic_problems(seed):
+    assert_same_descent(*synthetic_problem(seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nelder_mead_replica_breaks_ties_as_scipy_does(seed):
+    # a cost rounded to steps of 0.25 ties often, as the ML cost does
+    # where its clipped weights leave the box
+    f, x0 = synthetic_problem(seed)
+    assert_same_descent(lambda x: np.floor(4.0 * f(x)) / 4.0, x0)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 10, 40])
+def test_nelder_mead_replica_stops_at_maxiter_as_scipy_does(maxiter):
+    assert_same_descent(*synthetic_problem(0), maxiter=maxiter)
+
+
+def test_synthetic_problems_take_every_kind_of_step():
+    steps = set().union(*(nelder_mead_steps_taken(*synthetic_problem(s))
+                          for s in range(12)))
+    assert steps >= {"reflection", "expansion", "outside contraction",
+                     "inside contraction", "shrink"}
