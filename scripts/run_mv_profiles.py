@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Density-versus-time profiles of majority voting on a 30-site ring.
+"""Sublayer-by-sublayer density profiles of discrete majority voting.
 
-Discrete track: the full spreading-then-consensus sublayer schedule on two
-half-filling inputs (15 and 16 ones).  Continuous track: consensus dynamics
-from the alternation-plus-cluster state, showing the transient density dip
-while isolated ones die before the surviving cluster takes over.
+Runs the full spreading-then-consensus sublayer schedule on two 30-site
+half-filling inputs (15 and 16 ones) and writes the density after every
+sublayer, one CSV per input.  The continuous consensus profile is the
+``mv-run`` config ``scripts/mv-run.consensus_profile.json``.
+
+    PYTHONPATH=src python scripts/run_mv_profiles.py --out results/mv_profiles
 """
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from qcadc import classical, evolve, models
+from qcadc import classical, models
 
 
 def discrete_profile(bits):
@@ -35,11 +35,9 @@ def discrete_profile(bits):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("results/mv_profiles"))
-    ap.add_argument("--traj", type=int, default=400)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    n = 30
     fifteen = "1" * 15 + "0" * 15
     sixteen = "1" * 16 + "0" * 14
     for name, bits in (("fifteen_ones", fifteen), ("sixteen_ones", sixteen)):
@@ -49,20 +47,6 @@ def main():
         lines = ["sublayer,n_over_N"]
         lines += [f"{i},{d:.6g}" for i, d in enumerate(dens)]
         (args.out / f"discrete_{name}.csv").write_text("\n".join(lines) + "\n")
-
-    # continuous consensus run from the alternation with one cluster
-    bits = classical.mv_worst_consensus_input(n)
-    spec = models.mv_lindblads(n)[1]
-    dyn = evolve.DiagonalDynamics(spec)
-    t_grid = np.linspace(0.0, 2.0 * n, 400)
-    occ = dyn.gillespie_mean_occupancy(bits, t_grid, args.traj,
-                                       np.random.default_rng(1))
-    dens = occ.sum(axis=1) / n
-    print(f"continuous consensus: density dips to {dens.min():.3f} "
-          f"then reaches {dens[-1]:.3f}")
-    lines = ["t,n_over_N"]
-    lines += [f"{t:.6g},{d:.6g}" for t, d in zip(t_grid, dens)]
-    (args.out / "continuous_consensus.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote profiles under {args.out}/")
 
 

@@ -18,8 +18,8 @@ from .models import (
     fates_step, ml_lindblad, published_ml_weights, steady_family_state,
 )
 from .evolve import (
-    EvolutionResult, discrete_run, continuous_evolve, trotter_even_odd,
-    diagonal_rate_matrix, converge_to_fixed_point, mv_worst_case_times,
+    EvolutionResult, discrete_run, continuous_evolve, diagonal_rate_matrix,
+    converge_to_fixed_point, mv_worst_case_times,
 )
 from .spectra import spectrum, steady_state_basis, gap_scan, loglog_fit
 from .observables import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DENSE_SUPEROP_CAP, ENGINE_VERSION
 from . import classical, evolve, mlopt, models, observables, spectra
-from .superop import vectorize
+from .superop import VecState, vectorize
 
 __all__ = ["main"]
 
@@ -226,11 +226,10 @@ def build_initial(cfg: dict, n_sites: int):
         if len(bits) != n_sites:
             raise ConfigError(
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
-        dim = 2 ** n_sites
-        rho = np.zeros((dim, dim), dtype=complex)
-        idx = int(classical.format_bits(bits), 2)
-        rho[idx, idx] = 1.0
-        return vectorize(rho)
+        amplitudes = np.zeros(4 ** n_sites, dtype=complex)
+        code = int(classical.format_bits(bits), 2)
+        amplitudes[observables.diag_indices(n_sites)[code]] = 1.0
+        return VecState(n_sites, amplitudes)
     if "named" in cfg:
         if cfg["named"] != "ghz":
             raise ConfigError(f"unknown named state {cfg['named']!r}")
@@ -727,7 +726,6 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
 
     def c_channel_traces():
         from .observables import trace_of
-        from .superop import VecState
         for step in (models.fuks_step(models.FuksParams(0.3), 3),
                      models.mv_spread_step(3), models.mv_consensus_step(3),
                      models.fates_step(0.4, 3)):

@@ -29,9 +29,9 @@ TOL = Tolerances()
 # sparse-only paths must be used instead.
 DENSE_SUPEROP_CAP = 65536  # 4^8
 
-# The one step builder of evolve (continuous runs, Trotter splitting,
-# fixed-point search) takes a dense expm of the generator up to this
-# dimension under method "auto", and Krylov above.
+# The one step builder of evolve (continuous runs, fixed-point search)
+# takes a dense expm of the generator up to this dimension under method
+# "auto", and Krylov above.
 DENSE_EXPM_CAP = 4096  # 4^6
 
 ENGINE_VERSION = "0.1.0"

@@ -1,5 +1,5 @@
-"""Time evolution: discrete stepping, continuous Lindblad flows, Trotter
-splitting, the diagonal classical fast path, and fixed-point detection.
+"""Time evolution: discrete stepping, continuous Lindblad flows, the
+diagonal classical fast path, and fixed-point detection.
 
 Every run builds its flow of states (repeated application of one step, or
 the one-pass uniformized diagonal flow) and hands it to one sampling driver,
@@ -41,14 +41,13 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
-from .observables import (density_n, diag_indices, diag_probabilities,
-                          expval_sz, trace_of)
+from .observables import density_n, diag_indices, expval_sz, trace_of
 from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
                       basis_moves, conserved_grading)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
-    "discrete_run", "continuous_evolve", "trotter_even_odd",
+    "discrete_run", "continuous_evolve",
     "diagonal_rate_matrix", "is_basis_preserving", "DiagonalDynamics",
     "converge_to_fixed_point", "krylov_expmv", "crossing_time",
     "uniformized_rows", "mean_occupancy",
@@ -441,10 +440,10 @@ def _lift_diagonal(probs: np.ndarray, n_sites: int) -> VecState:
     return VecState(n_sites, v)
 
 
-def _auto_method(spec: LindbladSpec, state: VecState | None = None) -> str:
-    """What ``auto`` stands for: diagonal when admissible for ``state`` (if
-    given), else dense up to ``DENSE_EXPM_CAP`` and krylov above."""
-    if state is not None and is_basis_preserving(spec):
+def _auto_method(spec: LindbladSpec, state: VecState) -> str:
+    """What ``auto`` stands for: diagonal when admissible for ``state``,
+    else dense up to ``DENSE_EXPM_CAP`` and krylov above."""
+    if is_basis_preserving(spec):
         try:
             _diagonal_part(state)
             return "diagonal"
@@ -453,10 +452,11 @@ def _auto_method(spec: LindbladSpec, state: VecState | None = None) -> str:
     return "dense" if 4 ** spec.n_sites <= DENSE_EXPM_CAP else "krylov"
 
 
-def _sector(pattern: sp.spmatrix, state: VecState) -> np.ndarray | None:
-    """Doubled indices of the graded blocks of ``pattern`` that the support
-    of ``state`` touches, ascending; None when that is every index."""
-    _kind, grading = conserved_grading(pattern, state.n_sites)
+def _sector(gen: sp.spmatrix, state: VecState) -> np.ndarray | None:
+    """Doubled indices of the graded blocks of the generator ``gen`` that
+    the support of ``state`` touches, ascending; None when that is every
+    index."""
+    _kind, grading = conserved_grading(gen, state.n_sites)
     touched = grading[np.flatnonzero(state.amplitudes)]
     idx = np.flatnonzero(np.isin(grading, touched))
     return None if len(idx) == len(grading) else idx
@@ -524,24 +524,6 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
     return EvolutionResult(final, t, True, method, rows)
 
 
-def trotter_even_odd(spec_even: LindbladSpec, spec_odd: LindbladSpec,
-                     tau: float, n_steps: int, state: VecState,
-                     record: bool = True) -> EvolutionResult:
-    """Alternate exact sub-exponentials exp(L_even tau) exp(L_odd tau)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    gens = [assemble_lindbladian(s).matrix for s in (spec_even, spec_odd)]
-    # the finest grading both halves respect, so that neither half can
-    # carry the state into a block the other half dropped
-    idx = _sector(abs(gens[0]) + abs(gens[1]), state)
-    even, odd = (_step(g, tau, _auto_method(s), idx)
-                 for g, s in zip(gens, (spec_even, spec_odd)))
-    flow = _iterate(lambda v: even(odd(v)), state)
-    final, reached, _, rows = _run(state, tau * np.arange(1, n_steps + 1),
-                                   flow, record)
-    return EvolutionResult(final, reached, True, "trotter", rows)
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 
@@ -577,9 +559,9 @@ def converge_to_fixed_point(spec: LindbladSpec, state: VecState,
 
 
 def crossing_time(t_grid: np.ndarray, values: np.ndarray,
-                  threshold: float, direction: str = "above") -> float:
-    """First grid time at which values cross the threshold; NaN if never."""
-    hit = values > threshold if direction == "above" else values < threshold
+                  threshold: float) -> float:
+    """First grid time at which values exceed the threshold; NaN if never."""
+    hit = values > threshold
     idx = np.argmax(hit)
     if not hit[idx]:
         return float("nan")

@@ -302,17 +302,6 @@ def rule_kraus(rule: int | str) -> list[np.ndarray]:
     raise ValueError(f"unknown partitioned rule {rule!r}")
 
 
-def _mv_spread_kraus(sites: tuple[int, int, int]) -> list[LocalOperator]:
-    """K0 relocates the middle of a 1,1,0 triple; K1 passes everything else."""
-    return [LocalOperator(sites, K) for K in rule_kraus("spread")]
-
-
-def _mv_consensus_kraus(sites: tuple[int, int, int]) -> list[LocalOperator]:
-    """Deletes isolated ones and grows clusters one site left or right; the
-    last operator passes everything else."""
-    return [LocalOperator(sites, K) for K in rule_kraus("consensus")]
-
-
 def mv_windows(n_sites: int, phase: int | None = None) -> tuple[int, ...]:
     """Leftmost site of every window of a majority-voting sublayer, in
     application order.

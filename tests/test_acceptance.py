@@ -45,10 +45,8 @@ def test_criterion_01_channel_validity(rng):
             worst_residual = max(worst_residual,
                                  models.kraus_completeness_residual(kraus))
     for kind in ("spread", "consensus"):
-        from qcadc.models import _mv_consensus_kraus, _mv_spread_kraus
-        fn = _mv_spread_kraus if kind == "spread" else _mv_consensus_kraus
         worst_residual = max(worst_residual, models.kraus_completeness_residual(
-            [op.matrix for op in fn((0, 1, 2))]))
+            models.rule_kraus(kind)))
 
     steps = [models.fuks_step(models.FuksParams(p), 4)
              for p in np.linspace(0.05, 0.5, 20)]

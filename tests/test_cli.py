@@ -59,6 +59,19 @@ def test_evolve_takes_initial_bits_as_a_list(tmp_path):
             == (as_list / "trajectory.csv").read_bytes())
 
 
+def test_initial_bits_is_the_vectorized_basis_density():
+    from conftest import basis_density
+    from qcadc.cli import build_initial
+    from qcadc.superop import vectorize
+    rng = np.random.default_rng(5)
+    strings = [format(c, f"0{n}b") for n in range(1, 6) for c in range(2 ** n)]
+    strings += ["".join(rng.choice(["0", "1"], 8)) for _ in range(4)]
+    for bits in strings:
+        got = build_initial({"bits": bits}, len(bits)).amplitudes
+        want = vectorize(basis_density([int(b) for b in bits])).amplitudes
+        assert got.dtype == want.dtype and np.array_equal(got, want), bits
+
+
 def test_evolve_rejects_unknown_model(tmp_path):
     cfg = {
         "model": {"id": "nope"},

@@ -15,7 +15,7 @@ from qcadc.evolve import (
     DiagonalDynamics, EvolutionResult, KrylovError, NotBasisPreservingError,
     continuous_evolve, converge_to_fixed_point, crossing_time,
     diagonal_rate_matrix, discrete_run, is_basis_preserving, krylov_expmv,
-    mean_occupancy, mv_worst_case_times, trotter_even_odd, uniformized_rows,
+    mean_occupancy, mv_worst_case_times, uniformized_rows,
 )
 from qcadc.evolve import (_first_crossing, _poisson_cutoff, _poisson_pmf,
                           _uniformized_blocks)
@@ -896,61 +896,6 @@ def test_gamma_tau_inverse_of_p():
 
 
 # ---------------------------------------------------------------------------
-# trotter splitting
-
-
-def even_odd_split(spec):
-    n = spec.n_sites
-    even, odd = [], []
-    for op, rate in spec.jumps:
-        center = op.sites[1]
-        (even if (center + 1) % 2 == 0 else odd).append((op, rate))
-    return (LindbladSpec(n, (), tuple(even)), LindbladSpec(n, (), tuple(odd)))
-
-
-def test_trotter_commuting_parts_exact(rng):
-    # single-site decay on different sites commutes: splitting is exact
-    n = 2
-    full = LindbladSpec(n, (), (
-        (LocalOperator((0,), SIGMA_MINUS), 1.0),
-        (LocalOperator((1,), SIGMA_MINUS), 0.5)))
-    a = LindbladSpec(n, (), (full.jumps[0],))
-    b = LindbladSpec(n, (), (full.jumps[1],))
-    state = vectorize(random_density(rng, n))
-    split = trotter_even_odd(a, b, tau=0.5, n_steps=4, state=state)
-    direct = continuous_evolve(full, state, 2.0, method="dense", samples=1)
-    assert np.abs(split.final_state.amplitudes
-                  - direct.final_state.amplitudes).max() < 1e-10
-
-
-def test_trotter_first_order_error_scaling(rng):
-    spec = fuks_lindblad(FuksParams(0.3), 4)
-    even, odd = even_odd_split(spec)
-    state = vectorize(random_density(rng, 4))
-    direct = continuous_evolve(spec, state, 1.0, method="dense", samples=1)
-    errs = []
-    for tau in (0.1, 0.05, 0.025):
-        split = trotter_even_odd(even, odd, tau=tau,
-                                 n_steps=int(round(1.0 / tau)), state=state)
-        errs.append(np.abs(split.final_state.amplitudes
-                           - direct.final_state.amplitudes).max())
-    # first-order splitting: error halves with tau (allow 30% slack)
-    assert errs[1] < errs[0] * 0.65
-    assert errs[2] < errs[1] * 0.65
-    assert errs[0] < 2 * 0.1 * np.abs(assemble_lindbladian(spec).matrix).max()
-
-
-def test_trotter_small_tau_near_identity(rng):
-    spec = fuks_lindblad(FuksParams(0.3), 3)
-    even, odd = even_odd_split(spec)
-    state = vectorize(random_density(rng, 3))
-    tau = 1e-5
-    out = trotter_even_odd(even, odd, tau=tau, n_steps=1, state=state)
-    bound = 2 * tau * np.abs(assemble_lindbladian(spec).matrix).sum(axis=0).max()
-    assert np.abs(out.final_state.amplitudes - state.amplitudes).max() < bound
-
-
-# ---------------------------------------------------------------------------
 # conserved sectors of the initial state
 
 
@@ -1062,27 +1007,6 @@ def test_krylov_benchmark_run_stays_on_its_sector(monkeypatch):
     assert abs(out.trajectory[-1, 3] - 1) < 1e-12
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_trotter_sector_respects_both_halves(rng, flip):
-    # hopping dephasing keeps ket and bra counts apart (joint grading); decay
-    # only their difference.  A block set read off the hopping half alone
-    # would drop what decay carries into the lower-count blocks.
-    n = 4
-    halves = [dephasing_lindblad(DephasingParams(1.0, 0.5), n),
-              LindbladSpec(n, (), tuple((LocalOperator((j,), SIGMA_MINUS),
-                                         0.3) for j in range(n)))]
-    if flip:
-        halves.reverse()
-    state = vectorize(sector_density(rng, n, {2, 3}))
-    tau, steps = 0.25, 6
-    props = [expm(assemble_lindbladian(h).dense() * tau) for h in halves]
-    want = state.amplitudes
-    for _ in range(steps):
-        want = props[0] @ (props[1] @ want)
-    got = trotter_even_odd(halves[0], halves[1], tau, steps, state)
-    assert np.abs(got.final_state.amplitudes - want).max() < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 
@@ -1161,4 +1085,3 @@ def test_crossing_time():
     v = t / 10
     assert crossing_time(t, v, 0.55) == 6.0
     assert np.isnan(crossing_time(t, v, 2.0))
-    assert crossing_time(t, 1 - v, 0.5, "below") == 6.0
