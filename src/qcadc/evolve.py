@@ -18,15 +18,15 @@ Method selection for continuous evolution:
 * ``auto``      -- diagonal when admissible, dense up to 4^N = 4096, else
                    krylov.
 
-``dense`` and ``krylov`` run on the conserved sector of the initial state:
-the graded blocks of the generator (:func:`superop.conserved_grading`, read
-off its sparsity pattern) that the state's support touches.  The generator
-never joins two blocks, so amplitudes outside them are zero at t = 0 and
-stay exactly zero; each sample is scattered back to 4^N.  A state touching
-every block, or a generator with no grading, runs on the full matrix.
-``auto`` still decides on 4^N, not on the sector size, so a config's method
-label does not depend on its initial state; on a sector both methods are
-cheap (the N = 7 half-filled-pair sector has 441 entries).
+``dense`` and ``krylov`` run on the set of doubled indices the initial
+state can reach (:func:`superop.reachable_generator`): the closure of its
+support under the local terms' column patterns, with the generator's
+columns built on that set alone, never the 4^N matrix.  The generator
+never leaves the set, so amplitudes outside it are zero at t = 0 and stay
+exactly zero; each sample is scattered back to 4^N.  ``auto`` still
+decides on 4^N, not on the set's size, so a config's method label does not
+depend on its initial state; on a small set both methods are cheap (the
+N = 7 dephasing run from two adjacent particles reaches 441 indices).
 """
 from __future__ import annotations
 
@@ -42,8 +42,10 @@ from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
 from .observables import density_n, diag_indices, expval_sz, trace_of
-from .superop import (LindbladSpec, SuperOp, VecState, assemble_lindbladian,
-                      basis_moves, conserved_grading)
+# not called; perfbench/tracer.py patches this name and fails without it
+from .superop import assemble_lindbladian  # noqa: F401
+from .superop import (LindbladSpec, SuperOp, VecState, basis_moves,
+                      reachable_generator)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
@@ -452,26 +454,16 @@ def _auto_method(spec: LindbladSpec, state: VecState) -> str:
     return "dense" if 4 ** spec.n_sites <= DENSE_EXPM_CAP else "krylov"
 
 
-def _sector(gen: sp.spmatrix, state: VecState) -> np.ndarray | None:
-    """Doubled indices of the graded blocks of the generator ``gen`` that
-    the support of ``state`` touches, ascending; None when that is every
-    index."""
-    _kind, grading = conserved_grading(gen, state.n_sites)
-    touched = grading[np.flatnonzero(state.amplitudes)]
-    idx = np.flatnonzero(np.isin(grading, touched))
-    return None if len(idx) == len(grading) else idx
+def _step(sub: sp.csr_matrix, codes: np.ndarray, dt: float,
+          method: str) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> exp(L dt) v, built once: a dense expm for "dense", a Krylov
+    action per call for "krylov".
 
-
-def _step(gen: sp.csr_matrix, dt: float, method: str,
-          idx: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> exp(L dt) v for the 4^N generator ``gen``, built once: a dense
-    expm for "dense", a Krylov action per call for "krylov".
-
-    With ``idx`` (a union of graded blocks of ``gen``, holding the support
-    of every v passed in) both act on ``gen[idx, idx]`` and the result is
-    scattered back to 4^N; the entries outside ``idx`` stay exactly zero.
+    ``sub`` is the generator L on the doubled indices ``codes``, a set L
+    never leaves that holds the support of every 4^N vector v passed in
+    (:func:`superop.reachable_generator`); the result is scattered back to
+    4^N, and the entries outside ``codes`` stay exactly zero.
     """
-    sub = gen if idx is None else gen[idx][:, idx]
     if method == "dense":
         if sub.shape[0] > DENSE_SUPEROP_CAP:
             raise ValueError(f"dense path refused above dimension "
@@ -482,12 +474,10 @@ def _step(gen: sp.csr_matrix, dt: float, method: str,
         act = lambda w: krylov_expmv(sub, w, dt)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if idx is None:
-        return act
 
     def step(v: np.ndarray) -> np.ndarray:
         out = np.zeros(len(v), dtype=complex)
-        out[idx] = act(v[idx])
+        out[codes] = act(v[codes])
         return out
     return step
 
@@ -518,8 +508,8 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
         flow = (_lift_diagonal(p, n) for p in uniformized_rows(
             Q, probs, sp.identity(2 ** n, format="csr"), times))
     else:
-        gen = assemble_lindbladian(spec).matrix
-        flow = _iterate(_step(gen, dt, method, _sector(gen, state)), state)
+        codes, sub = reachable_generator(spec, state.amplitudes)
+        flow = _iterate(_step(sub, codes, dt, method), state)
     final, _, _, rows = _run(state, times, flow, record)
     return EvolutionResult(final, t, True, method, rows)
 
@@ -548,8 +538,8 @@ def converge_to_fixed_point(spec: LindbladSpec, state: VecState,
         advance = lambda v: _lift_diagonal(uniformized_rows(
             Q, v[idx].real, ident, [1.0])[0], n).amplitudes
     else:
-        gen = assemble_lindbladian(spec).matrix
-        advance = _step(gen, 1.0, method, _sector(gen, state))
+        codes, sub = reachable_generator(spec, state.amplitudes)
+        advance = _step(sub, codes, 1.0, method)
     final, reached, converged, rows = _run(
         state, map(float, range(1, math.ceil(horizon) + 1)),
         _iterate(advance, state), True,

@@ -46,6 +46,7 @@ __all__ = [
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
     "basis_moves", "kraus_to_superop", "assemble_lindbladian",
+    "reachable_generator",
     "conserved_grading", "rotate_ring", "translation_sectors",
     "apply_adjoint_generator", "kraus_completeness_residual",
     "ChannelInvalidError",
@@ -228,6 +229,27 @@ def doubled(ket_op: np.ndarray, bra_op: np.ndarray | None = None) -> np.ndarray:
 # embedding
 
 
+def _spread(idx: np.ndarray, positions: Sequence[int], n_sites: int,
+            radix: int) -> np.ndarray:
+    """Global offsets of the local digit strings ``idx`` placed at
+    ``positions``; site 0 is the most significant digit."""
+    off = np.zeros(len(idx), dtype=np.int64)
+    for i, s in enumerate(positions):
+        off += ((idx // radix ** (len(positions) - 1 - i)) % radix
+                * radix ** (n_sites - 1 - s))
+    return off
+
+
+def _gather(codes: np.ndarray, positions: Sequence[int], n_sites: int,
+            radix: int) -> np.ndarray:
+    """Local digit strings of the global indices ``codes`` at ``positions``:
+    the inverse of :func:`_spread` on those digits."""
+    local = np.zeros(len(codes), dtype=np.int64)
+    for s in positions:
+        local = local * radix + codes // radix ** (n_sites - 1 - s) % radix
+    return local
+
+
 def _scatter(m: sp.coo_matrix, sites: Sequence[int], n_sites: int,
              radix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global (rows, cols, vals) of the local matrix ``m`` placed at ``sites``
@@ -237,19 +259,13 @@ def _scatter(m: sp.coo_matrix, sites: Sequence[int], n_sites: int,
     the most significant digit.  Local digits are ordered as ``sites``, so
     wrapped supports need no permutation.
     """
-    place = radix ** (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
-
-    def spread(idx: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-        """Global offsets of digit strings ``idx`` over ``positions``."""
-        off = np.zeros(len(idx), dtype=np.int64)
-        for i, s in enumerate(positions):
-            off += (idx // radix ** (len(positions) - 1 - i)) % radix * place[s]
-        return off
-
     rest = [s for s in range(n_sites) if s not in sites]
-    base = spread(np.arange(radix ** len(rest), dtype=np.int64), rest)
-    rows = (base[:, None] + spread(m.row.astype(np.int64), sites)).reshape(-1)
-    cols = (base[:, None] + spread(m.col.astype(np.int64), sites)).reshape(-1)
+    base = _spread(np.arange(radix ** len(rest), dtype=np.int64), rest,
+                   n_sites, radix)
+    rows = (base[:, None] + _spread(m.row.astype(np.int64), sites, n_sites,
+                                    radix)).reshape(-1)
+    cols = (base[:, None] + _spread(m.col.astype(np.int64), sites, n_sites,
+                                    radix)).reshape(-1)
     vals = np.broadcast_to(m.data, (len(base), len(m.data))).reshape(-1)
     return rows, cols, vals
 
@@ -344,31 +360,101 @@ def _local_hamiltonian(H: np.ndarray, coeff: float) -> np.ndarray:
     return -1j * coeff * (doubled(H, ident) - doubled(ident, H))
 
 
+def _local_terms(spec: LindbladSpec) -> dict[tuple[int, ...], np.ndarray]:
+    """Per support, the sum of the local doubled-space terms of ``spec``:
+    the Hamiltonian terms, then the jumps, each in spec order.
+
+    A term that repeats (same kind, matrix and coefficient, as on every bond
+    of a translation-invariant spec) is built once; sums make new arrays, so
+    a shared term is never changed.
+    """
+    built: dict[tuple, np.ndarray] = {}
+    by_support: dict[tuple[int, ...], np.ndarray] = {}
+    terms = ([(_local_hamiltonian, op, c) for op, c in spec.hamiltonian_terms]
+             + [(_local_dissipator, op, r) for op, r in spec.jumps])
+    for make, op, coeff in terms:
+        m = op.matrix
+        # repr tells -0.0 from 0.0, which == does not
+        key = (make, m.dtype.str, m.shape, m.tobytes(), repr(coeff))
+        if key not in built:
+            built[key] = make(m, coeff)
+        local = built[key]
+        if op.sites in by_support:
+            by_support[op.sites] = by_support[op.sites] + local
+        else:
+            by_support[op.sites] = local
+    return by_support
+
+
 def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
     """Sparse vectorized generator for a :class:`LindbladSpec`.
 
-    Terms sharing a support are combined locally before embedding, which keeps
-    assembly deterministic and the scatter count low.
+    Terms sharing a support are combined locally before embedding
+    (:func:`_local_terms`), and the supports are added in sorted order,
+    which keeps assembly deterministic and the scatter count low.
     """
-    by_support: dict[tuple[int, ...], np.ndarray] = {}
-
-    def add(sites: tuple[int, ...], local: np.ndarray) -> None:
-        if sites in by_support:
-            by_support[sites] = by_support[sites] + local
-        else:
-            by_support[sites] = local
-
-    for op, coeff in spec.hamiltonian_terms:
-        add(op.sites, _local_hamiltonian(op.matrix, coeff))
-    for op, rate in spec.jumps:
-        add(op.sites, _local_dissipator(op.matrix, rate))
-
+    by_support = _local_terms(spec)
     dim = 4 ** spec.n_sites
     mat = sp.csr_matrix((dim, dim), dtype=complex)
     for sites in sorted(by_support):
         mat = mat + embed_local(by_support[sites], sites, spec.n_sites)
     mat.sort_indices()
     return SuperOp(spec.n_sites, mat, "generator")
+
+
+def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
+                        ) -> tuple[np.ndarray, sp.csr_matrix]:
+    """``(codes, sub)``: the doubled indices the generator can reach from
+    the support of ``amplitudes``, ascending, and the generator on them,
+    built from the local terms with no 4^N assembly.
+
+    ``codes`` is the breadth-first closure of ``flatnonzero(amplitudes)``
+    under every support's local column pattern: a code's local digit d at
+    the support is replaced by each row digit that column d of the local
+    term holds.  No stored entry of the generator joins ``codes`` to an
+    index outside it, so exp(L t) keeps a vector on ``codes`` there.
+    ``sub`` equals ``assemble_lindbladian(spec).matrix[codes][:, codes]``
+    bit for bit: each support's term is restricted to ``codes`` and the
+    terms are added in the same sorted order.
+    """
+    n = spec.n_sites
+    by_support = _local_terms(spec)
+    terms = []
+    for sites in sorted(by_support):
+        cols = sp.csc_matrix(by_support[sites])   # column d's rows, values
+        terms.append((cols, sites,
+                      _spread(np.arange(cols.shape[0]), sites, n, 4)))
+
+    def moves(codes, cols, sites, off):
+        """(column, row, value) of every entry of one term in ``codes``'
+        columns: column positions into ``codes``, rows as global codes."""
+        d = _gather(codes, sites, n, 4)
+        start, count = cols.indptr[d], np.diff(cols.indptr)[d]
+        col = np.repeat(np.arange(len(codes)), count)
+        k = (np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
+             + start[col])
+        row = cols.indices[k]
+        return col, codes[col] + off[row] - off[d[col]], cols.data[k]
+
+    codes = np.flatnonzero(amplitudes).astype(np.int64)
+    frontier = codes
+    while len(frontier):
+        found = np.unique(np.concatenate(
+            [frontier[:0]] + [moves(frontier, *term)[1] for term in terms]))
+        frontier = np.setdiff1d(found, codes, assume_unique=True)
+        codes = np.union1d(codes, frontier)
+
+    dim = len(codes)
+    sub = sp.csr_matrix((dim, dim), dtype=complex)
+    for term in terms:
+        col, row, val = moves(codes, *term)
+        part = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
+                             shape=(dim, dim)).tocsr()
+        part.sum_duplicates()
+        part.sort_indices()
+        sub = sub + part
+    sub.sort_indices()
+    return codes, sub
 
 
 @lru_cache(maxsize=None)

@@ -394,6 +394,22 @@ def test_mv_run_single_continuous(tmp_path, capsys):
         assert "finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap, method", [(4574, "diagonal-exact"),
+                                         (4573, "gillespie")])
+def test_mv_run_single_takes_its_exact_cap(tmp_path, capsys, cap, method):
+    # the N = 21 worst consensus input reaches 4,574 states
+    cfg = {"n_sites": 21, "initial": {"bits": "10" * 10 + "1"},
+           "track": "continuous", "n_traj": 10, "exact_cap": cap}
+    code, out = run(tmp_path, "mv-run", cfg)
+    assert code == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    assert {row[header.index("method")] for row in rows} == {method}
+    assert capsys.readouterr().err == (
+        "" if method == "diagonal-exact" else
+        f"note: N=21 consensus sampled with 10 Gillespie trajectories: "
+        f"reachable set exceeds exact_cap {cap}\n")
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"n_sites": 6, "initial": {"bits": "1100"}, "track": "continuous"},
      "has 4 sites, n_sites=6"),
@@ -409,6 +425,8 @@ def test_mv_run_single_continuous(tmp_path, capsys):
      "not a multiple of 3"),
     ({"n_sites": 2, "initial": {"bits": "11"}, "track": "continuous"},
      "at least 3 sites"),
+    ({"scan": {"n_values": [6]}, "exact_cap": 10},
+     "takes its cap as scan.exact_cap"),
 ])
 def test_mv_run_single_rejects_bad_input(tmp_path, capsys, cfg, message):
     code, out = run(tmp_path, "mv-run", cfg)
@@ -577,6 +595,8 @@ def test_missing_config_file(tmp_path, capsys):
     ("mv-verify", {"n_values": [6.9]}, "n_values entry"),
     ("mv-run", {"scan": {"n_values": [6], "n_traj": 10.5}}, "scan.n_traj"),
     ("fates-demo", {"bits": "110", "steps": 2.5}, "steps"),
+    ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},
+                "track": "continuous", "exact_cap": 7.5}, "exact_cap"),
 ])
 def test_fractional_config_counts_are_config_errors(tmp_path, capsys,
                                                     command, cfg, where):
@@ -753,14 +773,9 @@ def test_gap_scan_exits_3_naming_the_sizes_that_fail(tmp_path, capsys,
     assert rows[1][:3] == ["fuks", "4", "nan"]
 
 
-def test_import_loads_neither_scipy_optimize_nor_special():
-    # both cost a command 40-150 ms of start-up for one call each; the
-    # names checked last are the ones the benchmark tracer patches
-    probe = ("import sys, qcadc, qcadc.cli\n"
-             "from qcadc import evolve, mlopt\n"
-             "print(sorted(m for m in ('scipy.optimize', 'scipy.special')\n"
-             "             if m in sys.modules))\n"
-             "evolve.expm, mlopt.expm, evolve.expm_multiply\n")
+def run_probe(probe: str) -> str:
+    """stdout of ``probe`` run in a fresh interpreter that imports qcadc
+    from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
@@ -768,4 +783,25 @@ def test_import_loads_neither_scipy_optimize_nor_special():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_neither_scipy_optimize_nor_special():
+    # both cost a command 40-150 ms of start-up for one call each
+    assert run_probe(
+        "import sys, qcadc, qcadc.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special')\n"
+        "             if m in sys.modules))\n") == "[]\n"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # the per-layer benchmark wraps package functions by name; a name that
+    # a refactor drops would fail every traced benchmark run
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    assert run_probe(
+        f"import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        f"import tracer\n"
+        f"t = tracer.Tracer()\n"
+        f"tracer.install(t)\n"
+        f"print(t.missing)\n") == "[]\n"

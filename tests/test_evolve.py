@@ -28,7 +28,8 @@ from qcadc.observables import (density_n, diag_indices, diag_probabilities,
                                expval_sz, trace_of)
 from qcadc.superop import (
     ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, SuperOp, VecState,
-    assemble_lindbladian, devectorize, doubled, vectorize,
+    assemble_lindbladian, devectorize, doubled, reachable_generator,
+    vectorize,
 )
 from conftest import basis_density, ghz_density, random_density
 
@@ -896,7 +897,7 @@ def test_gamma_tau_inverse_of_p():
 
 
 # ---------------------------------------------------------------------------
-# conserved sectors of the initial state
+# the reachable set of the initial state
 
 
 def random_jump_spec(rng, n):
@@ -927,6 +928,8 @@ def sector_spec(rng, n, family):
         "dephasing-omega": lambda: dephasing_lindblad(
             DephasingParams(1.0, 0.7), n),
         "random": lambda: random_jump_spec(rng, n),
+        "ml": lambda: ml_lindblad(published_ml_weights(), n),
+        "idle": lambda: LindbladSpec(n),
     }[family]()
 
 
@@ -959,10 +962,30 @@ def full_space_action(spec, t, state):
                          state.amplitudes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 6),
+       family=st.sampled_from(SECTOR_SPECS + ("ml", "idle")),
+       kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
+def test_reachable_generator_is_the_closed_slice_of_the_assembly(
+        n, family, kind, seed):
+    rng = np.random.default_rng(seed)
+    spec, state = make_sector_case(rng, n, family, kind)
+    codes, sub = reachable_generator(spec, state.amplitudes)
+    gen = assemble_lindbladian(spec).matrix
+    want = gen[codes][:, codes]
+    assert np.array_equal(codes, np.unique(codes))
+    assert set(np.flatnonzero(state.amplitudes)) <= set(codes.tolist())
+    assert sub.dtype == want.dtype and sub.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sub, part), getattr(want, part))
+    # closed: no stored entry of a reached column lies outside the set
+    assert np.isin(gen[:, codes].tocoo().row, codes).all()
+
+
 @settings(max_examples=24, deadline=None)
 @given(n=st.integers(3, 5), family=st.sampled_from(SECTOR_SPECS),
        kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
-def test_sector_step_matches_full_space_expm(n, family, kind, seed):
+def test_reachable_step_matches_full_space_expm(n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
     t = 0.8
@@ -994,9 +1017,10 @@ def test_ungraded_spec_runs_on_the_full_space(monkeypatch, rng):
     assert lengths == [4 ** 3] * 3
 
 
-def test_krylov_benchmark_run_stays_on_its_sector(monkeypatch):
-    # dephasing N=7 with hopping from two adjacent particles: the ket and bra
-    # counts are both 2, a block of C(7, 2)^2 = 441 of the 16,384 entries
+def test_krylov_benchmark_run_stays_on_its_reachable_set(monkeypatch):
+    # dephasing N=7 with hopping from two adjacent particles reaches the
+    # whole block of ket and bra counts 2: C(7, 2)^2 = 441 of the 16,384
+    # entries
     from qcadc.cli import build_spec
     lengths = krylov_lengths(monkeypatch)
     spec = build_spec({"id": "dephasing", "params": {"omega": 1.0}}, 7)
@@ -1005,6 +1029,31 @@ def test_krylov_benchmark_run_stays_on_its_sector(monkeypatch):
     assert out.method_used == "krylov"
     assert lengths == [441] * 8
     assert abs(out.trajectory[-1, 3] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("model, initial, reached", [
+    ({"id": "fuks"}, {"named": "ghz"}, 4),
+    ({"id": "dephasing", "params": {"omega": 0.0}}, {"bits": "1111100000"},
+     252),
+])
+def test_n10_krylov_run_builds_no_4n_generator(monkeypatch, model, initial,
+                                               reached):
+    # the reachable set is a sliver of the 4^10 = 1,048,576 indices
+    import qcadc.evolve as ev
+    import qcadc.superop as so
+    from qcadc.cli import build_initial, build_spec
+
+    def refused(spec):
+        raise AssertionError("the 4^N generator was assembled")
+    for owner in (ev, so):
+        monkeypatch.setattr(owner, "assemble_lindbladian", refused)
+    lengths = krylov_lengths(monkeypatch)
+    spec, state = build_spec(model, 10), build_initial(initial, 10)
+    out = continuous_evolve(spec, state, 10.0, samples=8)
+    assert out.method_used == "krylov"
+    assert lengths == [reached] * 8
+    assert np.abs(out.trajectory[:, 3] - 1).max() < 1e-12
+    assert np.abs(out.trajectory[:, 1] - 0.5).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1105,7 @@ def test_converge_diagonal_markov_preserves_sz():
 
 def test_converge_builds_its_propagator_once(monkeypatch, rng):
     import qcadc.evolve as ev
-    calls = {"assemble_lindbladian": 0, "expm": 0, "diagonal_rate_matrix": 0}
+    calls = {"reachable_generator": 0, "expm": 0, "diagonal_rate_matrix": 0}
 
     def counted(name):
         fn = getattr(ev, name)
@@ -1072,7 +1121,7 @@ def test_converge_builds_its_propagator_once(monkeypatch, rng):
     out = converge_to_fixed_point(spec, vectorize(random_density(rng, 3)),
                                   tol=1e-14, horizon=5)
     assert out.time_reached == 5 and not out.converged
-    assert calls == {"assemble_lindbladian": 1, "expm": 1,
+    assert calls == {"reachable_generator": 1, "expm": 1,
                      "diagonal_rate_matrix": 0}
     out = converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
                                   tol=1e-14, horizon=5)
