@@ -475,14 +475,10 @@ def _note_sampled(n: int, phase: str, n_traj: int, cap: int) -> None:
 def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     _require_keys(cfg, {"scan": False, "n_sites": False, "initial": False,
                         "track": False, "sublayers": False, "t": False,
-                        "phase": False, "seed": False, "n_traj": False,
-                        "exact_cap": False},
+                        "phase": False, "seed": False, "n_traj": False},
                   "config")
     seed = _whole(cfg.get("seed", 0), "seed")
     if "scan" in cfg:
-        if "exact_cap" in cfg:
-            raise ConfigError("a scan takes its cap as scan.exact_cap, not "
-                              "config.exact_cap")
         scan = cfg["scan"]
         _require_keys(scan, {"n_values": True, "n_traj": False,
                              "exact_cap": False}, "scan")
@@ -570,14 +566,14 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         raise ConfigError(f"t must be finite and non-negative, got {t_max}")
     t_grid = np.linspace(0.0, t_max, 400)
     n_traj = _whole(cfg.get("n_traj", 400), "n_traj")
-    cap = _whole(cfg.get("exact_cap", evolve.DEFAULT_EXACT_CAP), "exact_cap")
     try:
         occ, method = evolve.mean_occupancy(
-            spec, bits, t_grid, n_traj, np.random.default_rng(seed), cap)
+            spec, bits, t_grid, n_traj, np.random.default_rng(seed),
+            evolve.DEFAULT_EXACT_CAP)
     except ValueError as err:
         raise ConfigError(f"t: {err}") from err
     if method == "gillespie":
-        _note_sampled(n, phase, n_traj, cap)
+        _note_sampled(n, phase, n_traj, evolve.DEFAULT_EXACT_CAP)
     dens = occ.sum(axis=1) / n
     rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
             for i in range(len(t_grid))]

@@ -476,6 +476,8 @@ def _step(sub: sp.csr_matrix, codes: np.ndarray, dt: float,
         raise ValueError(f"unknown method {method!r}")
 
     def step(v: np.ndarray) -> np.ndarray:
+        if len(codes) == len(v):
+            return act(v)
         out = np.zeros(len(v), dtype=complex)
         out[codes] = act(v[codes])
         return out

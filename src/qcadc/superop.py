@@ -240,13 +240,14 @@ def _spread(idx: np.ndarray, positions: Sequence[int], n_sites: int,
     return off
 
 
-def _gather(codes: np.ndarray, positions: Sequence[int], n_sites: int,
-            radix: int) -> np.ndarray:
-    """Local digit strings of the global indices ``codes`` at ``positions``:
-    the inverse of :func:`_spread` on those digits."""
+def _gather(codes: np.ndarray, positions: Sequence[int],
+            n_sites: int) -> np.ndarray:
+    """Local doubled digit strings (two bits a site) of the global doubled
+    indices ``codes`` at ``positions``: the inverse of :func:`_spread` on
+    those digits."""
     local = np.zeros(len(codes), dtype=np.int64)
     for s in positions:
-        local = local * radix + codes // radix ** (n_sites - 1 - s) % radix
+        local = (local << 2) | ((codes >> 2 * (n_sites - 1 - s)) & 3)
     return local
 
 
@@ -362,27 +363,19 @@ def _local_hamiltonian(H: np.ndarray, coeff: float) -> np.ndarray:
 
 def _local_terms(spec: LindbladSpec) -> dict[tuple[int, ...], np.ndarray]:
     """Per support, the sum of the local doubled-space terms of ``spec``:
-    the Hamiltonian terms, then the jumps, each in spec order.
-
-    A term that repeats (same kind, matrix and coefficient, as on every bond
-    of a translation-invariant spec) is built once; sums make new arrays, so
-    a shared term is never changed.
-    """
-    built: dict[tuple, np.ndarray] = {}
+    the Hamiltonian terms, then the jumps, each in spec order."""
     by_support: dict[tuple[int, ...], np.ndarray] = {}
-    terms = ([(_local_hamiltonian, op, c) for op, c in spec.hamiltonian_terms]
-             + [(_local_dissipator, op, r) for op, r in spec.jumps])
-    for make, op, coeff in terms:
-        m = op.matrix
-        # repr tells -0.0 from 0.0, which == does not
-        key = (make, m.dtype.str, m.shape, m.tobytes(), repr(coeff))
-        if key not in built:
-            built[key] = make(m, coeff)
-        local = built[key]
-        if op.sites in by_support:
-            by_support[op.sites] = by_support[op.sites] + local
+
+    def add(sites: tuple[int, ...], local: np.ndarray) -> None:
+        if sites in by_support:
+            by_support[sites] = by_support[sites] + local
         else:
-            by_support[op.sites] = local
+            by_support[sites] = local
+
+    for op, coeff in spec.hamiltonian_terms:
+        add(op.sites, _local_hamiltonian(op.matrix, coeff))
+    for op, rate in spec.jumps:
+        add(op.sites, _local_dissipator(op.matrix, rate))
     return by_support
 
 
@@ -393,13 +386,19 @@ def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
     (:func:`_local_terms`), and the supports are added in sorted order,
     which keeps assembly deterministic and the scatter count low.
     """
-    by_support = _local_terms(spec)
-    dim = 4 ** spec.n_sites
+    return SuperOp(spec.n_sites, _embed_terms(_local_terms(spec),
+                                              spec.n_sites), "generator")
+
+
+def _embed_terms(by_support: dict[tuple[int, ...], np.ndarray],
+                 n_sites: int) -> sp.csr_matrix:
+    """The 4^N sum of the per-support terms, in sorted-support order."""
+    dim = 4 ** n_sites
     mat = sp.csr_matrix((dim, dim), dtype=complex)
     for sites in sorted(by_support):
-        mat = mat + embed_local(by_support[sites], sites, spec.n_sites)
+        mat = mat + embed_local(by_support[sites], sites, n_sites)
     mat.sort_indices()
-    return SuperOp(spec.n_sites, mat, "generator")
+    return mat
 
 
 def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
@@ -411,11 +410,14 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     ``codes`` is the breadth-first closure of ``flatnonzero(amplitudes)``
     under every support's local column pattern: a code's local digit d at
     the support is replaced by each row digit that column d of the local
-    term holds.  No stored entry of the generator joins ``codes`` to an
-    index outside it, so exp(L t) keeps a vector on ``codes`` there.
-    ``sub`` equals ``assemble_lindbladian(spec).matrix[codes][:, codes]``
-    bit for bit: each support's term is restricted to ``codes`` and the
-    terms are added in the same sorted order.
+    term holds.  The search marks reached codes in a 4^N boolean mask and
+    stops once every index is reached.  No stored entry of the generator
+    joins ``codes`` to an index outside it, so exp(L t) keeps a vector on
+    ``codes`` there.  ``sub`` equals
+    ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
+    each support's term is restricted to ``codes`` and the terms are added
+    in the same sorted order.  When ``codes`` is every index, ``sub`` is
+    that 4^N sum, built by the same embedding as the assembly.
     """
     n = spec.n_sites
     by_support = _local_terms(spec)
@@ -428,7 +430,7 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     def moves(codes, cols, sites, off):
         """(column, row, value) of every entry of one term in ``codes``'
         columns: column positions into ``codes``, rows as global codes."""
-        d = _gather(codes, sites, n, 4)
+        d = _gather(codes, sites, n)
         start, count = cols.indptr[d], np.diff(cols.indptr)[d]
         col = np.repeat(np.arange(len(codes)), count)
         k = (np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
@@ -436,19 +438,28 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
         row = cols.indices[k]
         return col, codes[col] + off[row] - off[d[col]], cols.data[k]
 
-    codes = np.flatnonzero(amplitudes).astype(np.int64)
-    frontier = codes
-    while len(frontier):
-        found = np.unique(np.concatenate(
-            [frontier[:0]] + [moves(frontier, *term)[1] for term in terms]))
-        frontier = np.setdiff1d(found, codes, assume_unique=True)
-        codes = np.union1d(codes, frontier)
+    reached = amplitudes != 0
+    frontier = np.flatnonzero(reached)
+    count = len(frontier)
+    while len(frontier) and count < len(reached):
+        fresh = [frontier[:0]]   # a spec may have no terms
+        for term in terms:
+            row = moves(frontier, *term)[1]
+            row = np.unique(row[~reached[row]])
+            reached[row] = True
+            fresh.append(row)
+        frontier = np.concatenate(fresh)
+        count += len(frontier)
+    codes = np.flatnonzero(reached)
+    if count == len(reached):   # every index: the 4^N sum is the same matrix
+        return codes, _embed_terms(by_support, n)
+    position = np.cumsum(reached) - 1    # of each reached code in ``codes``
 
     dim = len(codes)
     sub = sp.csr_matrix((dim, dim), dtype=complex)
     for term in terms:
         col, row, val = moves(codes, *term)
-        part = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
+        part = sp.coo_matrix((val, (position[row], col)),
                              shape=(dim, dim)).tocsr()
         part.sum_duplicates()
         part.sort_indices()

@@ -394,22 +394,6 @@ def test_mv_run_single_continuous(tmp_path, capsys):
         assert "finite and non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap, method", [(4574, "diagonal-exact"),
-                                         (4573, "gillespie")])
-def test_mv_run_single_takes_its_exact_cap(tmp_path, capsys, cap, method):
-    # the N = 21 worst consensus input reaches 4,574 states
-    cfg = {"n_sites": 21, "initial": {"bits": "10" * 10 + "1"},
-           "track": "continuous", "n_traj": 10, "exact_cap": cap}
-    code, out = run(tmp_path, "mv-run", cfg)
-    assert code == 0
-    header, rows = read_csv(out / "trajectory.csv")
-    assert {row[header.index("method")] for row in rows} == {method}
-    assert capsys.readouterr().err == (
-        "" if method == "diagonal-exact" else
-        f"note: N=21 consensus sampled with 10 Gillespie trajectories: "
-        f"reachable set exceeds exact_cap {cap}\n")
-
-
 @pytest.mark.parametrize("cfg, message", [
     ({"n_sites": 6, "initial": {"bits": "1100"}, "track": "continuous"},
      "has 4 sites, n_sites=6"),
@@ -425,8 +409,6 @@ def test_mv_run_single_takes_its_exact_cap(tmp_path, capsys, cap, method):
      "not a multiple of 3"),
     ({"n_sites": 2, "initial": {"bits": "11"}, "track": "continuous"},
      "at least 3 sites"),
-    ({"scan": {"n_values": [6]}, "exact_cap": 10},
-     "takes its cap as scan.exact_cap"),
 ])
 def test_mv_run_single_rejects_bad_input(tmp_path, capsys, cfg, message):
     code, out = run(tmp_path, "mv-run", cfg)
@@ -595,8 +577,6 @@ def test_missing_config_file(tmp_path, capsys):
     ("mv-verify", {"n_values": [6.9]}, "n_values entry"),
     ("mv-run", {"scan": {"n_values": [6], "n_traj": 10.5}}, "scan.n_traj"),
     ("fates-demo", {"bits": "110", "steps": 2.5}, "steps"),
-    ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},
-                "track": "continuous", "exact_cap": 7.5}, "exact_cap"),
 ])
 def test_fractional_config_counts_are_config_errors(tmp_path, capsys,
                                                     command, cfg, where):

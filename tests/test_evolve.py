@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -966,6 +966,9 @@ def full_space_action(spec, t, state):
 @given(n=st.integers(3, 6),
        family=st.sampled_from(SECTOR_SPECS + ("ml", "idle")),
        kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
+# the support is every index, and the closure of one basis state is
+@example(n=3, family="fuks", kind="random", seed=0)
+@example(n=3, family="random", kind="basis", seed=0)
 def test_reachable_generator_is_the_closed_slice_of_the_assembly(
         n, family, kind, seed):
     rng = np.random.default_rng(seed)
@@ -985,6 +988,7 @@ def test_reachable_generator_is_the_closed_slice_of_the_assembly(
 @settings(max_examples=24, deadline=None)
 @given(n=st.integers(3, 5), family=st.sampled_from(SECTOR_SPECS),
        kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
+@example(n=3, family="fuks", kind="random", seed=0)   # every index
 def test_reachable_step_matches_full_space_expm(n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
