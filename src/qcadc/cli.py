@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DENSE_SUPEROP_CAP, ENGINE_VERSION
 from . import classical, evolve, mlopt, models, observables, spectra
-from .superop import VecState, vectorize
+from .superop import VecState, assemble_lindbladian, devectorize, vectorize
 
 __all__ = ["main"]
 
@@ -30,17 +30,124 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config tables: each run form reads its config through one table, from
+# each key it reads to a reader, a (parse(value, where), default) pair
 
 
-def _require_keys(cfg: dict, allowed: dict, where: str) -> None:
-    """allowed: key -> required(bool).  Rejects unknown keys by name."""
+_NEEDED = object()          # the default of a key the config must give
+
+
+def _read(cfg, table: dict, where: str) -> dict:
+    """Every key of ``table``, parsed from ``cfg`` or defaulted.  A key the
+    table does not name, a missing needed key, or a ``cfg`` that is not a
+    JSON object is a ConfigError."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
     for key in cfg:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"unknown key {where}.{key}")
-    for key, required in allowed.items():
-        if required and key not in cfg:
+    for key, (_, default) in table.items():
+        if default is _NEEDED and key not in cfg:
             raise ConfigError(f"missing key {where}.{key}")
+    prefix = "" if where == "config" else f"{where}."
+    return {key: parse(cfg[key], prefix + key) if key in cfg else default
+            for key, (parse, default) in table.items()}
+
+
+def _form(cfg, key: str, reader, where: str = "config"):
+    """``cfg[key]``, parsed: the value that picks a command's run form."""
+    if not isinstance(cfg, dict) or key not in cfg:
+        raise ConfigError(f"missing key {where}.{key}")
+    return reader[0](cfg[key], f"{where}.{key}".removeprefix("config."))
+
+
+def _real(default=_NEEDED, lo=None, hi=None, why="", whole=False,
+          multiple=1):
+    """A JSON number (``true`` is not 1), as given, or with ``whole`` a
+    count with no fractional part, as an int; from ``lo`` to ``hi`` and a
+    multiple of ``multiple``, as ``why`` says."""
+    def parse(value, where):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or whole and isinstance(value, float)
+                and not value.is_integer()):
+            raise ConfigError(f"{where} must be a {'whole ' * whole}number, "
+                              f"got {value!r}")
+        if (lo is not None and not lo <= value or hi is not None
+                and not value <= hi or whole and value % multiple):
+            raise ConfigError(f"{where} {why}, got {value!r}")
+        return int(value) if whole else value
+    return parse, default
+
+
+def _count(default=_NEEDED, **bounds):
+    """A count: a whole JSON number, as an int."""
+    return _real(default, whole=True, **bounds)
+
+
+def _one_of(*choices, default=_NEEDED):
+    """One of ``choices``, of the same JSON type (``1`` is not ``true``)."""
+    def parse(value, where):
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ConfigError(f"unknown {where} {value!r}; {where} must be "
+                              + " or ".join(map(json.dumps, choices)))
+        return value
+    return parse, default
+
+
+def _bitstring(min_sites=0):
+    """A string of 0s and 1s of at least ``min_sites`` sites."""
+    def parse(value, where):
+        if not isinstance(value, str) or set(value) - {"0", "1"}:
+            raise ConfigError(f"{where} {value!r} is not a 0/1 string")
+        if len(value) < min_sites:
+            raise ConfigError(f"{where} {value!r} has fewer than {min_sites} "
+                              f"sites")
+        return value
+    return parse, _NEEDED
+
+
+def _ring(default=_NEEDED):
+    """Ring bits, a 0/1 string or a list of 0/1 numbers, as a uint8 array."""
+    def parse(value, where):
+        try:
+            return classical.parse_bits(value)
+        except ValueError as err:
+            raise ConfigError(f"{where}: {err}") from err
+    return parse, default
+
+
+def _list(item, default=_NEEDED, nonempty=False, entry=" entry"):
+    """A JSON list, each value parsed by ``item`` as ``<where><entry>``."""
+    def parse(value, where):
+        if not isinstance(value, list) or nonempty and not value:
+            raise ConfigError(f"{where} must be a "
+                              f"{'non-empty ' * nonempty}list, got {value!r}")
+        return [item[0](x, where + entry) for x in value]
+    return parse, default
+
+
+def _table(table: dict):
+    """A nested JSON object, read by its own table."""
+    return (lambda value, where: _read(value, table, where)), _NEEDED
+
+
+def _given(default=_NEEDED):
+    """A value passed on as given: an object whose table needs the ring size
+    or the model id first, or a path that ``np.load`` checks."""
+    return (lambda value, where: value), default
+
+
+_SEED = _count(0, lo=0, why="must be non-negative")
+
+
+def _no_method(args, what: str) -> None:
+    """Only continuous and converge ``evolve`` runs read ``--method``."""
+    if args.method != "auto":
+        raise ConfigError(f"--method {args.method}: {what} reads no method")
+
+
+# ---------------------------------------------------------------------------
+# outputs
 
 
 def config_hash(cfg: dict) -> str:
@@ -92,25 +199,6 @@ def write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _whole(value, where: str) -> int:
-    """A count from the config; a fractional or non-finite number is a
-    ConfigError, not truncated."""
-    fractional = isinstance(value, float) and not value.is_integer()
-    try:
-        if not fractional:
-            return int(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{where} must be a whole number, got {value!r}")
-
-
-def _number(value, where: str):
-    """A JSON number from the config, returned as given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return value
-
-
 def _stamp(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "engine_version": ENGINE_VERSION}
 
@@ -119,29 +207,35 @@ def _stamp(cfg: dict) -> dict:
 # model construction from config
 
 
-_MODEL_PARAM_KEYS = {
-    "fuks": {"p": False, "gamma": False},
-    "dephasing": {"omega": False, "gamma": False},
+def _ml_weights(value, where: str) -> models.MLWeights:
+    if value == "published":
+        return models.published_ml_weights()
+    if not isinstance(value, list):
+        raise ConfigError(f'{where} must be "published" or a list of 8 '
+                          f'numbers, got {value!r}')
+    weights = tuple(_list(_real())[0](value, where))
+    try:
+        return models.MLWeights(weights)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+_MODEL_PARAMS = {
+    "fuks": {"p": _real(0.3), "gamma": _real(1.0)},
+    "dephasing": {"omega": _real(0.0), "gamma": _real(1.0)},
     "mv-spread": {},
     "mv-consensus": {},
-    "ml": {"weights": True},
-    "fates": {"p": True},
+    "ml": {"weights": (_ml_weights, _NEEDED)},
+    "fates": {"p": _real()},
 }
 
 
 def _model(model_cfg: dict) -> tuple[str, dict]:
-    """The id and checked params of a model config: every key known, every
-    scalar parameter a number, and the ML weights parsed."""
-    _require_keys(model_cfg, {"id": True, "params": False}, "model")
-    mid = model_cfg["id"]
-    params = model_cfg.get("params", {})
-    if mid not in _MODEL_PARAM_KEYS:
-        raise ConfigError(f"unknown model id {mid!r}")
-    _require_keys(params, _MODEL_PARAM_KEYS[mid], "model.params")
-    return mid, {key: (_ml_weights(value, "model.params.weights")
-                       if key == "weights"
-                       else _number(value, f"model.params.{key}"))
-                 for key, value in params.items()}
+    """The id and parsed params of a model config."""
+    model = _read(model_cfg, {"id": _one_of(*_MODEL_PARAMS),
+                              "params": _given({})}, "model")
+    return model["id"], _read(model["params"], _MODEL_PARAMS[model["id"]],
+                              "model.params")
 
 
 # the one fuks parameter each kind of run reads; the other is accepted and
@@ -160,30 +254,16 @@ def _note_ignored(model_cfg: dict, kind: str) -> None:
                   f"reads only {_FUKS_READS[kind]}", file=sys.stderr)
 
 
-def _ml_weights(value, where: str) -> models.MLWeights:
-    if value == "published":
-        return models.published_ml_weights()
-    if not isinstance(value, list):
-        raise ConfigError(f'{where} must be "published" or a list of 8 '
-                          f'numbers, got {value!r}')
-    weights = tuple(_number(x, f"{where} entry") for x in value)
-    try:
-        return models.MLWeights(weights)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-
-
 def build_spec(model_cfg: dict, n_sites: int):
     """LindbladSpec for continuous model ids; raises ConfigError otherwise."""
     mid, params = _model(model_cfg)
     try:
         if mid == "fuks":
             return models.fuks_lindblad(
-                models.FuksParams(gamma=params.get("gamma", 1.0)), n_sites)
+                models.FuksParams(gamma=params["gamma"]), n_sites)
         if mid == "dephasing":
-            return models.dephasing_lindblad(
-                models.DephasingParams(params.get("omega", 0.0),
-                                       params.get("gamma", 1.0)), n_sites)
+            return models.dephasing_lindblad(models.DephasingParams(
+                params["omega"], params["gamma"]), n_sites)
         if mid == "mv-spread":
             return models.mv_lindblads(n_sites)[0]
         if mid == "mv-consensus":
@@ -200,8 +280,7 @@ def build_step(model_cfg: dict, n_sites: int):
     mid, params = _model(model_cfg)
     try:
         if mid == "fuks":
-            return models.fuks_step(
-                models.FuksParams(params.get("p", 0.3)), n_sites)
+            return models.fuks_step(models.FuksParams(params["p"]), n_sites)
         if mid == "mv-spread":
             return models.mv_spread_step(n_sites)
         if mid == "mv-consensus":
@@ -214,15 +293,12 @@ def build_step(model_cfg: dict, n_sites: int):
 
 
 def build_initial(cfg: dict, n_sites: int):
-    _require_keys(cfg, {"bits": False, "named": False, "file": False},
-                  "initial")
-    if sum(k in cfg for k in ("bits", "named", "file")) != 1:
+    initial = _read(cfg, {"bits": _ring(None), "file": _given(None),
+                          "named": _one_of("ghz", default=None)}, "initial")
+    if sum(value is not None for value in initial.values()) != 1:
         raise ConfigError("initial needs exactly one of bits/named/file")
-    if "bits" in cfg:
-        try:
-            bits = classical.parse_bits(cfg["bits"])
-        except ValueError as err:
-            raise ConfigError(f"initial.bits: {err}") from err
+    bits, path = initial["bits"], initial["file"]
+    if bits is not None:
         if len(bits) != n_sites:
             raise ConfigError(
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
@@ -230,18 +306,15 @@ def build_initial(cfg: dict, n_sites: int):
         code = int(classical.format_bits(bits), 2)
         amplitudes[observables.diag_indices(n_sites)[code]] = 1.0
         return VecState(n_sites, amplitudes)
-    if "named" in cfg:
-        if cfg["named"] != "ghz":
-            raise ConfigError(f"unknown named state {cfg['named']!r}")
-        dim = 2 ** n_sites
+    dim = 2 ** n_sites
+    if path is None:                                # named: ghz
         psi = np.zeros(dim, dtype=complex)
         psi[0] = psi[-1] = 1 / np.sqrt(2)
         return vectorize(np.outer(psi, psi.conj()))
     try:
-        rho = np.asarray(np.load(cfg["file"]), dtype=complex)
+        rho = np.asarray(np.load(path), dtype=complex)
     except (OSError, ValueError, TypeError) as err:
-        raise ConfigError(f"initial.file {cfg['file']!r}: {err}") from err
-    dim = 2 ** n_sites
+        raise ConfigError(f"initial.file {path!r}: {err}") from err
     if rho.shape != (dim, dim):
         raise ConfigError(f"initial.file has shape {rho.shape}, n_sites="
                           f"{n_sites} needs ({dim}, {dim})")
@@ -269,111 +342,89 @@ def build_initial(cfg: dict, n_sites: int):
 # numpy's largest array holds 2^63 bytes: 4^29 complex amplitudes, not 4^30
 _MAX_DOUBLED_N = 29
 
+_KIND = _one_of("continuous", "discrete", "converge")
+_EVOLVE_RUN = {"model": _given(), "initial": _given(), "seed": _SEED,
+               "n_sites": _count(lo=1, hi=_MAX_DOUBLED_N, why=(
+                   f"must fit the 4^N doubled space, which holds 1 to "
+                   f"{_MAX_DOUBLED_N} sites"))}
+_EVOLVE = {
+    "continuous": {**_EVOLVE_RUN, "samples": _count(evolve.DEFAULT_SAMPLES),
+                   "evolution": _table({"kind": _KIND, "t": _real()})},
+    "discrete": {**_EVOLVE_RUN,
+                 "evolution": _table({"kind": _KIND, "steps": _count()})},
+    "converge": {**_EVOLVE_RUN, "evolution": _table({
+        "kind": _KIND, "tol": _real(1e-9), "horizon": _real(1000.0)})},
+}
+
 
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"model": True, "n_sites": True, "initial": True,
-                        "evolution": True, "samples": False, "seed": False},
-                  "config")
-    n = _whole(cfg["n_sites"], "n_sites")
-    if not 1 <= n <= _MAX_DOUBLED_N:
-        raise ConfigError(f"n_sites={n}: the 4^N doubled space holds 1 to "
-                          f"{_MAX_DOUBLED_N} sites")
-    state = build_initial(cfg["initial"], n)
-    evo = cfg["evolution"]
-    _require_keys(evo, {"kind": True, "t": False, "steps": False,
-                        "tol": False, "horizon": False}, "evolution")
-    samples = _whole(cfg.get("samples", evolve.DEFAULT_SAMPLES), "samples")
-    method = args.method
-    kind = evo["kind"]
-    if kind not in ("continuous", "discrete", "converge"):
-        raise ConfigError(f"unknown evolution.kind {kind!r}")
-    need = {"continuous": "t", "discrete": "steps"}.get(kind)
-    if need is not None and need not in evo:
-        raise ConfigError(f"missing key evolution.{need}")
+    kind = _form(cfg.get("evolution"), "kind", _KIND, "evolution")
+    run = _read(cfg, _EVOLVE[kind], "config")
     if kind == "discrete":
-        steps = _whole(evo["steps"], "evolution.steps")
-    model = (build_step if kind == "discrete" else build_spec)(cfg["model"], n)
+        _no_method(args, "a discrete evolve run")
+    n, evo = run["n_sites"], run["evolution"]
+    state = build_initial(run["initial"], n)
+    model = (build_step if kind == "discrete" else build_spec)(run["model"], n)
     # evolve raises ValueError for what the run cannot take: a negative or
-    # non-finite t or horizon, a negative step count, a bad tol, the
-    # diagonal method on a spec that is not basis preserving or on a state
-    # with coherences
+    # non-finite t or horizon, a negative step count, no samples, a bad tol,
+    # the diagonal method on a spec that is not basis preserving or on a
+    # state with coherences
     try:
         if kind == "continuous":
-            result = evolve.continuous_evolve(model, state, float(evo["t"]),
-                                              method=method, samples=samples)
+            result = evolve.continuous_evolve(
+                model, state, float(evo["t"]), method=args.method,
+                samples=run["samples"])
         elif kind == "discrete":
-            result = evolve.discrete_run(model, state, steps)
+            result = evolve.discrete_run(model, state, evo["steps"])
         else:
             result = evolve.converge_to_fixed_point(
-                model, state, tol=float(evo.get("tol", 1e-9)),
-                horizon=float(evo.get("horizon", 1000.0)), method=method)
+                model, state, tol=float(evo["tol"]),
+                horizon=float(evo["horizon"]), method=args.method)
     except ValueError as err:
         raise ConfigError(f"evolution: {err}") from err
-    _note_ignored(cfg["model"],
+    _note_ignored(run["model"],
                   "discrete" if kind == "discrete" else "continuous")
 
-    rows = [(r[0], r[1], r[2], r[3], result.method_used)
-            for r in result.trajectory]
-    write_trajectory(out / "trajectory.csv", rows)
+    write_trajectory(out / "trajectory.csv", [
+        (*r[:4], result.method_used) for r in result.trajectory])
     final = result.final_state
     ab = observables.project_alpha_beta(final)
-    summary = {
-        **_stamp(cfg),
-        "model": cfg["model"]["id"],
-        "n_sites": n,
-        "method": result.method_used,
-        "time_reached": result.time_reached,
+    write_json(out / "summary.json", {
+        **_stamp(cfg), "model": run["model"]["id"], "n_sites": n,
+        "method": result.method_used, "time_reached": result.time_reached,
         "converged": result.converged,
-        "final": {
-            "n_over_N": observables.density_n(final) / n,
-            "s_z": observables.expval_sz(final),
-            "trace": observables.trace_of(final).real,
-            "alpha": ab.alpha,
-            "beta_abs": abs(ab.beta),
-        },
-    }
-    write_json(out / "summary.json", summary)
+        "final": {"n_over_N": observables.density_n(final) / n,
+                  "s_z": observables.expval_sz(final),
+                  "trace": observables.trace_of(final).real,
+                  "alpha": ab.alpha, "beta_abs": abs(ab.beta)}})
     return 0 if (kind != "converge" or result.converged) else 2
 
 
-_FAMILIES = {"fuks", "dephasing", "ml"}
-
-
 def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"models": True, "mode": False, "seed": False},
-                  "config")
-    mode = cfg.get("mode", "dense")
-    if mode not in ("dense", "arnoldi"):
-        raise ConfigError(f"unknown mode {mode!r}; choose dense or arnoldi")
-    entries = cfg["models"]
-    if not entries:
-        raise ConfigError("models list is empty")
+    run = _read(cfg, {
+        "models": _list(_table({
+            "id": _one_of("fuks", "dephasing", "ml"), "params": _given({}),
+            "n_values": _list(_count(), nonempty=True),
+            "fit_exclude": _list(_count(), None)}), nonempty=True, entry="[]"),
+        "mode": _one_of("dense", "arnoldi", default="dense"),
+        "seed": _SEED}, "config")
+    mode, entries = run["mode"], run["models"]
     # every spec is built before any spectrum, so a size the family refuses
     # is a config error, not a row
     specs = []
     for entry in entries:
-        _require_keys(entry, {"id": True, "params": False, "n_values": True,
-                              "fit_exclude": False}, "models[]")
-        if entry["id"] not in _FAMILIES:
-            raise ConfigError(f"model {entry['id']!r} has no gap family")
-        n_values = [_whole(x, "models[].n_values entry")
-                    for x in entry["n_values"]]
-        if not n_values:
-            raise ConfigError("models[].n_values is empty")
-        for n in n_values:
+        for n in entry["n_values"]:
             if mode == "dense" and 4 ** n > DENSE_SUPEROP_CAP:
                 raise ConfigError(f"models[].n_values entry {n}: dense mode "
                                   f"is capped at 4^N = {DENSE_SUPEROP_CAP}")
-        model = {"id": entry["id"], "params": entry.get("params", {})}
-        specs.append((n_values, {n: build_spec(model, n) for n in n_values}))
+        model = {"id": entry["id"], "params": entry["params"]}
+        specs.append({n: build_spec(model, n) for n in entry["n_values"]})
     for entry in entries:
         _note_ignored(entry, "continuous")
-    all_rows = []
-    fits = {}
-    per_model_gaps = {}
-    failed = []
-    for entry, (n_values, spec_of) in zip(entries, specs):
-        reports = spectra.gap_scan(spec_of.__getitem__, n_values, mode=mode)
+    all_rows, failed, fits, per_model_gaps = [], [], {}, {}
+    for entry, spec_of in zip(entries, specs):
+        reports = spectra.gap_scan(spec_of.__getitem__, entry["n_values"],
+                                   mode=mode)
         gaps = {}
         for n, rep, err in reports:
             if rep is None:
@@ -386,14 +437,14 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
         per_model_gaps[entry["id"]] = gaps
         # the bond-projector family's smallest two ring sizes sit off the
         # power law; they default to excluded from the fit (overridable)
-        default_exclude = (4, 5) if entry["id"] == "dephasing" else ()
-        exclude = tuple(entry.get("fit_exclude", default_exclude))
+        exclude = entry["fit_exclude"]
+        if exclude is None:
+            exclude = (4, 5) if entry["id"] == "dephasing" else ()
         try:
-            fit = spectra.loglog_fit(sorted(gaps.items()), exclude=exclude)
-            fits[entry["id"]] = {"c": fit.c, "d": fit.d,
-                                 "stderr_c": fit.stderr_c,
-                                 "stderr_d": fit.stderr_d,
-                                 "n_points": fit.n_points}
+            fit = spectra.loglog_fit(sorted(gaps.items()), exclude)
+            fits[entry["id"]] = {
+                "c": fit.c, "d": fit.d, "stderr_c": fit.stderr_c,
+                "stderr_d": fit.stderr_d, "n_points": fit.n_points}
         except ValueError as err:
             fits[entry["id"]] = {"error": str(err)}
     write_csv(out / "gaps.csv", ["model", "N", "gap", "null_dim", "method"],
@@ -436,18 +487,13 @@ def _verify_all_rings(n: int) -> tuple[int, int]:
 
 
 def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"n_values": True, "seed": False}, "config")
-    n_values = [_whole(x, "n_values entry") for x in cfg["n_values"]]
-    for n in n_values:
-        if n < _MV_MIN_N or n % 3 != 0:
-            raise ConfigError(f"n_values entry {n} is not a multiple of 3 "
-                              f"from {_MV_MIN_N} on (pad the input first)")
-        if n > _VERIFY_MAX_N:
-            raise ConfigError(f"exhaustive verification capped at "
-                              f"N={_VERIFY_MAX_N}, got {n}")
-    rows = []
-    all_ok = True
-    for n in n_values:
+    run = _read(cfg, {"seed": _SEED, "n_values": _list(_count(
+        lo=_MV_MIN_N, hi=_VERIFY_MAX_N, multiple=3,
+        why=f"needs a multiple of 3 from {_MV_MIN_N} on (pad the input "
+            f"first), capped at N={_VERIFY_MAX_N}"), nonempty=True)},
+        "config")
+    rows, all_ok = [], True
+    for n in run["n_values"]:
         budget = classical.tau_formula(n)
         correct, worst = _verify_all_rings(n)
         ok = correct == 2 ** n and worst <= budget
@@ -464,6 +510,30 @@ def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
 # ring in one non-negative int64 code
 _MV_CONTINUOUS_MAX_N = 63
 
+_TRACK = _one_of("discrete", "continuous")
+_N_TRAJ = _count(400, lo=1, why="must be at least 1")
+_MV_CONTINUOUS_N = _count(lo=3, hi=_MV_CONTINUOUS_MAX_N, why=(
+    f"needs at least 3 sites: the continuous rules run on 3 to "
+    f"{_MV_CONTINUOUS_MAX_N} sites"))
+_MV_BITS = _table({"bits": _ring()})
+# in a single run, initial comes first: its bits are checked before the
+# ring size they must match
+_MV_RUN = {
+    "scan": {"seed": _SEED, "scan": _table({
+        "n_values": _list(_MV_CONTINUOUS_N, nonempty=True),
+        "n_traj": _N_TRAJ, "exact_cap": _count(evolve.DEFAULT_EXACT_CAP)})},
+    "discrete": {"initial": _MV_BITS, "track": _TRACK, "seed": _SEED,
+                 "n_sites": _count(lo=_MV_MIN_N, multiple=3, why=(
+                     f"needs at least {_MV_MIN_N} sites; pad a ring that is "
+                     f"not a multiple of 3"))},
+    "continuous": {"initial": _MV_BITS, "track": _TRACK, "seed": _SEED,
+                   "n_sites": _MV_CONTINUOUS_N, "n_traj": _N_TRAJ,
+                   "phase": _one_of("spread", "consensus",
+                                    default="consensus"),
+                   "t": _real(None, lo=0, hi=np.finfo(float).max,
+                                why="must be finite and non-negative")},
+}
+
 
 def _note_sampled(n: int, phase: str, n_traj: int, cap: int) -> None:
     """The stderr line of a continuous mv run that fell back to sampling."""
@@ -473,26 +543,12 @@ def _note_sampled(n: int, phase: str, n_traj: int, cap: int) -> None:
 
 
 def cmd_mv_run(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"scan": False, "n_sites": False, "initial": False,
-                        "track": False, "sublayers": False, "t": False,
-                        "phase": False, "seed": False, "n_traj": False},
-                  "config")
-    seed = _whole(cfg.get("seed", 0), "seed")
-    if "scan" in cfg:
-        scan = cfg["scan"]
-        _require_keys(scan, {"n_values": True, "n_traj": False,
-                             "exact_cap": False}, "scan")
-        n_traj = _whole(scan.get("n_traj", 400), "scan.n_traj")
-        cap = _whole(scan.get("exact_cap", evolve.DEFAULT_EXACT_CAP),
-                     "scan.exact_cap")
-        n_values = [_whole(x, "scan.n_values entry")
-                    for x in scan["n_values"]]
-        for n in n_values:
-            if not 3 <= n <= _MV_CONTINUOUS_MAX_N:
-                raise ConfigError(f"scan.n_values entry {n}: the continuous "
-                                  f"rules run on 3 to {_MV_CONTINUOUS_MAX_N} "
-                                  f"sites")
-        seeds = np.random.SeedSequence(seed).spawn(len(n_values))
+    form = "scan" if "scan" in cfg else _form(cfg, "track", _TRACK)
+    run = _read(cfg, _MV_RUN[form], "config")
+    if form == "scan":
+        n_values, n_traj, cap = (run["scan"][key] for key in
+                                 ("n_values", "n_traj", "exact_cap"))
+        seeds = np.random.SeedSequence(run["seed"]).spawn(len(n_values))
         results = [evolve.mv_worst_case_times(
                        n, n_traj=n_traj, rng=np.random.default_rng(s),
                        exact_cap=cap)
@@ -501,12 +557,10 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
             for phase in ("spread", "consensus"):
                 if r[f"method_{phase}"] == "gillespie":
                     _note_sampled(r["n_sites"], phase, n_traj, cap)
-        rows = [(r["n_sites"], r["tau_spread"], r["tau_consensus"],
-                 r["tau_total"], r["method_spread"], r["method_consensus"])
-                for r in results]
-        write_csv(out / "mv_tau.csv",
-                  ["N", "tau_spread", "tau_consensus", "tau_total",
-                   "method_spread", "method_consensus"], rows)
+        columns = ("n_sites", "tau_spread", "tau_consensus", "tau_total",
+                   "method_spread", "method_consensus")
+        write_csv(out / "mv_tau.csv", ["N", *columns[1:]],
+                  [tuple(r[c] for c in columns) for r in results])
         ns = np.array([r["n_sites"] for r in results], dtype=float)
         tot = np.array([r["tau_total"] for r in results])
         never = [int(n) for n, t in zip(ns, tot) if np.isnan(t)]
@@ -524,60 +578,31 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
         return 0
 
     # single run on one input
-    for key in ("n_sites", "initial", "track"):
-        if key not in cfg:
-            raise ConfigError(f"missing key config.{key}")
-    n = _whole(cfg["n_sites"], "n_sites")
-    _require_keys(cfg["initial"], {"bits": True}, "initial")
-    try:
-        bits = classical.parse_bits(cfg["initial"]["bits"])
-    except ValueError as err:
-        raise ConfigError(f"initial.bits: {err}") from err
+    n, bits = run["n_sites"], run["initial"]["bits"]
     if len(bits) != n:
-        raise ConfigError(
-            f"initial.bits has {len(bits)} sites, n_sites={n}")
-    if n < 3:
-        raise ConfigError(f"n_sites={n}: the rules need at least 3 sites")
-    phase = cfg.get("phase", "consensus")
-    if phase not in ("spread", "consensus"):
-        raise ConfigError(f"unknown phase {phase!r}; choose spread or "
-                          f"consensus")
-    if cfg["track"] == "discrete":
-        if n % 3 != 0:
-            raise ConfigError(f"n_sites={n} is not a multiple of 3; pad the "
-                              f"input first")
-        if n < _MV_MIN_N:
-            raise ConfigError(f"n_sites={n}: the discrete rule needs at "
-                              f"least {_MV_MIN_N} sites")
+        raise ConfigError(f"initial.bits has {len(bits)} sites, n_sites={n}")
+    if form == "discrete":
         label, used = classical.mv_classify(bits)
         write_json(out / "summary.json", {
             **_stamp(cfg), "label": label, "sublayers_used": used,
             "budget": classical.tau_formula(n)})
         return 0
-    if cfg["track"] != "continuous":
-        raise ConfigError(f"unknown track {cfg['track']!r}")
-    if n > _MV_CONTINUOUS_MAX_N:
-        raise ConfigError(f"n_sites={n}: the continuous rules run on 3 to "
-                          f"{_MV_CONTINUOUS_MAX_N} sites")
-    spec = (models.mv_lindblads(n)[0] if phase == "spread"
-            else models.mv_lindblads(n)[1])
-    t_max = float(_number(cfg.get("t", 3.0 * n), "t"))
-    if not (np.isfinite(t_max) and t_max >= 0):
-        raise ConfigError(f"t must be finite and non-negative, got {t_max}")
+    phase, n_traj = run["phase"], run["n_traj"]
+    spec = models.mv_lindblads(n)[0 if phase == "spread" else 1]
+    t_max = float(3.0 * n if run["t"] is None else run["t"])
     t_grid = np.linspace(0.0, t_max, 400)
-    n_traj = _whole(cfg.get("n_traj", 400), "n_traj")
     try:
         occ, method = evolve.mean_occupancy(
-            spec, bits, t_grid, n_traj, np.random.default_rng(seed),
+            spec, bits, t_grid, n_traj, np.random.default_rng(run["seed"]),
             evolve.DEFAULT_EXACT_CAP)
     except ValueError as err:
         raise ConfigError(f"t: {err}") from err
     if method == "gillespie":
         _note_sampled(n, phase, n_traj, evolve.DEFAULT_EXACT_CAP)
     dens = occ.sum(axis=1) / n
-    rows = [(t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
-            for i in range(len(t_grid))]
-    write_trajectory(out / "trajectory.csv", rows)
+    write_trajectory(out / "trajectory.csv", [
+        (t_grid[i], dens[i], n / 2 - dens[i] * n, 1.0, method)
+        for i in range(len(t_grid))])
     tau = evolve.crossing_time(t_grid, dens, 0.99)
     write_json(out / "summary.json", {
         **_stamp(cfg), "method": method, "final_n_over_N": float(dens[-1]),
@@ -586,11 +611,10 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
 
 
 def cmd_classify(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"bits": True, "pad": False, "seed": False}, "config")
-    bits = cfg["bits"]
-    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-        raise ConfigError(f"bits must be a 0/1 string, got {bits!r}")
-    padded = models.mv_pad(bits) if cfg.get("pad", True) else bits
+    run = _read(cfg, {"bits": _bitstring(), "seed": _SEED,
+                      "pad": _one_of(True, False, default=True)}, "config")
+    bits = run["bits"]
+    padded = models.mv_pad(bits) if run["pad"] else bits
     if len(padded) % 3 != 0:
         raise ConfigError(f"bits length {len(padded)} is not a multiple of 3 "
                           f"and padding is disabled")
@@ -605,82 +629,61 @@ def cmd_classify(cfg: dict, out: Path, args) -> int:
     return 0
 
 
+def _training_set(value, where: str) -> mlopt.TrainingSet:
+    """Labelled rings of at least 3 sites, as the ML jumps act on three."""
+    pairs = _list(_table({"bits": _bitstring(min_sites=3), "label": _count(
+        lo=0, hi=1, why="must be 0 or 1")}), nonempty=True, entry="[]")
+    return mlopt.TrainingSet(tuple(
+        mlopt.TrainingPair(tuple(map(int, pair["bits"])), pair["label"])
+        for pair in pairs[0](value, where)))
+
+
 def cmd_ml_cost(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"weights": True, "training_set": False,
-                        "seed": False}, "config")
-    weights = _ml_weights(cfg["weights"], "weights")
-    tset = _training_set_from(cfg.get("training_set"))
-    scores = mlopt.per_state_scores(weights, tset)
+    run = _read(cfg, {"weights": (_ml_weights, _NEEDED), "seed": _SEED,
+                      "training_set": (_training_set, None)}, "config")
+    scores = mlopt.per_state_scores(run["weights"], run["training_set"])
     write_json(out / "summary.json", {
-        **_stamp(cfg),
-        "cost": float(sum(s.summand for s in scores)),
-        "weights": list(weights.w),
-        "per_state": [{
+        **_stamp(cfg), "cost": float(sum(s.summand for s in scores)),
+        "weights": list(run["weights"].w), "per_state": [{
             "bits": "".join(map(str, s.bits)), "label": s.label,
             "f_zero": s.f_zero, "f_one": s.f_one, "summand": s.summand,
             "predicted": s.predicted, "misclassified": s.misclassified,
-        } for s in scores],
-    })
+        } for s in scores]})
     return 0
 
 
-def _training_set_from(raw):
-    if raw is None:
-        return None
-    pairs = []
-    for item in raw:
-        _require_keys(item, {"bits": True, "label": True}, "training_set[]")
-        bits, label = str(item["bits"]), item["label"]
-        if set(bits) - {"0", "1"}:
-            raise ConfigError(f"training_set[].bits {bits!r} is not a 0/1 "
-                              f"string")
-        if len(bits) < 3:
-            raise ConfigError(f"training_set[].bits {bits!r} has fewer than "
-                              f"3 sites; the jumps act on three")
-        if label not in (0, 1):
-            raise ConfigError(f"training_set[].label must be 0 or 1, "
-                              f"got {label!r}")
-        pairs.append(mlopt.TrainingPair(tuple(int(c) for c in bits), label))
-    return mlopt.TrainingSet(tuple(pairs))
-
-
 def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"restarts": False, "seed": False, "start": False,
-                        "training_set": False}, "config")
-    seed = _whole(cfg.get("seed", 0), "seed")
-    start = cfg.get("start")
-    if start not in (None, "published"):
-        raise ConfigError(f'start must be "published" or absent, got '
-                          f'{start!r}')
-    start = models.published_ml_weights() if start == "published" else None
-    res = mlopt.optimize_weights(
-        _training_set_from(cfg.get("training_set")),
-        restarts=_whole(cfg.get("restarts", 8), "restarts"),
-        rng=np.random.default_rng(seed), start=start)
+    run = _read(cfg, {"restarts": _count(8), "seed": _SEED,
+                      "start": _one_of("published", default=None),
+                      "training_set": (_training_set, None)}, "config")
+    start = models.published_ml_weights() if run["start"] else None
+    # optimize_weights raises ValueError for fewer than one restart
+    try:
+        res = mlopt.optimize_weights(
+            run["training_set"], restarts=run["restarts"],
+            rng=np.random.default_rng(run["seed"]), start=start)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     trunc = mlopt.truncate_weights(res.weights)
     write_json(out / "summary.json", {
-        **_stamp(cfg), "cost": res.cost,
-        "weights": list(res.weights.w),
-        "weights_3dp": list(trunc.w),
-        "restarts_run": res.restarts_run,
-        "evaluations": res.evaluations,
-    })
+        **_stamp(cfg), "cost": res.cost, "weights": list(res.weights.w),
+        "weights_3dp": list(trunc.w), "restarts_run": res.restarts_run,
+        "evaluations": res.evaluations})
     return 0
 
 
 def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
-    _require_keys(cfg, {"bits": True, "p": False, "steps": False,
-                        "n_seeds": False, "seed": False}, "config")
-    bits = cfg["bits"]
-    p = float(_number(cfg.get("p", 0.5), "p"))
-    steps = _whole(cfg.get("steps", 1000), "steps")
-    n_seeds = _whole(cfg.get("n_seeds", 20), "n_seeds")
-    base = _whole(cfg.get("seed", 0), "seed")
-    seeds = np.random.SeedSequence(base).spawn(n_seeds)
-    rows = []
-    reached = 0
-    n = len(bits)
+    run = _read(cfg, {"bits": _ring(), "p": _real(0.5), "seed": _SEED,
+                      "steps": _count(1000, lo=0, why="must be non-negative"),
+                      "n_seeds": _count(20, lo=1, why="must be at least 1")},
+                "config")
+    bits, steps, n_seeds = run["bits"], run["steps"], run["n_seeds"]
+    p = float(run["p"])
+    seeds = np.random.SeedSequence(run["seed"]).spawn(n_seeds)
+    rows, reached, n = [], 0, len(bits)
     for i, s in enumerate(seeds):
+        # the trajectory raises ValueError for a p outside [0, 1] and a
+        # ring under 3 sites
         try:
             final = classical.fates_classical_trajectory(
                 p, bits, steps, np.random.default_rng(s))
@@ -694,13 +697,13 @@ def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
     write_json(out / "summary.json", {
         **_stamp(cfg), "p": p, "steps": steps, "n_seeds": n_seeds,
         "runs_reaching_all_ones": reached,
-        "max_final_density": max(r[2] for r in rows),
-    })
+        "max_final_density": max(r[2] for r in rows)})
     return 0
 
 
 def cmd_selftest(cfg: dict, out: Path, args) -> int:
     """Fast invariant sweep; prints one line per check."""
+    rng = np.random.default_rng(_read(cfg, {"seed": _SEED}, "config")["seed"])
     checks = []
 
     def check(name, fn):
@@ -710,8 +713,6 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         except Exception as err:
             checks.append((name, False, f"{type(err).__name__}: {err}"))
 
-    rng = np.random.default_rng(_whole(cfg.get("seed", 0), "seed"))
-
     def random_density(n):
         dim = 2 ** n
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -719,23 +720,20 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         return rho / np.trace(rho)
 
     def c_round_trip():
-        from .superop import devectorize
         for n in (1, 2, 3, 4):
             rho = random_density(n)
             assert np.array_equal(devectorize(vectorize(rho)), rho)
 
     def c_channel_traces():
-        from .observables import trace_of
         for step in (models.fuks_step(models.FuksParams(0.3), 3),
                      models.mv_spread_step(3), models.mv_consensus_step(3),
                      models.fates_step(0.4, 3)):
             for _ in range(10):
                 v = vectorize(random_density(3))
                 out = VecState(3, step.matrix @ v.amplitudes)
-                assert abs(trace_of(out) - 1) < 1e-10
+                assert abs(observables.trace_of(out) - 1) < 1e-10
 
     def c_generator_trace_annihilation():
-        from .superop import assemble_lindbladian, devectorize
         for spec in (models.fuks_lindblad(models.FuksParams(0.3), 3),
                      models.dephasing_lindblad(models.DephasingParams(), 3)):
             gen = assemble_lindbladian(spec)
@@ -746,18 +744,16 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
     def c_kernel_dims():
         assert spectra.spectrum(
             models.fuks_lindblad(models.FuksParams(0.3), 3)).null_dim == 4
-        assert spectra.spectrum(
-            models.dephasing_lindblad(models.DephasingParams(), 3)).null_dim == 4
+        assert spectra.spectrum(models.dephasing_lindblad(
+            models.DephasingParams(), 3)).null_dim == 4
 
     def c_mv_budget():
         correct, worst = _verify_all_rings(6)
         assert correct == 2 ** 6 and worst <= classical.tau_formula(6)
 
     def c_diagonal_oracle():
-        from .observables import diag_indices
-        from .superop import assemble_lindbladian
         spec = models.fuks_lindblad(models.FuksParams(0.3), 3)
-        idx = diag_indices(3)
+        idx = observables.diag_indices(3)
         got = evolve.diagonal_rate_matrix(spec).toarray()
         want = assemble_lindbladian(spec).dense()[np.ix_(idx, idx)].real
         assert np.abs(got - want).max() < 1e-12
@@ -773,11 +769,8 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}{': ' + msg if msg else ''}")
     all_ok = all(ok for _, ok, _ in checks)
     write_json(out / "selftest.json", {
-        **_stamp(cfg),
-        "checks": [{"name": n, "ok": ok, "error": msg}
-                   for n, ok, msg in checks],
-        "all_ok": all_ok,
-    })
+        **_stamp(cfg), "all_ok": all_ok, "checks": [
+            {"name": n, "ok": ok, "error": msg} for n, ok, msg in checks]})
     return 0 if all_ok else 3
 
 
@@ -820,10 +813,13 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as err:
             print(f"error: config is not valid JSON: {err}", file=sys.stderr)
             return 1
-    if args.seed is not None:
-        cfg.setdefault("seed", args.seed)
-
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+        if args.seed is not None:
+            cfg.setdefault("seed", args.seed)
+        if args.command != "evolve":
+            _no_method(args, args.command)
         return COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

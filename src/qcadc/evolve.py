@@ -494,6 +494,8 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n = spec.n_sites
     method = _auto_method(spec, state) if method == "auto" else method
 
@@ -502,9 +504,8 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
         return EvolutionResult(state, 0.0, True, method,
                                row if record else None)
 
-    n_steps = max(1, samples)
-    dt = t / n_steps
-    times = dt * np.arange(1, n_steps + 1)
+    dt = t / samples
+    times = dt * np.arange(1, samples + 1)
     if method == "diagonal":
         Q, probs = diagonal_rate_matrix(spec), _diagonal_part(state)
         flow = (_lift_diagonal(p, n) for p in uniformized_rows(

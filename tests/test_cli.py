@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -647,8 +648,7 @@ def test_discrete_evolve_checks_its_model(tmp_path, capsys, model, extra,
         "discrete-gamma-out-of-range"])
 def test_evolve_names_the_fuks_parameter_it_ignores(tmp_path, capsys,
                                                     evolution, used, ignored):
-    cfg = {"n_sites": 3, "initial": {"bits": "001"}, "samples": 4,
-           "evolution": evolution}
+    cfg = {"n_sites": 3, "initial": {"bits": "001"}, "evolution": evolution}
     code, bare = run(tmp_path / "bare", "evolve",
                      {**cfg, "model": {"id": "fuks", "params": used}})
     assert code == 0
@@ -751,6 +751,83 @@ def test_gap_scan_exits_3_naming_the_sizes_that_fail(tmp_path, capsys,
         "numerical failure: no spectrum for fuks N=4\n")
     _, rows = read_csv(out / "gaps.csv")
     assert rows[1][:3] == ["fuks", "4", "nan"]
+
+
+_MV_DISCRETE = {"n_sites": 6, "initial": {"bits": "110100"},
+                "track": "discrete"}
+_MV_SPREAD = {**_DISCRETE, "model": {"id": "mv-spread"}}
+_FUKS_FIT = {"id": "fuks", "n_values": [3, 4, 5]}
+
+
+@pytest.mark.parametrize("command, cfg, extra, key", [
+    ("mv-run", {"scan": {"n_values": [6]}, "n_sites": 9, "track": "discrete",
+                "n_traj": 5, "t": 1.0}, (), "n_sites"),
+    ("mv-run", {**_MV_DISCRETE, "sublayers": 3}, (), "sublayers"),
+    ("mv-run", {"scan": {"n_values": [6]}, "sublayers": 3}, (), "sublayers"),
+    ("mv-run", {**_MV_DISCRETE, "t": 1.0}, (), "t"),
+    ("mv-run", {**_MV_DISCRETE, "n_traj": 5}, (), "n_traj"),
+    ("mv-run", {**_MV_DISCRETE, "phase": "spread"}, (), "phase"),
+    ("evolve", {**_MV_SPREAD, "evolution": {**_DISCRETE["evolution"],
+                                            "t": 1.0}}, (), "evolution.t"),
+    ("evolve", {**_MV_SPREAD, "evolution": {**_DISCRETE["evolution"],
+                                            "tol": 1e-6}}, (),
+     "evolution.tol"),
+    ("evolve", {**_MV_SPREAD, "samples": 4}, (), "samples"),
+    ("evolve", {**_MV_SPREAD, "model": {"id": "fuks"}, "samples": 0,
+                "evolution": {"kind": "continuous", "t": 1.0}}, (),
+     "samples"),
+    ("evolve", _MV_SPREAD, ("--method", "krylov"), "--method"),
+    ("gap-scan", {"models": [{"id": "fuks", "n_values": [3]}]},
+     ("--method", "krylov"), "--method"),
+    ("mv-verify", {"n_values": "69"}, (), "n_values"),
+    ("fates-demo", {"bits": 5}, (), "bits"),
+    ("fates-demo", {"bits": "1101100", "n_seeds": 0}, (), "n_seeds"),
+    ("fates-demo", {"bits": "1101100", "steps": -1}, (), "steps"),
+    ("ml-opt", {"restarts": 0}, (), "restarts"),
+    ("gap-scan", {"models": [{**_FUKS_FIT, "fit_exclude": 5}]}, (),
+     "fit_exclude"),
+    ("gap-scan", {"models": [{**_FUKS_FIT, "fit_exclude": "3"}]}, (),
+     "fit_exclude"),
+    ("selftest", {"foo": 1}, (), "foo"),
+    ("evolve", {**_MV_SPREAD, "model": {"id": "fuks"}, "n_sites": True,
+                "initial": {"bits": "1"}}, (), "n_sites"),
+    ("mv-run", {"n_sites": True, "initial": {"bits": "1"},
+                "track": "continuous"}, (), "n_sites"),
+], ids=["mv-scan-single-run-keys", "mv-single-sublayers", "mv-scan-sublayers",
+        "mv-discrete-t", "mv-discrete-n_traj", "mv-discrete-phase",
+        "discrete-evolve-t", "discrete-evolve-tol", "discrete-evolve-samples",
+        "evolve-no-samples", "discrete-evolve-method", "gap-scan-method",
+        "mv-verify-string", "fates-demo-int-bits", "fates-demo-no-seeds",
+        "fates-demo-negative-steps", "ml-opt-no-restarts",
+        "gap-scan-fit-exclude-int", "gap-scan-fit-exclude-string",
+        "selftest-unknown-key", "evolve-n_sites-true", "mv-run-n_sites-true"])
+def test_each_run_form_refuses_what_it_does_not_read(tmp_path, capsys, command,
+                                                     cfg, extra, key):
+    # one table per run form: a key the form does not read, a value outside
+    # its reader's bounds, or a --method the run does not read ends in one
+    # error line that names it, before any output
+    code, out = run(tmp_path, command, cfg, extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+    assert not out.exists()
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the benchmark's command builder, run from its source (nothing is written
+# under perfbench/)
+_WORKLOADS = runpy.run_path(str(_PERFBENCH / "workloads.py"))
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS["WORKLOADS"]))
+def test_benchmark_configs_are_accepted(tmp_path, workload):
+    # every benchmark run enters through cli.main with --seed, so a config
+    # the tables refused would fail every run of its workload
+    for cmd in _WORKLOADS["build"](workload, 1, tiny=True).commands:
+        code, _ = run(tmp_path / cmd.name, cmd.subcommand, cmd.config,
+                      ("--seed", "1"))
+        assert code == 0, cmd.name
 
 
 def run_probe(probe: str) -> str:

@@ -89,6 +89,20 @@ def test_discrete_run_rejects_negative_steps():
         discrete_run(step, vectorize(basis_density([0, 0, 1])), max_steps=-1)
 
 
+@pytest.mark.parametrize("t, samples, message", [
+    (-1.0, 4, "t must be finite and non-negative"),
+    (1.0, 0, "samples must be at least 1, got 0"),
+    (1.0, -5, "samples must be at least 1, got -5"),
+    (0.0, 0, "samples must be at least 1, got 0"),
+])
+def test_continuous_evolve_rejects_bad_t_and_samples(t, samples, message):
+    # no samples is an error, not one sample; t = 0 does not skip the check
+    spec = fuks_lindblad(FuksParams(0.3), 3)
+    with pytest.raises(ValueError, match=message):
+        continuous_evolve(spec, vectorize(basis_density([0, 0, 1])), t,
+                          samples=samples)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_kind_of_run_rejects_a_non_finite_state():
     state = vectorize(basis_density([0, 0, 1]))
