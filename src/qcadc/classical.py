@@ -178,6 +178,8 @@ def fates_classical_trajectory(p: float, bits, n_steps: int,
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     arr = parse_bits(bits)
+    if len(arr) < 3:    # the partitioned update's windows need three sites
+        raise ValueError(f"need at least 3 sites, got {len(arr)}")
     for _ in range(n_steps):
         rule = 184 if rng.random() < p else 232
         arr = partitioned_rule_step(rule, arr)

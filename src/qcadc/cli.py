@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import DENSE_SUPEROP_CAP, ENGINE_VERSION
 from . import classical, evolve, mlopt, models, observables, spectra
-from .superop import VecState, assemble_lindbladian, devectorize, vectorize
+from .superop import (VecState, assemble_lindbladian, devectorize,
+                      reachable_generator, vectorize)
 
 __all__ = ["main"]
 
@@ -757,6 +758,20 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         got = evolve.diagonal_rate_matrix(spec).toarray()
         want = assemble_lindbladian(spec).dense()[np.ix_(idx, idx)].real
         assert np.abs(got - want).max() < 1e-12
+        # continuous runs take the rate matrix from the block a basis state
+        # reaches: real, on diagonal indices, with the same moves
+        basis_001 = np.zeros(64, dtype=complex)
+        basis_001[idx[1]] = 1.0
+        state = VecState(3, basis_001)
+        codes, sub = reachable_generator(spec, basis_001)
+        basis = np.searchsorted(idx, codes)
+        assert len(codes) > 1 and np.array_equal(idx[basis], codes)
+        block = sub.toarray()
+        assert not block.imag.any()
+        off = ~np.eye(len(codes), dtype=bool)
+        assert np.abs(block.real - got[np.ix_(basis, basis)])[off].max() < 1e-12
+        assert evolve.continuous_evolve(spec, state,
+                                        0.0).method_used == "diagonal"
 
     check("vectorization round trip", c_round_trip)
     check("discrete steps preserve trace", c_channel_traces)

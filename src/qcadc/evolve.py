@@ -6,27 +6,29 @@ the one-pass uniformized diagonal flow) and hands it to one sampling driver,
 :func:`_run`, which stops the run when its stop rule fires and raises
 ``FloatingPointError`` on the first non-finite state.
 
-Method selection for continuous evolution:
-
-* ``diagonal``  -- the generator is basis preserving and the state diagonal;
-                   the 2^N probability vector follows the classical rate
-                   matrix (exactly the restriction of the Lindbladian) in
-                   one uniformization pass over the whole sample grid.
-* ``dense``     -- one dense exponential of the generator per run.
-* ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
-                   adaptive substepping.
-* ``auto``      -- diagonal when admissible, dense up to 4^N = 4096, else
-                   krylov.
-
-``dense`` and ``krylov`` run on the set of doubled indices the initial
+Continuous runs and the fixed-point search share one propagator,
+:func:`_propagate`.  It runs on the set of doubled indices the initial
 state can reach (:func:`superop.reachable_generator`): the closure of its
 support under the local terms' column patterns, with the generator's
 columns built on that set alone, never the 4^N matrix.  The generator
 never leaves the set, so amplitudes outside it are zero at t = 0 and stay
-exactly zero; each sample is scattered back to 4^N.  ``auto`` still
-decides on 4^N, not on the set's size, so a config's method label does not
-depend on its initial state; on a small set both methods are cheap (the
-N = 7 dephasing run from two adjacent particles reaches 441 indices).
+exactly zero; each sample is scattered back to 4^N in one place.  Methods:
+
+* ``diagonal``  -- the block is a classical rate matrix: every reached
+                   index is diagonal (ket digit equal to bra digit at every
+                   site), every entry real and every off-diagonal entry
+                   non-negative.  The probabilities on the block follow it
+                   in one uniformization pass over the whole time grid.
+* ``dense``     -- one dense exponential of the block per run.
+* ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
+                   adaptive substepping.
+* ``auto``      -- diagonal when the block is a rate matrix, else dense up
+                   to 4^N = 4096 and krylov above.
+
+Off the diagonal path ``auto`` decides on 4^N, not on the set's size, so a
+config's method label does not depend on how far its initial state
+reaches; on a small set both methods are cheap (the N = 7 dephasing run
+from two adjacent particles reaches 441 indices).
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
-from .observables import density_n, diag_indices, expval_sz, trace_of
+from .observables import density_n, expval_sz, trace_of
 # not called; perfbench/tracer.py patches this name and fails without it
 from .superop import assemble_lindbladian  # noqa: F401
 from .superop import (LindbladSpec, SuperOp, VecState, basis_moves,
@@ -96,12 +98,11 @@ StopRule = Callable[[VecState, VecState, int], bool]
 
 
 def _iterate(step: Callable[[np.ndarray], np.ndarray],
-             state: VecState) -> Iterator[VecState]:
-    """The states after one, two, ... applications of ``step``."""
-    v = state.amplitudes.copy()
+             v: np.ndarray) -> Iterator[np.ndarray]:
+    """The vectors after one, two, ... applications of ``step`` to ``v``."""
     while True:
         v = step(v)
-        yield VecState(state.n_sites, v)
+        yield v
 
 
 def _run(state: VecState, times: Iterable[float], flow: Iterator[VecState],
@@ -136,9 +137,10 @@ def discrete_run(step: SuperOp, state: VecState, max_steps: int,
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if step.matrix.shape[0] != len(state.amplitudes):
         raise ValueError("step dimension does not match state")
+    flow = (VecState(state.n_sites, v)
+            for v in _iterate(lambda v: step.matrix @ v, state.amplitudes))
     final, reached, stopped, rows = _run(
-        state, map(float, range(1, max_steps + 1)),
-        _iterate(lambda v: step.matrix @ v, state), record, stop)
+        state, map(float, range(1, max_steps + 1)), flow, record, stop)
     return EvolutionResult(final, reached, stopped, "discrete", rows)
 
 
@@ -216,8 +218,10 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float,
 
 
 def is_basis_preserving(spec: LindbladSpec) -> bool:
-    """Whether the diagonal path applies: exactly when
-    :class:`DiagonalDynamics` accepts ``spec``."""
+    """Whether :class:`DiagonalDynamics` accepts ``spec``: the guard of the
+    classical-shadow tools (the mv scan, Gillespie sampling, the ML rate
+    matrices).  Continuous runs do not ask it; their diagonal path applies
+    when the reachable block is a rate matrix (:func:`_propagate`)."""
     try:
         DiagonalDynamics(spec)
     except NotBasisPreservingError:
@@ -424,64 +428,61 @@ def diagonal_rate_matrix(spec: LindbladSpec) -> sp.csr_matrix:
 # continuous evolution
 
 
-def _diagonal_part(state: VecState) -> np.ndarray:
-    """Probabilities of a diagonal state; rejects states with coherences."""
+def _is_rate_matrix(codes: np.ndarray, sub: sp.csr_matrix,
+                    n_sites: int) -> bool:
+    """Whether the generator ``sub`` on the doubled indices ``codes`` is a
+    classical rate matrix: every index diagonal, no entry with a nonzero
+    imaginary part and no negative off-diagonal entry.  A non-finite entry
+    is not held against it; the run reports that as a numerical failure."""
+    # site digit 2 ket + bra sits at bits 2j + 1 and 2j of an index, so the
+    # index is diagonal when every such bit pair agrees
+    if np.any(((codes >> 1) ^ codes) & ((4 ** n_sites - 1) // 3)):
+        return False
+    coo = sub.tocoo()
+    off = coo.data.real[coo.row != coo.col]
+    return not (np.any(np.abs(coo.data.imag) > 0) or np.any(off < 0))
+
+
+def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
+               method: str) -> tuple[str, np.ndarray, Iterator[VecState]]:
+    """``(method, times, flow)``: the method ``method`` stands for, the
+    times k dt for k = 1..count, and the flow of the states exp(L t)[state]
+    at those times.  The generator and the propagator are built once, on
+    the doubled indices ``state`` can reach; see the module docstring."""
     n = state.n_sites
-    probs = state.amplitudes[diag_indices(n)]
-    if abs(probs.real.sum() - 1) > 1e-8:
-        raise ValueError("state trace is not 1")
-    off_mass = np.abs(state.amplitudes).sum() - np.abs(probs).sum()
-    if off_mass > 1e-12:
-        raise ValueError("state has off-diagonal weight; diagonal path invalid")
-    return probs.real
-
-
-def _lift_diagonal(probs: np.ndarray, n_sites: int) -> VecState:
-    v = np.zeros(4 ** n_sites, dtype=complex)
-    v[diag_indices(n_sites)] = probs
-    return VecState(n_sites, v)
-
-
-def _auto_method(spec: LindbladSpec, state: VecState) -> str:
-    """What ``auto`` stands for: diagonal when admissible for ``state``,
-    else dense up to ``DENSE_EXPM_CAP`` and krylov above."""
-    if is_basis_preserving(spec):
-        try:
-            _diagonal_part(state)
-            return "diagonal"
-        except ValueError:
-            pass
-    return "dense" if 4 ** spec.n_sites <= DENSE_EXPM_CAP else "krylov"
-
-
-def _step(sub: sp.csr_matrix, codes: np.ndarray, dt: float,
-          method: str) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> exp(L dt) v, built once: a dense expm for "dense", a Krylov
-    action per call for "krylov".
-
-    ``sub`` is the generator L on the doubled indices ``codes``, a set L
-    never leaves that holds the support of every 4^N vector v passed in
-    (:func:`superop.reachable_generator`); the result is scattered back to
-    4^N, and the entries outside ``codes`` stay exactly zero.
-    """
-    if method == "dense":
-        if sub.shape[0] > DENSE_SUPEROP_CAP:
+    codes, sub = reachable_generator(spec, state.amplitudes)
+    rate_matrix = _is_rate_matrix(codes, sub, n)
+    if method == "auto":
+        method = ("diagonal" if rate_matrix else
+                  "dense" if 4 ** n <= DENSE_EXPM_CAP else "krylov")
+    times = dt * np.arange(1, count + 1)
+    w = state.amplitudes[codes]
+    if method == "diagonal":
+        if not rate_matrix:
+            raise NotBasisPreservingError(
+                "the diagonal path needs a basis-preserving flow, but the "
+                "state or the generator puts off-diagonal weight on the "
+                "indices the state reaches")
+        # one streamed uniformization pass over every time
+        blocks = (row for _, rows in _uniformized_blocks(
+            sub.real, w.real, sp.identity(len(codes), format="csr"), times)
+            for row in rows)
+    elif method == "dense":
+        if len(codes) > DENSE_SUPEROP_CAP:
             raise ValueError(f"dense path refused above dimension "
                              f"{DENSE_SUPEROP_CAP}")
         prop = expm(sub.toarray() * dt)
-        act = lambda w: prop @ w
+        blocks = _iterate(lambda v: prop @ v, w)
     elif method == "krylov":
-        act = lambda w: krylov_expmv(sub, w, dt)
+        blocks = _iterate(lambda v: krylov_expmv(sub, v, dt), w)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    def step(v: np.ndarray) -> np.ndarray:
-        if len(codes) == len(v):
-            return act(v)
-        out = np.zeros(len(v), dtype=complex)
-        out[codes] = act(v[codes])
-        return out
-    return step
+    def lift(block: np.ndarray) -> VecState:
+        v = np.zeros(4 ** n, dtype=complex)
+        v[codes] = block
+        return VecState(n, v)
+    return method, times, map(lift, blocks)
 
 
 def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
@@ -491,28 +492,15 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
 
     ``samples`` evenly spaced intermediate states are recorded (the paper-
     style coarse profiles need no more); sampling is exact, not interpolated.
+    At t = 0 the method is still resolved and checked, and the run is the
+    single t = 0 row.
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    n = spec.n_sites
-    method = _auto_method(spec, state) if method == "auto" else method
-
-    if t == 0:
-        row = np.array([_sample_row(0.0, state)])
-        return EvolutionResult(state, 0.0, True, method,
-                               row if record else None)
-
-    dt = t / samples
-    times = dt * np.arange(1, samples + 1)
-    if method == "diagonal":
-        Q, probs = diagonal_rate_matrix(spec), _diagonal_part(state)
-        flow = (_lift_diagonal(p, n) for p in uniformized_rows(
-            Q, probs, sp.identity(2 ** n, format="csr"), times))
-    else:
-        codes, sub = reachable_generator(spec, state.amplitudes)
-        flow = _iterate(_step(sub, codes, dt, method), state)
+    method, times, flow = _propagate(spec, state, t / samples,
+                                     samples if t else 0, method)
     final, _, _, rows = _run(state, times, flow, record)
     return EvolutionResult(final, t, True, method, rows)
 
@@ -524,31 +512,21 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
 def converge_to_fixed_point(spec: LindbladSpec, state: VecState,
                             tol: float = 1e-9, horizon: float = 1000.0,
                             method: str = "auto") -> EvolutionResult:
-    """Advance by unit time, with a propagator built once, until successive
-    states differ by less than ``tol`` in 2-norm; ``ceil(horizon)`` units
-    without that flag non-convergence."""
+    """Advance by unit time, on one propagator (:func:`_propagate`), until
+    successive states differ by less than ``tol`` in 2-norm; ``ceil(horizon)``
+    units without that flag non-convergence."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= horizon < np.inf:
         raise ValueError(f"horizon must be finite and non-negative, "
                          f"got {horizon}")
-    n = state.n_sites
-    method = _auto_method(spec, state) if method == "auto" else method
-    if method == "diagonal":
-        _diagonal_part(state)               # rejects states with coherences
-        Q = diagonal_rate_matrix(spec)
-        idx, ident = diag_indices(n), sp.identity(2 ** n, format="csr")
-        advance = lambda v: _lift_diagonal(uniformized_rows(
-            Q, v[idx].real, ident, [1.0])[0], n).amplitudes
-    else:
-        codes, sub = reachable_generator(spec, state.amplitudes)
-        advance = _step(sub, codes, 1.0, method)
+    method, times, flow = _propagate(spec, state, 1.0, math.ceil(horizon),
+                                     method)
     final, reached, converged, rows = _run(
-        state, map(float, range(1, math.ceil(horizon) + 1)),
-        _iterate(advance, state), True,
+        state, times, flow, True,
         lambda previous, current, _index: np.linalg.norm(
             current.amplitudes - previous.amplitudes) < tol)
-    return EvolutionResult(final, reached, converged, "continuous", rows)
+    return EvolutionResult(final, reached, converged, method, rows)
 
 
 def crossing_time(t_grid: np.ndarray, values: np.ndarray,

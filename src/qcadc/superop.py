@@ -453,13 +453,12 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     codes = np.flatnonzero(reached)
     if count == len(reached):   # every index: the 4^N sum is the same matrix
         return codes, _embed_terms(by_support, n)
-    position = np.cumsum(reached) - 1    # of each reached code in ``codes``
 
     dim = len(codes)
     sub = sp.csr_matrix((dim, dim), dtype=complex)
     for term in terms:
         col, row, val = moves(codes, *term)
-        part = sp.coo_matrix((val, (position[row], col)),
+        part = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
                              shape=(dim, dim)).tocsr()
         part.sum_duplicates()
         part.sort_indices()

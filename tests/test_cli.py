@@ -168,6 +168,11 @@ def test_evolve_converge_exit_codes(tmp_path):
      {"kind": "continuous", "t": 1.0}, "diagonal", "basis-preserving"),
     ({"id": "fuks"}, {"named": "ghz"}, {"kind": "converge"}, "diagonal",
      "off-diagonal weight"),
+    # at t = 0 the method is checked all the same
+    ({"id": "dephasing", "params": {"omega": 1.0}}, {"bits": "001"},
+     {"kind": "continuous", "t": 0}, "diagonal", "basis-preserving"),
+    ({"id": "fuks"}, {"named": "ghz"}, {"kind": "continuous", "t": 0},
+     "diagonal", "off-diagonal weight"),
     ({"id": "fuks"}, {"bits": "0a1"}, {"kind": "continuous", "t": 1.0},
      "auto", "initial.bits"),
     ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous"}, "auto",
@@ -181,7 +186,8 @@ def test_evolve_converge_exit_codes(tmp_path):
     ({"id": "fuks"}, {"bits": "001"}, {"kind": "converge", "horizon": -5},
      "auto", "horizon must be finite and non-negative"),
 ], ids=["negative-t", "infinite-t", "nan-t", "diagonal-not-basis-preserving",
-        "diagonal-coherent-state", "bad-bits", "missing-t", "negative-steps",
+        "diagonal-coherent-state", "diagonal-t0-not-basis-preserving",
+        "diagonal-t0-coherent-state", "bad-bits", "missing-t", "negative-steps",
         "infinite-horizon", "negative-horizon"])
 def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
                                 method, message):
@@ -484,6 +490,16 @@ def test_fates_demo_rejects_short_ring(tmp_path, capsys):
     code, _ = run(tmp_path, "fates-demo", {"bits": "11", "n_seeds": 1})
     assert code == 1
     assert "at least 3 sites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["11", ""])
+def test_fates_demo_rejects_short_ring_with_no_steps(tmp_path, capsys, bits):
+    # no step updates the ring, but its size is checked all the same
+    code, out = run(tmp_path, "fates-demo", {"bits": bits, "steps": 0})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 3 sites" in err
+    assert not out.exists()
 
 
 def test_classify_with_padding(tmp_path):

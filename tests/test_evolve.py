@@ -20,9 +20,9 @@ from qcadc.evolve import (
 from qcadc.evolve import (_first_crossing, _poisson_cutoff, _poisson_pmf,
                           _uniformized_blocks)
 from qcadc.models import (
-    DephasingParams, FuksParams, dephasing_lindblad, fuks_kraus_sets,
-    fuks_lindblad, fuks_step, mv_consensus_step, mv_lindblads, mv_spread_step,
-    published_ml_weights, ml_lindblad,
+    DephasingParams, FuksParams, MLWeights, dephasing_lindblad,
+    fuks_kraus_sets, fuks_lindblad, fuks_step, mv_consensus_step,
+    mv_lindblads, mv_spread_step, published_ml_weights, ml_lindblad,
 )
 from qcadc.observables import (density_n, diag_indices, diag_probabilities,
                                expval_sz, trace_of)
@@ -815,6 +815,12 @@ def test_continuous_t_zero_identity(rng):
     state = vectorize(random_density(rng, 3))
     out = continuous_evolve(spec, state, 0.0)
     assert np.array_equal(out.final_state.amplitudes, state.amplitudes)
+    assert out.method_used == "dense" and len(out.trajectory) == 1
+    # an explicit method is checked at t = 0 as at any other t
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        continuous_evolve(spec, state, 0.0, method="bogus")
+    with pytest.raises(NotBasisPreservingError, match="off-diagonal weight"):
+        continuous_evolve(spec, state, 0.0, method="diagonal")
 
 
 def test_fuks_continuous_steady_state_from_001():
@@ -840,17 +846,81 @@ def test_dephasing_continuous_steady_states():
         assert abs(probs[idx] - 1 / 3) < 1e-6
 
 
-def test_mixed_width_spec_is_not_diagonal_and_auto_runs_dense():
-    # every jump is basis preserving, but the move table takes one width
+def test_mixed_width_spec_runs_diagonal_though_diagonal_dynamics_refuses_it():
+    # every jump is basis preserving, but the move table of DiagonalDynamics
+    # takes one width; a continuous run decides on its reachable block
     fuks = fuks_lindblad(FuksParams(0.3), 3)
     mixed = LindbladSpec(3, (), fuks.jumps
                          + ((LocalOperator((0,), SIGMA_MINUS), 0.5),))
     assert not is_basis_preserving(mixed)
+    with pytest.raises(NotBasisPreservingError, match="mixed jump widths"):
+        DiagonalDynamics(mixed)
     state = vectorize(basis_density([0, 1, 1]))
     out = continuous_evolve(mixed, state, 1.0, samples=2)
-    assert out.method_used == "dense"
-    with pytest.raises(NotBasisPreservingError, match="mixed jump widths"):
-        continuous_evolve(mixed, state, 1.0, method="diagonal")
+    assert out.method_used == "diagonal"
+    want = continuous_evolve(mixed, state, 1.0, method="dense", samples=2)
+    assert np.abs(out.trajectory - want.trajectory).max() < 1e-12
+    assert np.abs(out.final_state.amplitudes
+                  - want.final_state.amplitudes).max() < 1e-12
+
+
+BASIS_PRESERVING = ("fuks", "ml", "mv", "mixed")
+
+
+def basis_preserving_groups(rng, n, family):
+    """Specs of one jump width each, whose jumps together make the drawn
+    spec: fuks, ml with random weights, one mv rule, or fuks plus a
+    one-site decay."""
+    fuks = fuks_lindblad(FuksParams(0.3), n)
+    return {
+        "fuks": lambda: (fuks,),
+        "ml": lambda: (ml_lindblad(MLWeights.from_free(rng.uniform(0, 1, 6)),
+                                   n),),
+        "mv": lambda: (mv_lindblads(n)[rng.integers(2)],),
+        "mixed": lambda: (fuks, LindbladSpec(n, (), ((LocalOperator(
+            (int(rng.integers(n)),), SIGMA_MINUS), rng.uniform(0.1, 2.0)),))),
+    }[family]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 5), family=st.sampled_from(BASIS_PRESERVING),
+       seed=st.integers(0, 2 ** 16))
+def test_basis_preserving_block_runs_diagonal_and_matches_dense(n, family,
+                                                                seed):
+    rng = np.random.default_rng(seed)
+    groups = basis_preserving_groups(rng, n, family)
+    spec = LindbladSpec(n, (), sum((g.jumps for g in groups), ()))
+    probs = rng.dirichlet(np.ones(2 ** n)) * (rng.random(2 ** n) < 0.3)
+    probs[rng.integers(2 ** n)] += 0.1
+    amplitudes = np.zeros(4 ** n, dtype=complex)
+    amplitudes[diag_indices(n)] = probs / probs.sum()
+    state = VecState(n, amplitudes)
+    t = rng.uniform(0.1, 3.0)
+    out = continuous_evolve(spec, state, t, samples=3)
+    assert out.method_used == "diagonal"
+    want = continuous_evolve(spec, state, t, method="dense", samples=3)
+    assert np.abs(out.trajectory - want.trajectory).max() < 1e-12
+    assert np.abs(out.final_state.amplitudes
+                  - want.final_state.amplitudes).max() < 1e-12
+    # the block's moves are those of the classical rate matrix
+    codes, sub = reachable_generator(spec, amplitudes)
+    basis = np.searchsorted(diag_indices(n), codes)
+    assert np.array_equal(diag_indices(n)[basis], codes)
+    Q = sum(diagonal_rate_matrix(g) for g in groups).toarray()
+    off = ~np.eye(len(codes), dtype=bool)
+    assert np.abs(sub.toarray()[off]
+                  - Q[np.ix_(basis, basis)][off]).max(initial=0.0) <= 1e-12
+
+
+def test_dephasing_without_hopping_runs_diagonal_from_a_basis_state():
+    spec = dephasing_lindblad(DephasingParams(0.0, 0.7), 6)
+    state = vectorize(basis_density([1, 1, 0, 1, 0, 0]))
+    out = continuous_evolve(spec, state, 5.0, samples=8)
+    assert out.method_used == "diagonal"
+    want = continuous_evolve(spec, state, 5.0, method="krylov", samples=8)
+    assert np.abs(out.trajectory - want.trajectory).max() < 1e-10
+    assert np.abs(out.final_state.amplitudes
+                  - want.final_state.amplitudes).max() < 1e-10
 
 
 def test_zero_rate_superposition_jump_keeps_the_diagonal_path():
@@ -1049,22 +1119,24 @@ def test_krylov_benchmark_run_stays_on_its_reachable_set(monkeypatch):
     assert abs(out.trajectory[-1, 3] - 1) < 1e-12
 
 
-@pytest.mark.parametrize("model, initial, reached", [
-    ({"id": "fuks"}, {"named": "ghz"}, 4),
-    ({"id": "dephasing", "params": {"omega": 0.0}}, {"bits": "1111100000"},
-     252),
-])
-def test_n10_krylov_run_builds_no_4n_generator(monkeypatch, model, initial,
-                                               reached):
-    # the reachable set is a sliver of the 4^10 = 1,048,576 indices
+def refuse_4n_generator(monkeypatch):
     import qcadc.evolve as ev
     import qcadc.superop as so
-    from qcadc.cli import build_initial, build_spec
 
     def refused(spec):
         raise AssertionError("the 4^N generator was assembled")
     for owner in (ev, so):
         monkeypatch.setattr(owner, "assemble_lindbladian", refused)
+
+
+@pytest.mark.parametrize("model, initial, reached", [
+    ({"id": "fuks"}, {"named": "ghz"}, 4),
+])
+def test_n10_krylov_run_builds_no_4n_generator(monkeypatch, model, initial,
+                                               reached):
+    # the reachable set is a sliver of the 4^10 = 1,048,576 indices
+    from qcadc.cli import build_initial, build_spec
+    refuse_4n_generator(monkeypatch)
     lengths = krylov_lengths(monkeypatch)
     spec, state = build_spec(model, 10), build_initial(initial, 10)
     out = continuous_evolve(spec, state, 10.0, samples=8)
@@ -1072,6 +1144,43 @@ def test_n10_krylov_run_builds_no_4n_generator(monkeypatch, model, initial,
     assert lengths == [reached] * 8
     assert np.abs(out.trajectory[:, 3] - 1).max() < 1e-12
     assert np.abs(out.trajectory[:, 1] - 0.5).max() < 1e-12
+
+
+def test_n10_dephasing_basis_run_is_diagonal_on_its_reachable_block(
+        monkeypatch):
+    # without hopping the block is the C(10, 5) = 252 diagonal indices of
+    # the state's particle number: a rate matrix, run by uniformization
+    import qcadc.evolve as ev
+    from qcadc.cli import build_initial, build_spec
+    refuse_4n_generator(monkeypatch)
+    sizes = []
+    monkeypatch.setattr(ev, "reachable_generator", lambda *a: (
+        lambda r: sizes.append(len(r[0])) or r)(reachable_generator(*a)))
+    spec = build_spec({"id": "dephasing", "params": {"omega": 0.0}}, 10)
+    state = build_initial({"bits": "1111100000"}, 10)
+    out = continuous_evolve(spec, state, 10.0, samples=8)
+    assert out.method_used == "diagonal"
+    assert sizes == [252]
+    assert np.abs(out.trajectory[:, 3] - 1).max() < 1e-12
+    assert np.abs(out.trajectory[:, 1] - 0.5).max() < 1e-12
+
+
+def test_continuous_runs_never_build_the_whole_ring_rate_matrix(monkeypatch,
+                                                                rng):
+    import qcadc.evolve as ev
+
+    def refused(spec):
+        raise AssertionError("the whole-ring rate matrix was built")
+    for name in ("DiagonalDynamics", "diagonal_rate_matrix"):
+        monkeypatch.setattr(ev, name, refused)
+    spec = fuks_lindblad(FuksParams(0.3), 4)
+    basis = vectorize(basis_density([0, 1, 1, 0]))
+    for state, method in ((basis, "diagonal"),
+                          (vectorize(random_density(rng, 4)), "dense")):
+        assert continuous_evolve(spec, state, 2.0,
+                                 samples=4).method_used == method
+        assert converge_to_fixed_point(spec, state,
+                                       horizon=3).method_used == method
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1231,10 @@ def test_converge_diagonal_markov_preserves_sz():
 
 
 def test_converge_builds_its_propagator_once(monkeypatch, rng):
+    # one block, one propagator: a dense expm, or one uniformization pass
+    # over every unit time
     import qcadc.evolve as ev
-    calls = {"reachable_generator": 0, "expm": 0, "diagonal_rate_matrix": 0}
+    calls = {"reachable_generator": 0, "expm": 0, "_uniformized_blocks": 0}
 
     def counted(name):
         fn = getattr(ev, name)
@@ -1139,12 +1250,15 @@ def test_converge_builds_its_propagator_once(monkeypatch, rng):
     out = converge_to_fixed_point(spec, vectorize(random_density(rng, 3)),
                                   tol=1e-14, horizon=5)
     assert out.time_reached == 5 and not out.converged
+    assert out.method_used == "dense"
     assert calls == {"reachable_generator": 1, "expm": 1,
-                     "diagonal_rate_matrix": 0}
+                     "_uniformized_blocks": 0}
     out = converge_to_fixed_point(spec, vectorize(basis_density([0, 0, 1])),
                                   tol=1e-14, horizon=5)
     assert out.time_reached == 5 and not out.converged
-    assert calls["diagonal_rate_matrix"] == 1
+    assert out.method_used == "diagonal"
+    assert calls == {"reachable_generator": 2, "expm": 1,
+                     "_uniformized_blocks": 1}
 
 
 def test_crossing_time():
