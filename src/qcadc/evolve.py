@@ -1,10 +1,13 @@
 """Time evolution: discrete stepping, continuous Lindblad flows, the
 diagonal classical fast path, and fixed-point detection.
 
-Every run builds its flow of states (repeated application of one step, or
-the one-pass uniformized diagonal flow) and hands it to one sampling driver,
-:func:`_run`, which stops the run when its stop rule fires and raises
-``FloatingPointError`` on the first non-finite state.
+Every run builds its flow of vectors (repeated application of one step to
+the 4^N vector, or the propagator on the block of doubled indices the state
+reaches) and hands it to one sampling driver, :func:`_run`.  The driver
+checks each vector on its block, raising ``FloatingPointError`` on the
+first non-finite one, stops a fixed-point search on that block, and
+scatters a vector to 4^N only for a recorded sample and for the final
+state.
 
 Continuous runs and the fixed-point search share one propagator,
 :func:`_propagate`.  It runs on the set of doubled indices the initial
@@ -12,13 +15,16 @@ state can reach (:func:`superop.reachable_generator`): the closure of its
 support under the local terms' column patterns, with the generator's
 columns built on that set alone, never the 4^N matrix.  The generator
 never leaves the set, so amplitudes outside it are zero at t = 0 and stay
-exactly zero; each sample is scattered back to 4^N in one place.  Methods:
+exactly zero.  Methods:
 
 * ``diagonal``  -- the block is a classical rate matrix: every reached
                    index is diagonal (ket digit equal to bra digit at every
                    site), every entry real and every off-diagonal entry
                    non-negative.  The probabilities on the block follow it
-                   in one uniformization pass over the whole time grid.
+                   in one uniformization pass over the whole time grid; a
+                   fixed-point search streams its horizon in passes of at
+                   most ``_MAX_JUMPS`` expected jumps, each from the last
+                   state of the one before.
 * ``dense``     -- one dense exponential of the block per run.
 * ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
                    adaptive substepping.
@@ -29,6 +35,11 @@ Off the diagonal path ``auto`` decides on 4^N, not on the set's size, so a
 config's method label does not depend on how far its initial state
 reaches; on a small set both methods are cheap (the N = 7 dephasing run
 from two adjacent particles reaches 441 indices).
+
+The majority-voting runs read per-site occupation curves from one stream,
+:func:`_occupancy`: exact on the ascending reachable set of
+:meth:`DiagonalDynamics.reachable`, by uniformization, or one block of
+Gillespie means when that set holds more than ``exact_cap`` states.
 """
 from __future__ import annotations
 
@@ -94,8 +105,6 @@ def _sample_row(t: float, state: VecState) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 # the run driver and discrete stepping
 
-StopRule = Callable[[VecState, VecState, int], bool]
-
 
 def _iterate(step: Callable[[np.ndarray], np.ndarray],
              v: np.ndarray) -> Iterator[np.ndarray]:
@@ -105,43 +114,57 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray],
         yield v
 
 
-def _run(state: VecState, times: Iterable[float], flow: Iterator[VecState],
-         record: bool, stop: StopRule | None = None):
-    """Sample ``state`` at t = 0, then the states of ``flow`` at ``times``.
+def _run(state: VecState, times: Iterable[float], codes: np.ndarray | None,
+         flow: Iterator[np.ndarray], record: bool, tol: float | None = None):
+    """Sample ``state`` at t = 0, then the vectors of ``flow`` at ``times``.
 
-    Returns (final state, time reached, whether ``stop`` fired, trajectory
-    or None).  ``stop(previous, current, index)`` is asked after the
-    ``index``-th state (from 1) and ends the run when it returns True.  A
-    non-finite state raises ``FloatingPointError``.
+    ``flow`` yields amplitudes on the doubled indices ``codes`` (zero off
+    them), or on every index when ``codes`` is None.  Each vector is
+    checked on its block and scattered to a 4^N state only for a recorded
+    row and, once more, for the final state.  Returns (final state, time
+    reached, whether the run converged, trajectory or None).  With ``tol``
+    the run converges, and stops, at the first vector within ``tol`` in
+    2-norm of the one before it (the first is compared with ``state``).  A
+    non-finite vector raises ``FloatingPointError``.
     """
+    n = state.n_sites
+
+    def lift(block: np.ndarray) -> VecState:
+        if codes is None:
+            return VecState(n, block)
+        v = np.zeros(4 ** n, dtype=complex)
+        v[codes] = block
+        return VecState(n, v)
+
     rows = [_sample_row(0.0, state)] if record else None
-    current, reached = state, 0.0
+    previous = state.amplitudes if codes is None else state.amplitudes[codes]
+    block, reached, converged = None, 0.0, False
     # times first: the flow computes no state past the last time
-    for index, (tk, new) in enumerate(zip(times, flow), start=1):
-        if not np.all(np.isfinite(new.amplitudes)):
+    for tk, block in zip(times, flow):
+        if not np.all(np.isfinite(block)):
             raise FloatingPointError(f"non-finite amplitudes at t = {tk:g}")
         if record:
-            rows.append(_sample_row(tk, new))
-        previous, current, reached = current, new, float(tk)
-        if stop is not None and stop(previous, current, index):
-            return current, reached, True, (np.array(rows) if record else None)
-    return current, reached, False, (np.array(rows) if record else None)
+            rows.append(_sample_row(tk, lift(block)))
+        reached = float(tk)
+        if tol is not None and np.linalg.norm(block - previous) < tol:
+            converged = True
+            break
+        previous = block
+    final = state if block is None else lift(block)
+    return final, reached, converged, (np.array(rows) if record else None)
 
 
 def discrete_run(step: SuperOp, state: VecState, max_steps: int,
-                 stop: StopRule | None = None,
                  record: bool = True) -> EvolutionResult:
-    """Apply ``step`` up to ``max_steps`` times; ``stop(previous, current,
-    index)`` ends the run early when it returns True."""
+    """Apply ``step`` ``max_steps`` times."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if step.matrix.shape[0] != len(state.amplitudes):
         raise ValueError("step dimension does not match state")
-    flow = (VecState(state.n_sites, v)
-            for v in _iterate(lambda v: step.matrix @ v, state.amplitudes))
-    final, reached, stopped, rows = _run(
-        state, map(float, range(1, max_steps + 1)), flow, record, stop)
-    return EvolutionResult(final, reached, stopped, "discrete", rows)
+    final, reached, _, rows = _run(
+        state, map(float, range(1, max_steps + 1)), None,
+        _iterate(lambda v: step.matrix @ v, state.amplitudes), record)
+    return EvolutionResult(final, reached, False, "discrete", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,38 +363,29 @@ class DiagonalDynamics:
     def reachable(self, bits0: np.ndarray, cap: int = 3_000_000):
         """(codes, Q_sub) for the subspace reachable from one basis state.
 
-        Breadth-first: ``codes`` lists the states in discovery order, the
-        start first; states found from one frontier are ordered by their
-        first move, taking the frontier's states in order and each state's
-        moves in move-table order.  A set of more than ``cap`` states raises
+        Breadth-first over sorted frontiers: each frontier's moves are
+        matched at once, the destinations not yet seen (found by bisection
+        in the sorted set) are the next frontier, and ``codes`` holds every
+        state reached, ascending.  ``Q_sub`` is the rate matrix on
+        ``codes``.  A set of more than ``cap`` states raises
         ``MemoryError``.
         """
         frontier = np.array([_code_of(bits0)], dtype=np.int64)
-        levels = [frontier]
-        seen = frontier                  # sorted
+        codes = frontier
         edges = []
         while len(frontier):
             src, dst, rate = self.enabled_moves(frontier)
-            by_state = np.argsort(frontier, kind="stable")
-            at = by_state[np.searchsorted(frontier[by_state], src)]
-            order = np.argsort(at, kind="stable")
-            src, dst, rate = src[order], dst[order], rate[order]
             edges.append((src, dst, rate))
-            pos = np.minimum(np.searchsorted(seen, dst), len(seen) - 1)
-            fresh = dst[seen[pos] != dst]
-            _, first = np.unique(fresh, return_index=True)
-            frontier = fresh[np.sort(first)]
-            if len(seen) + len(frontier) > cap:
+            pos = np.minimum(np.searchsorted(codes, dst), len(codes) - 1)
+            frontier = np.unique(dst[codes[pos] != dst])
+            if len(codes) + len(frontier) > cap:
                 raise MemoryError(f"reachable set exceeds cap {cap}")
-            levels.append(frontier)
-            seen = np.union1d(seen, frontier)
-        codes = np.concatenate(levels)
+            codes = np.union1d(codes, frontier)
         src, dst, rate = (np.concatenate(col) for col in zip(*edges))
-        by_code = np.argsort(codes)          # codes[by_code] == seen
-        rows = by_code[np.searchsorted(seen, dst)]
-        cols = by_code[np.searchsorted(seen, src)]
         dim = len(codes)
-        Q = sp.coo_matrix((rate, (rows, cols)), shape=(dim, dim)).tocsr()
+        Q = sp.coo_matrix((rate, (np.searchsorted(codes, dst),
+                                  np.searchsorted(codes, src))),
+                          shape=(dim, dim)).tocsr()
         Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
         return codes, Q
 
@@ -444,18 +458,20 @@ def _is_rate_matrix(codes: np.ndarray, sub: sp.csr_matrix,
 
 
 def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
-               method: str) -> tuple[str, np.ndarray, Iterator[VecState]]:
-    """``(method, times, flow)``: the method ``method`` stands for, the
-    times k dt for k = 1..count, and the flow of the states exp(L t)[state]
-    at those times.  The generator and the propagator are built once, on
-    the doubled indices ``state`` can reach; see the module docstring."""
+               method: str, passes: bool = False
+               ) -> tuple[str, np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """``(method, times, codes, flow)``: the method ``method`` stands for,
+    the times k dt for k = 1..count, the doubled indices ``state`` can
+    reach, and the flow of exp(L t)[state] on those indices at those times.
+    The generator and the propagator are built once, on ``codes``; see the
+    module docstring.  ``passes`` streams a diagonal flow in passes of at
+    most ``_MAX_JUMPS`` expected jumps (:func:`_uniformized_flow`)."""
     n = state.n_sites
     codes, sub = reachable_generator(spec, state.amplitudes)
     rate_matrix = _is_rate_matrix(codes, sub, n)
     if method == "auto":
         method = ("diagonal" if rate_matrix else
                   "dense" if 4 ** n <= DENSE_EXPM_CAP else "krylov")
-    times = dt * np.arange(1, count + 1)
     w = state.amplitudes[codes]
     if method == "diagonal":
         if not rate_matrix:
@@ -463,26 +479,18 @@ def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
                 "the diagonal path needs a basis-preserving flow, but the "
                 "state or the generator puts off-diagonal weight on the "
                 "indices the state reaches")
-        # one streamed uniformization pass over every time
-        blocks = (row for _, rows in _uniformized_blocks(
-            sub.real, w.real, sp.identity(len(codes), format="csr"), times)
-            for row in rows)
+        flow = _uniformized_flow(sub.real, w.real, dt, count, passes)
     elif method == "dense":
         if len(codes) > DENSE_SUPEROP_CAP:
             raise ValueError(f"dense path refused above dimension "
                              f"{DENSE_SUPEROP_CAP}")
         prop = expm(sub.toarray() * dt)
-        blocks = _iterate(lambda v: prop @ v, w)
+        flow = _iterate(lambda v: prop @ v, w)
     elif method == "krylov":
-        blocks = _iterate(lambda v: krylov_expmv(sub, v, dt), w)
+        flow = _iterate(lambda v: krylov_expmv(sub, v, dt), w)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    def lift(block: np.ndarray) -> VecState:
-        v = np.zeros(4 ** n, dtype=complex)
-        v[codes] = block
-        return VecState(n, v)
-    return method, times, map(lift, blocks)
+    return method, dt * np.arange(1, count + 1), codes, flow
 
 
 def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
@@ -499,9 +507,9 @@ def continuous_evolve(spec: LindbladSpec, state: VecState, t: float,
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    method, times, flow = _propagate(spec, state, t / samples,
-                                     samples if t else 0, method)
-    final, _, _, rows = _run(state, times, flow, record)
+    method, times, codes, flow = _propagate(spec, state, t / samples,
+                                            samples if t else 0, method)
+    final, _, _, rows = _run(state, times, codes, flow, record)
     return EvolutionResult(final, t, True, method, rows)
 
 
@@ -514,18 +522,19 @@ def converge_to_fixed_point(spec: LindbladSpec, state: VecState,
                             method: str = "auto") -> EvolutionResult:
     """Advance by unit time, on one propagator (:func:`_propagate`), until
     successive states differ by less than ``tol`` in 2-norm; ``ceil(horizon)``
-    units without that flag non-convergence."""
+    units without that flag non-convergence.  The test is taken on the
+    block of doubled indices the state reaches; a diagonal run streams the
+    horizon in passes of bounded length, so one that converges early is
+    not refused for the length of its horizon."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= horizon < np.inf:
         raise ValueError(f"horizon must be finite and non-negative, "
                          f"got {horizon}")
-    method, times, flow = _propagate(spec, state, 1.0, math.ceil(horizon),
-                                     method)
-    final, reached, converged, rows = _run(
-        state, times, flow, True,
-        lambda previous, current, _index: np.linalg.norm(
-            current.amplitudes - previous.amplitudes) < tol)
+    method, times, codes, flow = _propagate(
+        spec, state, 1.0, math.ceil(horizon), method, passes=True)
+    final, reached, converged, rows = _run(state, times, codes, flow, True,
+                                           tol)
     return EvolutionResult(final, reached, converged, method, rows)
 
 
@@ -687,39 +696,61 @@ def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
     return rows
 
 
-def _reachable_chain(spec: LindbladSpec, bits0: np.ndarray, exact_cap: int):
-    """``(dyn, chain)``: the :class:`DiagonalDynamics` of ``spec``, and the
-    arguments ``(Q, p0, bits_of)`` of :func:`uniformized_rows` on the set
-    reachable from ``bits0``, or None when that holds more than
-    ``exact_cap`` states."""
+def _uniformized_flow(Q: sp.spmatrix, p0: np.ndarray, dt: float, count: int,
+                      passes: bool) -> Iterator[np.ndarray]:
+    """exp(Q k dt) p0 for k = 1..count, by uniformization: one pass over
+    every time, or with ``passes`` passes of at most ``_MAX_JUMPS`` expected
+    jumps (one step at least), each from the last vector of the one before.
+    :func:`_uniformized_blocks` refuses a pass over that budget."""
+    eye = sp.identity(Q.shape[0], format="csr")
+    jumps = max(float(-Q.diagonal().min()), 0.0) * dt if Q.shape[0] else 0.0
+    span = (max(1, int(_MAX_JUMPS / jumps))
+            if passes and jumps * count > _MAX_JUMPS else max(count, 1))
+    for start in range(0, count, span):
+        times = dt * np.arange(1, min(span, count - start) + 1)
+        for _, rows in _uniformized_blocks(Q, p0, eye, times):
+            yield from rows
+        p0 = rows[-1]
+
+
+def _occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
+               n_traj: int, rng: np.random.Generator, exact_cap: int
+               ) -> tuple[str, Iterable[tuple[np.ndarray, np.ndarray]]]:
+    """``(method, blocks)``: the per-site occupation curves from the basis
+    state ``bits0`` on the ascending ``t_grid``, as ``(idx, rows)`` blocks
+    whose grid indices ``idx`` come in order of time.
+
+    Exact on the reachable subspace, streamed by
+    :func:`_uniformized_blocks`, when that holds at most ``exact_cap``
+    states ("diagonal-exact"); else one block of every row, the mean of
+    ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie").
+    """
     dyn = DiagonalDynamics(spec)
-    n = spec.n_sites
     try:
         codes, Q = dyn.reachable(bits0, cap=exact_cap)
     except MemoryError:
-        return dyn, None
+        occ = dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng)
+        return "gillespie", [(np.arange(len(t_grid)), occ)]
+    n = spec.n_sites
     bits_of = ((codes[:, None] >> (n - 1 - np.arange(n))) & 1).astype(float)
     p0 = np.zeros(len(codes))
-    p0[0] = 1.0
-    return dyn, (Q, p0, bits_of)
+    p0[np.searchsorted(codes, _code_of(bits0))] = 1.0
+    return "diagonal-exact", _uniformized_blocks(Q, p0, bits_of, t_grid)
 
 
 def mean_occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
                    n_traj: int, rng: np.random.Generator,
                    exact_cap: int) -> tuple[np.ndarray, str]:
-    """Per-site occupation curves from the basis state ``bits0``.
-
-    Exact on the reachable subspace, by :func:`uniformized_rows`, when that
-    holds at most ``exact_cap`` states ("diagonal-exact"); else the mean of
-    ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie").
-    Every time of ``t_grid`` is computed; :func:`_first_crossing` stops at
-    the first time a function of the curves crosses 0.99.
+    """Per-site occupation curves from the basis state ``bits0``: every
+    block of :func:`_occupancy`, collected.  :func:`_first_crossing` reads
+    the same stream and stops at the first time a function of the curves
+    crosses 0.99.
     """
-    dyn, chain = _reachable_chain(spec, bits0, exact_cap)
-    if chain is None:
-        return (dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng),
-                "gillespie")
-    return uniformized_rows(*chain, t_grid), "diagonal-exact"
+    method, blocks = _occupancy(spec, bits0, t_grid, n_traj, rng, exact_cap)
+    occ = np.empty((len(t_grid), spec.n_sites))
+    for idx, rows in blocks:
+        occ[idx] = rows
+    return occ, method
 
 
 def _first_crossing(spec: LindbladSpec, bits0: np.ndarray,
@@ -730,18 +761,15 @@ def _first_crossing(spec: LindbladSpec, bits0: np.ndarray,
     """``(tau, method)``: the first time of the ascending ``t_grid`` at which
     ``reduce`` of the :func:`mean_occupancy` rows exceeds 0.99, or NaN.
 
-    The exact path stops streaming at the block that makes that row final;
-    the Gillespie path fills every row and applies :func:`crossing_time`.
+    The blocks of :func:`_occupancy` are scanned in order of time, so the
+    exact stream stops at the block that makes that row final.
     """
-    dyn, chain = _reachable_chain(spec, bits0, exact_cap)
-    if chain is None:
-        occ = dyn.gillespie_mean_occupancy(bits0, t_grid, n_traj, rng)
-        return crossing_time(t_grid, reduce(occ), _MV_THRESHOLD), "gillespie"
-    for idx, rows in _uniformized_blocks(*chain, t_grid):
+    method, blocks = _occupancy(spec, bits0, t_grid, n_traj, rng, exact_cap)
+    for idx, rows in blocks:
         hit = np.flatnonzero(reduce(rows) > _MV_THRESHOLD)
         if len(hit):
-            return float(t_grid[idx[hit[0]]]), "diagonal-exact"
-    return float("nan"), "diagonal-exact"
+            return float(t_grid[idx[hit[0]]]), method
+    return float("nan"), method
 
 
 def mv_worst_case_times(n_sites: int, n_traj: int = 400,

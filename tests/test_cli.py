@@ -477,6 +477,19 @@ def test_evolve_refuses_uniformization_too_long_to_stream(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evolve_converge_streams_a_long_horizon_in_passes(tmp_path):
+    # exit rate 2e5 over the default horizon of 1000 is 2e8 expected jumps,
+    # over one pass's budget; the run needs 2 unit steps
+    cfg = {"model": {"id": "fuks", "params": {"gamma": 1e5}},
+           "n_sites": 3, "initial": {"bits": "001"},
+           "evolution": {"kind": "converge"}}
+    code, out = run(tmp_path, "evolve", cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] and summary["method"] == "diagonal"
+    assert summary["time_reached"] == 2.0
+
+
 def test_mv_run_refuses_uniformization_too_long_to_stream(tmp_path, capsys):
     cfg = {"n_sites": 6, "initial": {"bits": "110000"},
            "track": "continuous", "phase": "spread", "t": 1e300}

@@ -51,16 +51,6 @@ def test_discrete_identity_step_keeps_state(rng):
     assert out.time_reached == 7
 
 
-def test_discrete_run_stop_rule():
-    step = fuks_step(FuksParams(0.5), 3)
-    state = vectorize(basis_density([0, 1, 0]))
-    out = discrete_run(step, state, max_steps=50,
-                       stop=lambda prev, cur, k:
-                       np.linalg.norm(cur.amplitudes - prev.amplitudes) < 1e-12)
-    assert out.converged
-    assert out.time_reached < 10
-
-
 def test_discrete_run_trajectory_columns():
     step = fuks_step(FuksParams(0.3), 3)
     out = discrete_run(step, vectorize(basis_density([0, 0, 1])), max_steps=5)
@@ -69,18 +59,24 @@ def test_discrete_run_trajectory_columns():
     assert np.allclose(out.trajectory[:, 3], 1.0, atol=1e-8)
 
 
-def test_discrete_run_stop_gets_the_index_of_each_state():
+def test_discrete_run_keeps_each_step_vector_uncopied():
+    # the final state holds the last product itself, not a 4^N copy of it
     step = fuks_step(FuksParams(0.3), 3)
-    seen = []
+    products = []
 
-    def stop(prev, cur, k):
-        seen.append(k)
-        return k == 3
-    out = discrete_run(step, vectorize(basis_density([0, 0, 1])),
-                       max_steps=10, stop=stop)
-    assert seen == [1, 2, 3]
-    assert out.converged and out.time_reached == 3.0
-    assert out.trajectory[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    class Recorded:
+        shape = step.matrix.shape
+
+        def __matmul__(self, v):
+            products.append(step.matrix @ v)
+            return products[-1]
+    state = vectorize(basis_density([0, 0, 1]))
+    out = discrete_run(SuperOp(3, Recorded(), "step"), state, max_steps=4)
+    assert len(products) == 4
+    assert out.final_state.amplitudes is products[-1]
+    assert not out.converged and out.time_reached == 4.0
+    want = discrete_run(step, state, max_steps=4)
+    assert np.array_equal(out.trajectory, want.trajectory)
 
 
 def test_discrete_run_rejects_negative_steps():
@@ -303,33 +299,38 @@ def _reference_moves(table, n, code):
 
 
 def _reference_reachable(spec, bits0):
+    """Breadth-first search one state and one move at a time; the rate
+    matrix is built on the reached codes in ascending order."""
     table, n = _reference_table(spec), spec.n_sites
     start = 0
     for b in bits0:
         start = (start << 1) | int(b)
-    index = {start: 0}
-    order = [start]
+    seen = {start}
     edges = []
     frontier = [start]
     while frontier:
         nxt = []
         for code in frontier:
             for dst, rate in _reference_moves(table, n, code):
-                if dst not in index:
-                    index[dst] = len(order)
-                    order.append(dst)
+                if dst not in seen:
+                    seen.add(dst)
                     nxt.append(dst)
-                edges.append((index[dst], index[code], rate))
+                edges.append((dst, code, rate))
         frontier = nxt
-    dim = len(order)
-    r, c, v = zip(*edges) if edges else ((), (), ())
+    codes = sorted(seen)
+    index = {code: i for i, code in enumerate(codes)}
+    dim = len(codes)
+    r, c, v = (zip(*((index[dst], index[src], rate)
+                     for dst, src, rate in edges))
+               if edges else ((), (), ()))
     Q = sp.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
     Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
-    return np.array(order, dtype=np.int64), Q
+    return np.array(codes, dtype=np.int64), Q
 
 
 def assert_same_reachable(spec, bits0):
-    """reachable equals the reference to the bit; its cap is inclusive."""
+    """reachable equals the reference to the bit, codes ascending; its cap
+    is inclusive."""
     dyn = DiagonalDynamics(spec)
     want_codes, want_Q = _reference_reachable(spec, bits0)
     codes, Q = dyn.reachable(bits0)
@@ -369,6 +370,9 @@ def random_basis_preserving_spec(rng, n):
 @given(st.integers(min_value=3, max_value=7),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
+# the diagonal of a discovery-order Q, permuted to ascending codes, differs
+# here in the last bit: its column sums are taken in another row order
+@example(n=3, seed=164)
 def test_reachable_matches_reference_bfs_random_specs(n, seed):
     rng = np.random.default_rng(seed)
     assert_same_reachable(random_basis_preserving_spec(rng, n),
@@ -782,6 +786,20 @@ def test_first_crossing_matches_crossing_time_random_specs(n, seed):
         assert_first_crossing_is_crossing_time(
             spec, bits0, t_grid, lambda occ: occ.mean(axis=1) + shift, cap,
             seed)
+
+
+def test_first_crossing_on_the_gillespie_branch_is_crossing_time():
+    # a cap of 3 states samples both phases; for one seed the scan reads the
+    # one block mean_occupancy collects
+    for spec, bits0, t_grid, reduce in mv_phases(9):
+        occ, method = mean_occupancy(spec, bits0, t_grid, 30,
+                                     np.random.default_rng(7), 3)
+        assert method == "gillespie"
+        tau, got_method = _first_crossing(spec, bits0, t_grid, reduce, 30,
+                                          np.random.default_rng(7), 3)
+        assert got_method == "gillespie"
+        assert not np.isnan(tau)
+        assert tau == crossing_time(t_grid, reduce(occ), 0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -1228,6 +1246,41 @@ def test_converge_diagonal_markov_preserves_sz():
     assert out.converged
     sz = out.trajectory[:, 2]
     assert np.abs(sz - sz[0]).max() < 1e-8
+
+
+def test_converge_tests_its_reachable_block_not_the_4n_vector(monkeypatch):
+    sizes = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: (
+        sizes.append(np.size(x)) or norm(x, *args, **kwargs)))
+    spec = fuks_lindblad(FuksParams(0.3), 4)
+    out = converge_to_fixed_point(spec, vectorize(basis_density([0, 1, 1, 0])),
+                                  tol=1e-9, horizon=200)
+    assert out.converged and out.method_used == "diagonal"
+    assert len(sizes) == out.time_reached       # one test per unit step
+    assert max(sizes) < 4 ** 4
+
+
+def test_diagonal_converge_streams_its_horizon_in_passes(monkeypatch):
+    import qcadc.evolve as ev
+    Q = sp.csr_matrix(np.array([[-1.0, 2.0], [1.0, -2.0]]))
+    p0 = np.array([1.0, 0.0])
+    want = np.array([expm(Q.toarray() * k) @ p0 for k in range(1, 11)])
+    single = np.array(list(ev._uniformized_flow(Q, p0, 1.0, 10, False)))
+    assert np.abs(single - want).max() < 1e-13
+    # exit rate 2: a budget of 7 jumps takes 3 unit steps a pass
+    monkeypatch.setattr(ev, "_MAX_JUMPS", 7.0)
+    lengths = []
+    blocks = ev._uniformized_blocks
+    monkeypatch.setattr(ev, "_uniformized_blocks", lambda Q, p0, obs, t: (
+        lengths.append(len(t)) or blocks(Q, p0, obs, t)))
+    got = np.array(list(ev._uniformized_flow(Q, p0, 1.0, 10, True)))
+    assert lengths == [3, 3, 3, 1]
+    assert np.abs(got - want).max() < 1e-13
+    # a continuous run keeps its single pass, and its refusal
+    with pytest.raises(ValueError, match="x time 10 = 20 expected jumps is "
+                                         "too large to stream"):
+        list(ev._uniformized_flow(Q, p0, 1.0, 10, False))
 
 
 def test_converge_builds_its_propagator_once(monkeypatch, rng):
