@@ -12,10 +12,10 @@ from .superop import (
     assemble_lindbladian, apply_adjoint_generator,
 )
 from .models import (
-    FuksParams, DephasingParams, MLWeights,
-    fuks_step, fuks_lindblad, dephasing_lindblad,
-    mv_spread_step, mv_consensus_step, mv_lindblads, mv_layer_counts, mv_pad,
-    fates_step, ml_lindblad, published_ml_weights, steady_family_state,
+    FuksParams, DephasingParams, MLWeights, DiscreteRule,
+    fuks_rule, fuks_step, fuks_lindblad, dephasing_lindblad,
+    mv_rule, mv_spread_step, mv_consensus_step, mv_lindblads, mv_layer_counts,
+    mv_pad, fates_rule, fates_step, ml_lindblad, published_ml_weights, steady_family_state,
 )
 from .evolve import (
     EvolutionResult, discrete_run, continuous_evolve, diagonal_rate_matrix,

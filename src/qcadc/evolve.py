@@ -1,13 +1,20 @@
 """Time evolution: discrete stepping, continuous Lindblad flows, the
 diagonal classical fast path, and fixed-point detection.
 
-Every run builds its flow of vectors (repeated application of one step to
-the 4^N vector, or the propagator on the block of doubled indices the state
-reaches) and hands it to one sampling driver, :func:`_run`.  The driver
-checks each vector on its block, raising ``FloatingPointError`` on the
-first non-finite one, stops a fixed-point search on that block, and
-scatters a vector to 4^N only for a recorded sample and for the final
-state.
+Every run builds its flow of vectors on the block of doubled indices the
+state reaches (repeated application of one step, or the propagator) and
+hands it to one sampling driver, :func:`_run`.  The driver checks each
+vector on its block, raising ``FloatingPointError`` on the first non-finite
+one, stops a fixed-point search on that block, and scatters a vector to
+4^N only for a recorded sample and for the final state.
+
+A discrete run steps the closure of the state's support under every window
+of its rule (:meth:`models.DiscreteRule.reachable`), with the step built
+once on that set; when the closure is every index it steps the 4^N vector
+with the 4^N step.  Both give the same vectors to the bit: the set is
+closed under each window factor, so the restricted factors multiply to the
+restricted step with the same summands in the same order, and a step of the
+vector drops only terms whose vector entry is exactly 0.
 
 Continuous runs and the fixed-point search share one propagator,
 :func:`_propagate`.  It runs on the set of doubled indices the initial
@@ -54,10 +61,11 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
+from .models import DiscreteRule
 from .observables import density_n, expval_sz, trace_of
 # not called; perfbench/tracer.py patches this name and fails without it
 from .superop import assemble_lindbladian  # noqa: F401
-from .superop import (LindbladSpec, SuperOp, VecState, basis_moves,
+from .superop import (LindbladSpec, VecState, basis_moves,
                       reachable_generator)
 
 __all__ = [
@@ -154,16 +162,20 @@ def _run(state: VecState, times: Iterable[float], codes: np.ndarray | None,
     return final, reached, converged, (np.array(rows) if record else None)
 
 
-def discrete_run(step: SuperOp, state: VecState, max_steps: int,
+def discrete_run(rule: DiscreteRule, state: VecState, max_steps: int,
                  record: bool = True) -> EvolutionResult:
-    """Apply ``step`` ``max_steps`` times."""
+    """Apply the step of ``rule`` ``max_steps`` times, on the block of
+    doubled indices the state reaches (:meth:`DiscreteRule.reachable`), or
+    on the 4^N step when that block is every index."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if step.matrix.shape[0] != len(state.amplitudes):
+    if rule.n_sites != state.n_sites:
         raise ValueError("step dimension does not match state")
+    codes, step = rule.reachable(state.amplitudes)
+    start = state.amplitudes if codes is None else state.amplitudes[codes]
     final, reached, _, rows = _run(
-        state, map(float, range(1, max_steps + 1)), None,
-        _iterate(lambda v: step.matrix @ v, state.amplitudes), record)
+        state, map(float, range(1, max_steps + 1)), codes,
+        _iterate(lambda v: step @ v, start), record)
     return EvolutionResult(final, reached, False, "discrete", rows)
 
 

@@ -18,32 +18,41 @@ rules (fuks, fates) condition a center set on the neighbors through
 projectors, ``kron(P_a, K, P_b)``, and a majority-voting rule is its jumps
 plus the passive remainder ``I - sum(J^dag J)``, the same jumps its
 continuous generator puts on every window.  Its local channel is
-``sum(doubled(K))``, its classical table is probed from the same list (see
-``classical``), and both are applied window by window in the order that
-:func:`center_windows` or :func:`mv_windows` gives; an mv phase, whose
-windows are disjoint, is built as one Kronecker power (see :func:`_compose`).
+``sum(doubled(K))`` and its classical table is probed from the same list
+(see ``classical``).  A :class:`DiscreteRule` describes a step once, by its
+branches: each a weight, a local channel and the window starts in the order
+that :func:`center_windows` or :func:`mv_windows` gives (fates has the two
+branches 184 and 232, the others one).  :meth:`DiscreteRule.matrix`
+multiplies the window factors either on every doubled index
+(:func:`_compose`, behind the ``*_step`` builders, which spectra, the
+selftest and the tests use; an mv phase, whose windows are disjoint, is one
+Kronecker power) or on the codes a run reaches, closed under every window
+(:meth:`DiscreteRule.reachable`), which discrete runs use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .superop import (
     ID2, P0, P1, PAULI_X, PAULI_Y, SIGMA_MINUS, SIGMA_PLUS,
-    LindbladSpec, LocalOperator, SuperOp, doubled, embed_local,
-    kraus_completeness_residual, rotate_ring,
+    LindbladSpec, LocalOperator, SuperOp, _closed_blocks, doubled,
+    embed_local, kraus_completeness_residual, rotate_ring,
 )
 
 __all__ = [
     "FuksParams", "DephasingParams", "MLWeights",
     "fuks_kraus_sets", "fuks_neighborhood_channel", "center_windows",
-    "fuks_step", "fuks_lindblad", "dephasing_lindblad", "rule_kraus",
-    "MV_PHASE_ORDER", "mv_windows", "mv_spread_step", "mv_consensus_step",
-    "mv_lindblads", "mv_layer_counts", "mv_pad", "fates_kraus_sets",
-    "fates_rule_step", "fates_step", "ml_lindblad", "published_ml_weights",
+    "DiscreteRule", "fuks_rule", "fuks_step", "fuks_lindblad",
+    "dephasing_lindblad", "rule_kraus", "MV_PHASE_ORDER", "mv_windows",
+    "mv_rule", "mv_spread_step", "mv_consensus_step", "mv_lindblads",
+    "mv_layer_counts", "mv_pad", "fates_kraus_sets", "fates_rule_step",
+    "fates_rule", "fates_step", "ml_lindblad", "published_ml_weights",
     "steady_family_state", "BELL_PLUS", "BELL_MINUS",
 ]
 
@@ -174,9 +183,13 @@ def center_windows(n_sites: int, phase_order: str) -> tuple[int, ...]:
                  for j in range(n_sites - 1, -1, -1) if j % 2 == parity)
 
 
-def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
+def _window(start: int, n_sites: int) -> tuple[int, int, int]:
+    return start, (start + 1) % n_sites, (start + 2) % n_sites
+
+
+def _compose(local: np.ndarray, starts, n_sites: int) -> sp.csr_matrix:
     """Product of the 3-site channel ``local`` embedded at each window start,
-    the first start acting first.
+    the first start acting first, on every doubled index.
 
     When the starts split into runs ``r, r + 3, ..., r + N - 3`` (r < 3),
     each run tiles the ring with disjoint windows, as every phase of
@@ -190,16 +203,20 @@ def _compose(local: np.ndarray, starts, n_sites: int) -> SuperOp:
     runs = [starts[i:i + n_sites // 3]
             for i in range(0, len(starts), n_sites // 3)]
     if n_sites % 3 == 0 and all(run in phases for run in runs):
-        factors = [_tiling(local, phases[run], n_sites) for run in runs]
-    else:
-        factors = [embed_local(local, (s, (s + 1) % n_sites,
-                                       (s + 2) % n_sites), n_sites)
-                   for s in starts]
-    mat = factors[0]
-    for factor in factors[1:]:
+        return _product(_tiling(local, phases[run], n_sites) for run in runs)
+    return _product(embed_local(local, _window(s, n_sites), n_sites)
+                    for s in starts)
+
+
+def _product(factors: Iterable[sp.csr_matrix]) -> sp.csr_matrix:
+    """``... @ factors[1] @ factors[0]``, indices sorted: the first factor
+    acts first."""
+    factors = iter(factors)
+    mat = next(factors)
+    for factor in factors:
         mat = factor @ mat
     mat.sort_indices()
-    return SuperOp(n_sites, mat, "step")
+    return mat
 
 
 def _tiling(local: np.ndarray, r: int, n_sites: int) -> sp.csr_matrix:
@@ -217,17 +234,75 @@ def _tiling(local: np.ndarray, r: int, n_sites: int) -> sp.csr_matrix:
     return out
 
 
-def _rule_step(rule: int | str, starts, n_sites: int) -> SuperOp:
-    """:func:`_compose` of the local channel of a :func:`rule_kraus` rule."""
-    return _compose(sum(doubled(K) for K in rule_kraus(rule)), starts, n_sites)
+@dataclass(frozen=True, eq=False)
+class DiscreteRule:
+    """A discrete rule's step: the weighted sum of its branches, each a
+    weight, a 3-site local channel and the window starts it is applied at,
+    first start first (:func:`_compose`).  A rule of one branch is its
+    product alone, with no weight applied."""
+
+    n_sites: int
+    branches: tuple[tuple[float, np.ndarray, tuple[int, ...]], ...]
+
+    def matrix(self, blocks: Iterator[sp.csr_matrix] | None = None
+               ) -> sp.csr_matrix:
+        """The step on every doubled index, or, from ``blocks`` (one factor
+        per window, branch by branch, as :meth:`reachable` restricts them),
+        on the codes they are restricted to.
+
+        On those codes each block is the 4^N window factor restricted to
+        them, so the blocks multiply, one by one, to the restricted product
+        with the same summands in the same order.  An mv phase's Kronecker
+        power multiplies its disjoint windows in another grouping, which
+        gives the same bits because the mv channels hold only 0 and 1.
+        """
+        parts = [_compose(local, starts, self.n_sites) if blocks is None
+                 else _product(islice(blocks, len(starts)))
+                 for _, local, starts in self.branches]
+        if len(parts) == 1:
+            return parts[0]
+        mat = self.branches[0][0] * parts[0]
+        for (weight, _, _), part in zip(self.branches[1:], parts[1:]):
+            mat = mat + weight * part
+        mat = mat.tocsr()
+        mat.sort_indices()
+        return mat
+
+    def step(self) -> SuperOp:
+        """The step on the 4^N doubled space."""
+        return SuperOp(self.n_sites, self.matrix(), "step")
+
+    def reachable(self, amplitudes: np.ndarray
+                  ) -> tuple[np.ndarray | None, sp.csr_matrix]:
+        """``(codes, sub)``: the closure of the support of ``amplitudes``
+        under every window's column pattern, ascending, and the step on it,
+        equal to ``step().matrix[codes][:, codes]`` bit for bit.  A set
+        closed under every window is closed under their products and sums,
+        so the step keeps a vector on ``codes``.  When the closure is every
+        index, ``codes`` is None and ``sub`` is the 4^N step."""
+        windows = [(local, _window(s, self.n_sites))
+                   for _, local, starts in self.branches for s in starts]
+        codes, blocks = _closed_blocks(windows, amplitudes != 0, self.n_sites)
+        return codes, self.matrix(blocks)
+
+
+def _rule_local(rule: int | str) -> np.ndarray:
+    """The local channel of a :func:`rule_kraus` rule."""
+    return sum(doubled(K) for K in rule_kraus(rule))
+
+
+def fuks_rule(params: FuksParams, n_sites: int,
+              phase_order: str = "even_first") -> DiscreteRule:
+    """One full discrete update (both center phases) of the probabilistic
+    rule."""
+    return DiscreteRule(n_sites, ((1.0, fuks_neighborhood_channel(params.p),
+                                   center_windows(n_sites, phase_order)),))
 
 
 def fuks_step(params: FuksParams, n_sites: int,
               phase_order: str = "even_first") -> SuperOp:
-    """One full discrete update (both center phases) of the probabilistic
-    rule."""
-    return _compose(fuks_neighborhood_channel(params.p),
-                    center_windows(n_sites, phase_order), n_sites)
+    """:func:`fuks_rule` on the 4^N doubled space."""
+    return fuks_rule(params, n_sites, phase_order).step()
 
 
 def fuks_lindblad(params: FuksParams, n_sites: int) -> LindbladSpec:
@@ -319,14 +394,22 @@ def mv_windows(n_sites: int, phase: int | None = None) -> tuple[int, ...]:
     return tuple(range(phase - 1, n_sites, 3))
 
 
+def mv_rule(rule: str, n_sites: int, phase: int | None = None
+            ) -> DiscreteRule:
+    """A majority-voting rule ("spread" or "consensus") on one sublayer, or
+    on a full layer when phase is None."""
+    return DiscreteRule(n_sites, ((1.0, _rule_local(rule),
+                                   mv_windows(n_sites, phase)),))
+
+
 def mv_spread_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Popcount-preserving sublayer (or full layer when phase is None)."""
-    return _rule_step("spread", mv_windows(n_sites, phase), n_sites)
+    return mv_rule("spread", n_sites, phase).step()
 
 
 def mv_consensus_step(n_sites: int, phase: int | None = None) -> SuperOp:
     """Cluster-growing / isolated-one-deleting sublayer (or full layer)."""
-    return _rule_step("consensus", mv_windows(n_sites, phase), n_sites)
+    return mv_rule("consensus", n_sites, phase).step()
 
 
 def mv_lindblads(n_sites: int) -> tuple[LindbladSpec, LindbladSpec]:
@@ -391,22 +474,27 @@ def fates_rule_step(rule: int, n_sites: int,
     all-ones, which contradicts the documented failure of this mixture, so
     the failure demo pins the other order.
     """
-    return _rule_step(rule, center_windows(n_sites, phase_order), n_sites)
+    return DiscreteRule(n_sites, ((1.0, _rule_local(rule), center_windows(
+        n_sites, phase_order)),)).step()
 
 
-def fates_step(p: float, n_sites: int) -> SuperOp:
-    """Average map p * step(184) + (1-p) * step(232).
+def fates_rule(p: float, n_sites: int) -> DiscreteRule:
+    """Average map p * step(184) + (1-p) * step(232), each branch in the
+    odd-first order of :func:`fates_rule_step`.
 
     Trajectory sampling draws one global coin per time step instead; see
     ``classical.fates_classical_trajectory``.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    s184 = fates_rule_step(184, n_sites)
-    s232 = fates_rule_step(232, n_sites)
-    mat = (p * s184.matrix + (1 - p) * s232.matrix).tocsr()
-    mat.sort_indices()
-    return SuperOp(n_sites, mat, "step")
+    starts = center_windows(n_sites, "odd_first")
+    return DiscreteRule(n_sites, ((p, _rule_local(184), starts),
+                                  (1 - p, _rule_local(232), starts)))
+
+
+def fates_step(p: float, n_sites: int) -> SuperOp:
+    """:func:`fates_rule` on the 4^N doubled space."""
+    return fates_rule(p, n_sites).step()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -401,36 +401,34 @@ def _embed_terms(by_support: dict[tuple[int, ...], np.ndarray],
     return mat
 
 
-def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
-                        ) -> tuple[np.ndarray, sp.csr_matrix]:
-    """``(codes, sub)``: the doubled indices the generator can reach from
-    the support of ``amplitudes``, ascending, and the generator on them,
-    built from the local terms with no 4^N assembly.
+def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
+                   reached: np.ndarray, n_sites: int
+                   ) -> tuple[np.ndarray | None,
+                              Iterator[sp.csr_matrix] | None]:
+    """``(codes, blocks)``: the closure of the doubled indices marked in the
+    4^N boolean mask ``reached`` under every ``(local matrix, support)``
+    term's column pattern, ascending, and each term embedded at its support
+    and restricted to those codes, built one at a time as ``blocks`` is
+    read; ``(None, None)`` when the closure is every index.
 
-    ``codes`` is the breadth-first closure of ``flatnonzero(amplitudes)``
-    under every support's local column pattern: a code's local digit d at
-    the support is replaced by each row digit that column d of the local
-    term holds.  The search marks reached codes in a 4^N boolean mask and
-    stops once every index is reached.  No stored entry of the generator
-    joins ``codes`` to an index outside it, so exp(L t) keeps a vector on
-    ``codes`` there.  ``sub`` equals
-    ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
-    each support's term is restricted to ``codes`` and the terms are added
-    in the same sorted order.  When ``codes`` is every index, ``sub`` is
-    that 4^N sum, built by the same embedding as the assembly.
+    The closure is breadth-first: a code's local digit d at a support is
+    replaced by each row digit that column d of the local matrix holds.  It
+    marks ``reached`` in place and stops once every index is reached.  No
+    stored entry of a term joins ``codes`` to an index outside it, so sums
+    and products of the terms keep a vector on ``codes``, and the i-th
+    block equals ``embed_local(*terms[i], n_sites)[codes][:, codes]`` bit
+    for bit.
     """
-    n = spec.n_sites
-    by_support = _local_terms(spec)
-    terms = []
-    for sites in sorted(by_support):
-        cols = sp.csc_matrix(by_support[sites])   # column d's rows, values
-        terms.append((cols, sites,
-                      _spread(np.arange(cols.shape[0]), sites, n, 4)))
+    patterns = []
+    for local, sites in terms:
+        cols = sp.csc_matrix(local)               # column d's rows, values
+        patterns.append((cols, sites, _spread(np.arange(cols.shape[0]),
+                                              sites, n_sites, 4)))
 
     def moves(codes, cols, sites, off):
         """(column, row, value) of every entry of one term in ``codes``'
         columns: column positions into ``codes``, rows as global codes."""
-        d = _gather(codes, sites, n)
+        d = _gather(codes, sites, n_sites)
         start, count = cols.indptr[d], np.diff(cols.indptr)[d]
         col = np.repeat(np.arange(len(codes)), count)
         k = (np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
@@ -438,31 +436,56 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
         row = cols.indices[k]
         return col, codes[col] + off[row] - off[d[col]], cols.data[k]
 
-    reached = amplitudes != 0
     frontier = np.flatnonzero(reached)
     count = len(frontier)
     while len(frontier) and count < len(reached):
-        fresh = [frontier[:0]]   # a spec may have no terms
-        for term in terms:
-            row = moves(frontier, *term)[1]
+        fresh = [frontier[:0]]   # there may be no terms
+        for pattern in patterns:
+            row = moves(frontier, *pattern)[1]
             row = np.unique(row[~reached[row]])
             reached[row] = True
             fresh.append(row)
         frontier = np.concatenate(fresh)
         count += len(frontier)
+    if count == len(reached):
+        return None, None
     codes = np.flatnonzero(reached)
-    if count == len(reached):   # every index: the 4^N sum is the same matrix
-        return codes, _embed_terms(by_support, n)
 
+    def block(pattern):
+        col, row, val = moves(codes, *pattern)
+        out = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
+                            shape=(len(codes),) * 2).tocsr()
+        out.sum_duplicates()
+        out.sort_indices()
+        return out
+
+    return codes, map(block, patterns)
+
+
+def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
+                        ) -> tuple[np.ndarray, sp.csr_matrix]:
+    """``(codes, sub)``: the doubled indices the generator can reach from
+    the support of ``amplitudes``, ascending, and the generator on them,
+    built from the local terms with no 4^N assembly.
+
+    ``codes`` is the closure of ``flatnonzero(amplitudes)`` under every
+    support's local term (:func:`_closed_blocks`), so exp(L t) keeps a
+    vector on ``codes``.  ``sub`` equals
+    ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
+    each support's term is restricted to ``codes`` and the terms are added
+    in the same sorted order.  When ``codes`` is every index, ``sub`` is
+    that 4^N sum, built by the same embedding as the assembly.
+    """
+    n = spec.n_sites
+    by_support = _local_terms(spec)
+    codes, blocks = _closed_blocks(
+        [(by_support[s], s) for s in sorted(by_support)], amplitudes != 0, n)
+    if codes is None:   # every index: the 4^N sum is the same matrix
+        return np.arange(4 ** n), _embed_terms(by_support, n)
     dim = len(codes)
     sub = sp.csr_matrix((dim, dim), dtype=complex)
-    for term in terms:
-        col, row, val = moves(codes, *term)
-        part = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
-                             shape=(dim, dim)).tocsr()
-        part.sum_duplicates()
-        part.sort_indices()
-        sub = sub + part
+    for block in blocks:
+        sub = sub + block
     sub.sort_indices()
     return codes, sub
 

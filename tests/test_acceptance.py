@@ -82,9 +82,14 @@ def test_criterion_02_fixed_point_both_paths():
         method="dense", samples=8)
     d_cont = observables.trace_distance(devectorize(cont.final_state), target)
 
-    step = models.fuks_step(models.FuksParams(0.3), 3)
-    disc = evolve.discrete_run(step, state, max_steps=4000, record=False)
+    rule = models.fuks_rule(models.FuksParams(0.3), 3)
+    disc = evolve.discrete_run(rule, state, max_steps=4000, record=False)
     d_disc = observables.trace_distance(devectorize(disc.final_state), target)
+    # the oracle: the 4^N step applied to the 4^N vector
+    step, v = rule.step().matrix, state.amplitudes
+    for _ in range(4000):
+        v = step @ v
+    assert np.array_equal(disc.final_state.amplitudes, v)
 
     criterion(2, d_cont < 1e-6 and d_disc < 1e-6,
               "isolated-one fixed point via continuous and discrete paths",

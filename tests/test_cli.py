@@ -394,6 +394,9 @@ def test_mv_run_single_continuous(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["method"] == "diagonal-exact"
     assert abs(summary["final_n_over_N"] - 1.0) < 1e-9
+    # rounded as trajectory.csv rounds its last density
+    last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    assert summary["final_n_over_N"] == float(last[1])
     for bad in (-1.0, float("inf"), float("nan")):
         cfg["t"] = bad
         code, _ = run(tmp_path / str(bad), "mv-run", cfg)

@@ -20,14 +20,15 @@ from qcadc.evolve import (
 from qcadc.evolve import (_first_crossing, _poisson_cutoff, _poisson_pmf,
                           _uniformized_blocks)
 from qcadc.models import (
-    DephasingParams, FuksParams, MLWeights, dephasing_lindblad,
-    fuks_kraus_sets, fuks_lindblad, fuks_step, mv_consensus_step,
-    mv_lindblads, mv_spread_step, published_ml_weights, ml_lindblad,
+    DephasingParams, DiscreteRule, FuksParams, MLWeights, center_windows,
+    dephasing_lindblad, fates_rule, fuks_kraus_sets, fuks_lindblad,
+    fuks_rule, mv_lindblads, mv_rule, mv_spread_step, published_ml_weights,
+    ml_lindblad,
 )
 from qcadc.observables import (density_n, diag_indices, diag_probabilities,
                                expval_sz, trace_of)
 from qcadc.superop import (
-    ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, SuperOp, VecState,
+    ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, VecState,
     assemble_lindbladian, devectorize, doubled, reachable_generator,
     vectorize,
 )
@@ -42,47 +43,110 @@ def decay_spec(n=1, gamma=1.0):
 # discrete stepping
 
 
+def identity_rule(n, local=None):
+    """A one-branch rule whose local channel is ``local`` (the identity by
+    default) on every center window."""
+    local = np.eye(64, dtype=complex) if local is None else local
+    return DiscreteRule(n, ((1.0, local, center_windows(n, "even_first")),))
+
+
 def test_discrete_identity_step_keeps_state(rng):
-    import scipy.sparse as sp
-    step = SuperOp(2, sp.identity(16, format="csr", dtype=complex), "step")
-    state = vectorize(random_density(rng, 2))
-    out = discrete_run(step, state, max_steps=7)
-    assert np.array_equal(out.final_state.amplitudes, state.amplitudes)
-    assert out.time_reached == 7
+    # a random density reaches every index and steps the 4^N identity; a
+    # basis state steps the identity on its one code
+    rule = identity_rule(3)
+    assert np.array_equal(rule.step().matrix.toarray(), np.eye(64))
+    for rho in (random_density(rng, 3), basis_density([0, 0, 1])):
+        state = vectorize(rho)
+        out = discrete_run(rule, state, max_steps=7)
+        assert np.array_equal(out.final_state.amplitudes, state.amplitudes)
+        assert out.time_reached == 7
 
 
 def test_discrete_run_trajectory_columns():
-    step = fuks_step(FuksParams(0.3), 3)
-    out = discrete_run(step, vectorize(basis_density([0, 0, 1])), max_steps=5)
+    rule = fuks_rule(FuksParams(0.3), 3)
+    out = discrete_run(rule, vectorize(basis_density([0, 0, 1])), max_steps=5)
     assert out.trajectory.shape == (6, 4)
     assert np.all(np.diff(out.trajectory[:, 0]) > 0)
     assert np.allclose(out.trajectory[:, 3], 1.0, atol=1e-8)
 
 
-def test_discrete_run_keeps_each_step_vector_uncopied():
-    # the final state holds the last product itself, not a 4^N copy of it
-    step = fuks_step(FuksParams(0.3), 3)
+def test_discrete_run_keeps_each_step_vector_uncopied(monkeypatch, rng):
+    # a random density reaches every index, so the run steps the 4^N
+    # vector, and the final state holds the last product itself, not a
+    # 4^N copy of it
+    rule = fuks_rule(FuksParams(0.3), 3)
+    step = rule.step()
+    state = vectorize(random_density(rng, 3))
+    want = discrete_run(rule, state, max_steps=4)
     products = []
 
     class Recorded:
-        shape = step.matrix.shape
-
         def __matmul__(self, v):
             products.append(step.matrix @ v)
             return products[-1]
-    state = vectorize(basis_density([0, 0, 1]))
-    out = discrete_run(SuperOp(3, Recorded(), "step"), state, max_steps=4)
+    built = DiscreteRule.matrix
+    monkeypatch.setattr(DiscreteRule, "matrix", lambda self, blocks=None: (
+        Recorded() if blocks is None else built(self, blocks)))
+    out = discrete_run(rule, state, max_steps=4)
     assert len(products) == 4
     assert out.final_state.amplitudes is products[-1]
     assert not out.converged and out.time_reached == 4.0
-    want = discrete_run(step, state, max_steps=4)
     assert np.array_equal(out.trajectory, want.trajectory)
+    v = state.amplitudes
+    for _ in range(4):
+        v = step.matrix @ v
+    assert np.array_equal(out.final_state.amplitudes, v)
 
 
 def test_discrete_run_rejects_negative_steps():
-    step = fuks_step(FuksParams(0.3), 3)
+    rule = fuks_rule(FuksParams(0.3), 3)
     with pytest.raises(ValueError, match="max_steps must be non-negative"):
-        discrete_run(step, vectorize(basis_density([0, 0, 1])), max_steps=-1)
+        discrete_run(rule, vectorize(basis_density([0, 0, 1])), max_steps=-1)
+
+
+# every discrete rule of the CLI, and an mv phase; mv rules need N = 3k
+DISCRETE_RULES = {
+    "fuks even_first": lambda n: fuks_rule(FuksParams(0.3), n),
+    "fuks odd_first": lambda n: fuks_rule(FuksParams(0.2), n, "odd_first"),
+    "fates": lambda n: fates_rule(0.4, n),
+    "mv-spread": lambda n: mv_rule("spread", n),
+    "mv-consensus": lambda n: mv_rule("consensus", n),
+    "mv-consensus phase 2": lambda n: mv_rule("consensus", n, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def full_step(name, n):
+    return DISCRETE_RULES[name](n).step().matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(DISCRETE_RULES)), size=st.integers(3, 8),
+       start=st.sampled_from(["basis", "ghz", "random"]),
+       seed=st.integers(0, 2 ** 16))
+@example(name="fuks even_first", size=8, start="ghz", seed=0)
+@example(name="fates", size=5, start="random", seed=0)   # every index
+@example(name="mv-spread", size=5, start="basis", seed=0)   # N = 6
+def test_block_run_matches_the_4n_step_bit_for_bit(name, size, start, seed):
+    # the run on the closed codes and step.matrix @ v on 4^N give the same
+    # trajectory and final state, to the bit
+    n = 3 * (1 + size % 2) if name.startswith("mv") else size
+    rng = np.random.default_rng(seed)
+    rho = {"basis": lambda: basis_density(rng.integers(0, 2, n)),
+           "ghz": lambda: ghz_density(n),
+           "random": lambda: random_density(rng, n)}[start]()
+    state = vectorize(rho)
+    out = discrete_run(DISCRETE_RULES[name](n), state, max_steps=5)
+    step, v = full_step(name, n), state.amplitudes
+    rows = [(0.0, density_n(state) / n, expval_sz(state),
+             trace_of(state).real)]
+    for k in range(1, 6):
+        v = step @ v
+        w = VecState(n, v)
+        rows.append((float(k), density_n(w) / n, expval_sz(w),
+                     trace_of(w).real))
+    assert np.array_equal(out.trajectory, np.array(rows))
+    assert np.array_equal(out.final_state.amplitudes, v)
 
 
 @pytest.mark.parametrize("t, samples, message", [
@@ -102,8 +166,7 @@ def test_continuous_evolve_rejects_bad_t_and_samples(t, samples, message):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_kind_of_run_rejects_a_non_finite_state():
     state = vectorize(basis_density([0, 0, 1]))
-    blowup = SuperOp(3, sp.identity(64, format="csr", dtype=complex) * np.inf,
-                     "step")
+    blowup = identity_rule(3, np.diag(np.full(64, np.inf + 0j)))
     with pytest.raises(FloatingPointError, match="non-finite"):
         discrete_run(blowup, state, max_steps=3)
     huge = fuks_lindblad(FuksParams(0.3, gamma=1e308), 3)
@@ -1087,6 +1150,26 @@ def test_reachable_generator_is_the_closed_slice_of_the_assembly(
     assert np.isin(gen[:, codes].tocoo().row, codes).all()
 
 
+def test_closed_blocks_are_window_factors_restricted_as_they_are_read():
+    # each block is built only when it is read, so the generator's sum and
+    # a step's product hold one term's block at a time
+    from qcadc.models import _window
+    from qcadc.superop import _closed_blocks, embed_local
+    n = 6
+    windows = [(local, _window(s, n))
+               for _, local, starts in fuks_rule(FuksParams(0.3), n).branches
+               for s in starts]
+    state = vectorize(basis_density([1, 1, 0, 1, 0, 0]))
+    codes, blocks = _closed_blocks(windows, state.amplitudes != 0, n)
+    assert iter(blocks) is blocks
+    assert 0 < len(codes) < 4 ** n
+    for (local, sites), block in zip(windows, blocks, strict=True):
+        want = embed_local(local, sites, n)[codes][:, codes]
+        want.sort_indices()
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, part), getattr(want, part))
+
+
 @settings(max_examples=24, deadline=None)
 @given(n=st.integers(3, 5), family=st.sampled_from(SECTOR_SPECS),
        kind=st.sampled_from(SECTOR_STATES), seed=st.integers(0, 2 ** 16))
@@ -1145,6 +1228,33 @@ def refuse_4n_generator(monkeypatch):
         raise AssertionError("the 4^N generator was assembled")
     for owner in (ev, so):
         monkeypatch.setattr(owner, "assemble_lindbladian", refused)
+
+
+@pytest.mark.parametrize("model, n, bits, steps, reached", [
+    # the benchmark's discrete command: 8 of the 262,144 doubled indices
+    ({"id": "mv-spread"}, 9, "111100000", 6, 8),
+    ({"id": "fuks", "params": {"p": 0.3}}, 12, "111111000000", 5, 134),
+])
+def test_discrete_run_builds_no_4n_step(monkeypatch, model, n, bits, steps,
+                                        reached):
+    import qcadc.models as md
+    from qcadc.cli import build_initial, build_step
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a 4^N step was built")
+    for name in ("fuks_step", "mv_spread_step", "mv_consensus_step",
+                 "fates_step", "_tiling", "embed_local"):
+        monkeypatch.setattr(md, name, refused)
+    sizes = []
+    block = md.DiscreteRule.reachable
+    monkeypatch.setattr(md.DiscreteRule, "reachable", lambda self, a: (
+        lambda r: sizes.append(len(r[0])) or r)(block(self, a)))
+    rule, state = build_step(model, n), build_initial({"bits": bits}, n)
+    out = discrete_run(rule, state, max_steps=steps)
+    assert sizes == [reached]
+    assert out.time_reached == steps
+    assert np.abs(out.trajectory[:, 3] - 1).max() < 1e-12
+    assert np.abs(out.trajectory[:, 1] - bits.count("1") / n).max() < 1e-12
 
 
 @pytest.mark.parametrize("model, initial, reached", [
