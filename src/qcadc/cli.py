@@ -304,8 +304,8 @@ def build_initial(cfg: dict, n_sites: int):
             raise ConfigError(
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
         amplitudes = np.zeros(4 ** n_sites, dtype=complex)
-        code = int(classical.format_bits(bits), 2)
-        amplitudes[observables.diag_indices(n_sites)[code]] = 1.0
+        amplitudes[observables.diag_indices(n_sites)[
+            evolve._code_of(bits)]] = 1.0
         return VecState(n_sites, amplitudes)
     dim = 2 ** n_sites
     if path is None:                                # named: ghz
@@ -340,14 +340,14 @@ def build_initial(cfg: dict, n_sites: int):
 # subcommands
 
 
-# numpy's largest array holds 2^63 bytes: 4^29 complex amplitudes, not 4^30
-_MAX_DOUBLED_N = 29
+# a run keeps its state as 4^N complex amplitudes: 16 GiB at N = 15
+_MAX_DOUBLED_N = 14
 
 _KIND = _one_of("continuous", "discrete", "converge")
 _EVOLVE_RUN = {"model": _given(), "initial": _given(), "seed": _SEED,
                "n_sites": _count(lo=1, hi=_MAX_DOUBLED_N, why=(
-                   f"must fit the 4^N doubled space, which holds 1 to "
-                   f"{_MAX_DOUBLED_N} sites"))}
+                   f"must fit a state of 4^N complex amplitudes in memory, "
+                   f"which holds 1 to {_MAX_DOUBLED_N} sites"))}
 _EVOLVE = {
     "continuous": {**_EVOLVE_RUN, "samples": _count(evolve.DEFAULT_SAMPLES),
                    "evolution": _table({"kind": _KIND, "t": _real()})},

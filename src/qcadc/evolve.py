@@ -19,7 +19,7 @@ vector drops only terms whose vector entry is exactly 0.
 Continuous runs and the fixed-point search share one propagator,
 :func:`_propagate`.  It runs on the set of doubled indices the initial
 state can reach (:func:`superop.reachable_generator`): the closure of its
-support under the local terms' column patterns, with the generator's
+support under the stored entries of the local terms, with the generator's
 columns built on that set alone, never the 4^N matrix.  The generator
 never leaves the set, so amplitudes outside it are zero at t = 0 and stay
 exactly zero.  Methods:
@@ -47,6 +47,10 @@ The majority-voting runs read per-site occupation curves from one stream,
 :func:`_occupancy`: exact on the ascending reachable set of
 :meth:`DiagonalDynamics.reachable`, by uniformization, or one block of
 Gillespie means when that set holds more than ``exact_cap`` states.
+
+Both kinds of reachable set, doubled indices and the classical chain's
+basis codes, come from one kernel: :func:`superop.closure` on a move table
+of local matrices (:func:`superop.move_table`, radix 4 or 2).
 """
 from __future__ import annotations
 
@@ -65,8 +69,8 @@ from .models import DiscreteRule
 from .observables import density_n, expval_sz, trace_of
 # not called; perfbench/tracer.py patches this name and fails without it
 from .superop import assemble_lindbladian  # noqa: F401
-from .superop import (LindbladSpec, VecState, basis_moves,
-                      reachable_generator)
+from .superop import (LindbladSpec, VecState, basis_moves, closure,
+                      match_moves, move_table, reachable_generator)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
@@ -82,7 +86,6 @@ _KRYLOV_TOL = 1e-10         # Krylov error budget relative to |v|, over t
 _KRYLOV_DIM = 40            # Arnoldi basis size per Krylov substep
 _MV_SAMPLES = 600           # time-grid points of each mv worst-case run
 _MV_THRESHOLD = 0.99        # the fraction at which that run is done
-_MOVE_CHUNK = 1 << 20       # move rows x codes matched in one broadcast
 
 
 class KrylovError(RuntimeError):
@@ -253,7 +256,9 @@ def krylov_expmv(A: sp.spmatrix, v: np.ndarray, t: float,
 
 
 def is_basis_preserving(spec: LindbladSpec) -> bool:
-    """Whether :class:`DiagonalDynamics` accepts ``spec``: the guard of the
+    """Whether :class:`DiagonalDynamics` accepts ``spec``: no Hamiltonian
+    terms, and every jump of nonzero rate, of any width, maps each basis
+    state of its support to a scaled basis state or to zero.  It guards the
     classical-shadow tools (the mv scan, Gillespie sampling, the ML rate
     matrices).  Continuous runs do not ask it; their diagonal path applies
     when the reachable block is a rate matrix (:func:`_propagate`)."""
@@ -264,18 +269,7 @@ def is_basis_preserving(spec: LindbladSpec) -> bool:
     return True
 
 
-@dataclass
-class _MoveTable:
-    """The moves on whole-ring codes: a state s is enabled for move m when
-    s & mask[m] == match[m], and goes to (s & ~mask[m]) | put[m] at rate
-    rate[m]."""
-    mask: np.ndarray
-    match: np.ndarray
-    put: np.ndarray
-    rate: np.ndarray
-
-
-def _code_of(bits: np.ndarray) -> int:
+def _code_of(bits) -> int:
     """Basis code of a bit string; site 0 is the most significant bit."""
     code = 0
     for b in bits:
@@ -286,10 +280,12 @@ def _code_of(bits: np.ndarray) -> int:
 class DiagonalDynamics:
     """Classical continuous-time Markov chain restriction of a generator.
 
-    Valid only for basis-preserving specs: no Hamiltonian, and every jump
-    maps each computational basis state to a scalar multiple of a basis
-    state.  Provides the full 2^N rate matrix, a reachable-subspace
-    restriction, and exact-jump (Gillespie) trajectory sampling.
+    Valid only for basis-preserving specs (:func:`is_basis_preserving`),
+    whose jumps may differ in width.  Each jump's local rate matrix, rate
+    |<out|L|in>|^2 at (out, in) for in != out, goes into one radix-2 move
+    table in spec order, and its matcher (:func:`superop.match_moves`)
+    gives the full 2^N rate matrix, the reachable-subspace restriction and
+    the moves of exact-jump (Gillespie) trajectory sampling.
     """
 
     def __init__(self, spec: LindbladSpec):
@@ -298,8 +294,7 @@ class DiagonalDynamics:
                 "spec has Hamiltonian terms; the diagonal restriction "
                 "only exists for pure-jump basis-preserving generators")
         self.n_sites = spec.n_sites
-        widths = set()
-        rows = []
+        terms = []
         for op, rate in spec.jumps:
             if rate == 0.0:
                 continue
@@ -308,98 +303,45 @@ class DiagonalDynamics:
                 raise NotBasisPreservingError(
                     f"jump on sites {op.sites} maps a basis state to a "
                     f"superposition; no diagonal restriction exists")
-            widths.add(op.width)
+            local = np.zeros(op.matrix.shape)
             for in_code, out_code, weight in probed:
                 if in_code != out_code:
-                    rows.append((op.sites, in_code, out_code, rate * weight))
-        width = max(widths) if widths else 1
-        if widths and len(widths) != 1:
-            raise NotBasisPreservingError("mixed jump widths are unsupported")
-        sites = np.array([r[0] for r in rows],
-                         dtype=np.int64).reshape(len(rows), width)
-        in_code = np.array([r[1] for r in rows], dtype=np.int64)
-        out_code = np.array([r[2] for r in rows], dtype=np.int64)
-        # pattern bit w of a move sits at ring bit n-1-sites[:, w] (site 0
-        # is the most significant bit)
-        place = np.int64(1) << (self.n_sites - 1 - sites)
-        pattern_bit = np.int64(1) << (width - 1 - np.arange(width))
+                    local[out_code, in_code] = rate * weight
+            terms.append((local, op.sites))
+        self._table = move_table(terms, self.n_sites, 2)
 
-        def on_ring(pattern):
-            return ((((pattern[:, None] & pattern_bit) != 0) * place)
-                    .sum(axis=1, dtype=np.int64))
-
-        self._table = _MoveTable(
-            mask=place.sum(axis=1, dtype=np.int64),
-            match=on_ring(in_code),
-            put=on_ring(out_code),
-            rate=np.array([r[3] for r in rows], dtype=float),
-        )
-
-    # -- enabled moves ------------------------------------------------------
-
-    def enabled_moves(self, codes: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every move enabled in the basis states ``codes``.
-
-        Returns flat arrays ``(src, dst, rate)``, ordered by move-table row
-        and, within a row, as the states appear in ``codes``.  The moves are
-        matched a chunk of table rows at a time, against every code at once.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        t = self._table
-        chunk = max(1, _MOVE_CHUNK // max(len(codes), 1))
-        src, dst, rate = [codes[:0]], [codes[:0]], [np.empty(0)]
-        for lo in range(0, len(t.rate), chunk):
-            hi = lo + chunk
-            move, at = np.nonzero(
-                (codes & t.mask[lo:hi, None]) == t.match[lo:hi, None])
-            move += lo
-            hit = codes[at]
-            src.append(hit)
-            dst.append((hit & ~t.mask[move]) | t.put[move])
-            rate.append(t.rate[move])
-        return np.concatenate(src), np.concatenate(dst), np.concatenate(rate)
+    def _rate_matrix(self, codes: np.ndarray, move: np.ndarray,
+                     src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
+        """The rate matrix on the ascending ``codes`` from their moves."""
+        dim = len(codes)
+        Q = sp.coo_matrix((self._table.value[move],
+                           (np.searchsorted(codes, dst),
+                            np.searchsorted(codes, src))),
+                          shape=(dim, dim)).tocsr()
+        return Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
 
     # -- full rate matrix --------------------------------------------------
 
     def rate_matrix(self) -> sp.csr_matrix:
-        dim = 2 ** self.n_sites
-        src, dst, rate = self.enabled_moves(np.arange(dim, dtype=np.int64))
-        Q = sp.coo_matrix((rate, (dst, src)), shape=(dim, dim)).tocsr()
-        Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
+        codes = np.arange(2 ** self.n_sites, dtype=np.int64)
+        Q = self._rate_matrix(codes, *match_moves(self._table, codes))
         Q.sort_indices()
         return Q
 
     # -- reachable subspace -------------------------------------------------
 
     def reachable(self, bits0: np.ndarray, cap: int = 3_000_000):
-        """(codes, Q_sub) for the subspace reachable from one basis state.
-
-        Breadth-first over sorted frontiers: each frontier's moves are
-        matched at once, the destinations not yet seen (found by bisection
-        in the sorted set) are the next frontier, and ``codes`` holds every
-        state reached, ascending.  ``Q_sub`` is the rate matrix on
-        ``codes``.  A set of more than ``cap`` states raises
+        """(codes, Q_sub) for the subspace reachable from one basis state:
+        ``codes`` holds every state reached, ascending (:func:`closure`),
+        and ``Q_sub`` is the rate matrix on them, built from the moves the
+        closure matched.  A set of more than ``cap`` states raises
         ``MemoryError``.
         """
-        frontier = np.array([_code_of(bits0)], dtype=np.int64)
-        codes = frontier
-        edges = []
-        while len(frontier):
-            src, dst, rate = self.enabled_moves(frontier)
-            edges.append((src, dst, rate))
-            pos = np.minimum(np.searchsorted(codes, dst), len(codes) - 1)
-            frontier = np.unique(dst[codes[pos] != dst])
-            if len(codes) + len(frontier) > cap:
-                raise MemoryError(f"reachable set exceeds cap {cap}")
-            codes = np.union1d(codes, frontier)
-        src, dst, rate = (np.concatenate(col) for col in zip(*edges))
-        dim = len(codes)
-        Q = sp.coo_matrix((rate, (np.searchsorted(codes, dst),
-                                  np.searchsorted(codes, src))),
-                          shape=(dim, dim)).tocsr()
-        Q = Q - sp.diags(np.asarray(Q.sum(axis=0)).ravel())
-        return codes, Q
+        found = closure(self._table, [_code_of(bits0)], cap)
+        if found is None:
+            raise MemoryError(f"reachable set exceeds cap {cap}")
+        codes, moves = found
+        return codes, self._rate_matrix(codes, *moves)
 
     # -- Gillespie sampling ---------------------------------------------------
 
@@ -408,15 +350,13 @@ class DiagonalDynamics:
                                  ) -> np.ndarray:
         """Trajectory-averaged per-site occupation on a fixed time grid.
 
-        Each visited code's bits, enabled moves, cumulative rates and total
-        rate are computed once per call; after each jump, the grid points
-        the state held through are filled in one slice.  Times and moves
-        are looked up by bisection in Python lists.
+        Each visited code's bits, moves, cumulative rates and total rate
+        are computed once per call; after each jump, the grid points the
+        state held through are filled in one slice.  Times and moves are
+        looked up by bisection in Python lists.
         """
         from bisect import bisect_left
         n = self.n_sites
-        t = self._table
-        mask, put = t.mask.tolist(), t.put.tolist()
         grid = np.asarray(t_grid, dtype=float).tolist()
         acc = np.zeros((len(grid), n))
         shifts = n - 1 - np.arange(n)
@@ -426,12 +366,13 @@ class DiagonalDynamics:
             code, now, gi = start, 0.0, 0
             while gi < len(grid):
                 if code not in seen:
-                    match = np.flatnonzero((code & t.mask) == t.match)
-                    rates = t.rate[match]
-                    seen[code] = ((code >> shifts) & 1, match.tolist(),
-                                  np.cumsum(rates).tolist(), rates.sum())
-                bits, match, cum_rates, total = seen[code]
-                if not match:
+                    move, _, dst = match_moves(self._table, [code])
+                    rates = self._table.value[move]
+                    seen[code] = ((code >> shifts) & 1, dst.tolist(),
+                                  np.cumsum(rates).tolist(),
+                                  float(rates.sum()))
+                bits, dst, cum_rates, total = seen[code]
+                if not dst:
                     acc[gi:] += bits
                     break
                 now += rng.exponential(1.0 / total)
@@ -439,8 +380,7 @@ class DiagonalDynamics:
                 if gj > gi:
                     acc[gi:gj] += bits
                     gi = gj
-                pick = match[bisect_left(cum_rates, rng.random() * total)]
-                code = (code & ~mask[pick]) | put[pick]
+                code = dst[bisect_left(cum_rates, rng.random() * total)]
         return acc / n_traj
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .evolve import DiagonalDynamics, continuous_evolve
+from .evolve import DiagonalDynamics, _code_of, continuous_evolve
 from .models import MLWeights, ml_lindblad
 from .superop import vectorize
 
@@ -127,17 +127,13 @@ def ml_rate_matrix(weights: MLWeights, n_sites: int) -> np.ndarray:
     return off - np.diag(off.sum(axis=0))
 
 
-def _code(bits: tuple[int, ...]) -> int:
-    return int("".join(map(str, bits)), 2)
-
-
 def _dense_endpoints(weights: MLWeights, bits: tuple[int, ...],
                      tau: float) -> tuple[float, float]:
     """Endpoint weights from the full doubled-space evolution."""
     from .observables import diag_probabilities
     n = len(bits)
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    s = _code(bits)
+    s = _code_of(bits)
     rho[s, s] = 1.0
     out = continuous_evolve(ml_lindblad(weights, n), vectorize(rho), tau,
                             method="dense", samples=1, record=False)
@@ -161,7 +157,7 @@ def per_state_scores(weights: MLWeights, tset: TrainingSet | None = None,
         else:
             if n not in props:
                 props[n] = expm(ml_rate_matrix(weights, n) * tau)
-            p = props[n][:, _code(pair.bits)]      # the law at tau from s
+            p = props[n][:, _code_of(pair.bits)]   # the law at tau from s
             f0, f1 = float(p[0]), float(p[-1])
         summand = (-1) ** (1 - pair.label) * f0 + (-1) ** pair.label * f1
         predicted = 1 if f1 > f0 else 0

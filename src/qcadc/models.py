@@ -275,14 +275,15 @@ class DiscreteRule:
     def reachable(self, amplitudes: np.ndarray
                   ) -> tuple[np.ndarray | None, sp.csr_matrix]:
         """``(codes, sub)``: the closure of the support of ``amplitudes``
-        under every window's column pattern, ascending, and the step on it,
+        under every window's local channel, ascending, and the step on it,
         equal to ``step().matrix[codes][:, codes]`` bit for bit.  A set
         closed under every window is closed under their products and sums,
         so the step keeps a vector on ``codes``.  When the closure is every
         index, ``codes`` is None and ``sub`` is the 4^N step."""
         windows = [(local, _window(s, self.n_sites))
                    for _, local, starts in self.branches for s in starts]
-        codes, blocks = _closed_blocks(windows, amplitudes != 0, self.n_sites)
+        codes, blocks = _closed_blocks(windows, np.flatnonzero(amplitudes),
+                                       self.n_sites)
         return codes, self.matrix(blocks)
 
 

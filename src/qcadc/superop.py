@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,8 +45,8 @@ __all__ = [
     "P0", "P1", "SIGMA_MINUS", "SIGMA_PLUS", "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
-    "basis_moves", "kraus_to_superop", "assemble_lindbladian",
-    "reachable_generator",
+    "basis_moves", "MoveTable", "move_table", "match_moves", "closure",
+    "kraus_to_superop", "assemble_lindbladian", "reachable_generator",
     "conserved_grading", "rotate_ring", "translation_sectors",
     "apply_adjoint_generator", "kraus_completeness_residual",
     "ChannelInvalidError",
@@ -240,17 +240,6 @@ def _spread(idx: np.ndarray, positions: Sequence[int], n_sites: int,
     return off
 
 
-def _gather(codes: np.ndarray, positions: Sequence[int],
-            n_sites: int) -> np.ndarray:
-    """Local doubled digit strings (two bits a site) of the global doubled
-    indices ``codes`` at ``positions``: the inverse of :func:`_spread` on
-    those digits."""
-    local = np.zeros(len(codes), dtype=np.int64)
-    for s in positions:
-        local = (local << 2) | ((codes >> 2 * (n_sites - 1 - s)) & 3)
-    return local
-
-
 def _scatter(m: sp.coo_matrix, sites: Sequence[int], n_sites: int,
              radix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global (rows, cols, vals) of the local matrix ``m`` placed at ``sites``
@@ -300,6 +289,106 @@ def embed_physical(op: LocalOperator, n_sites: int) -> np.ndarray:
     full = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
     np.add.at(full, (rows, cols), vals)
     return full
+
+
+# ---------------------------------------------------------------------------
+# move tables: the one kernel that matches local patterns against codes
+
+
+_MOVE_CHUNK = 1 << 20       # table rows x codes matched in one broadcast
+
+
+class MoveTable(NamedTuple):
+    """The stored entries of local matrices, placed on a ring.
+
+    Row m is one stored entry, at row digits r and column digits c, of a
+    term's local matrix.  A code s matches it when ``s & mask[m] ==
+    match[m]`` (its digits at the term's support are c) and goes to ``(s &
+    ~mask[m]) | put[m]`` (those digits set to r) with ``value[m]``.  Rows
+    ``starts[t]`` to ``starts[t + 1]`` belong to term t.
+    """
+    mask: np.ndarray
+    match: np.ndarray
+    put: np.ndarray
+    value: np.ndarray
+    starts: np.ndarray
+
+
+def move_table(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
+               n_sites: int, radix: int) -> MoveTable:
+    """The :class:`MoveTable` of ``(dense local matrix, support)`` terms,
+    term by term and in CSC order within a term.  ``radix`` is 2 for basis
+    codes and 4 for doubled indices; site 0 is the most significant
+    digit."""
+    width = max((len(sites) for _, sites in terms), default=0)
+    empty = np.empty(0, dtype=np.int64)
+    entries, places = [(empty, empty, np.empty(0))], []
+    for local, sites in terms:
+        col, row = np.nonzero(local.T)      # column by column: CSC order
+        entries.append((col, row, local[row, col]))
+        # the place value of each local digit, left-padded to the widest
+        places.append([0] * (width - len(sites))
+                      + [radix ** (n_sites - 1 - s) for s in sites])
+    col, row, value = map(np.concatenate, zip(*entries))
+    counts = [len(part[0]) for part in entries]
+    place = np.repeat(np.array(places, dtype=np.int64).reshape(
+        len(places), width), counts[1:], axis=0)
+    digit = radix ** np.arange(width - 1, -1, -1)
+
+    def on_ring(digits):    # a local digit string on each row's support
+        return (digits[:, None] // digit % radix * place).sum(axis=1)
+
+    return MoveTable((radix - 1) * place.sum(axis=1), on_ring(col),
+                     on_ring(row), value, np.cumsum(counts))
+
+
+def match_moves(table: MoveTable, codes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(move, src, dst)``: every table row ``move`` that a code ``src`` of
+    ``codes`` matches, and the code ``dst`` it goes to, ordered by row and
+    within a row as in ``codes``.  Chunks of rows are matched against every
+    code at once; one code (Gillespie asks for one at a time) is matched
+    against every row in one flat pass.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if len(codes) == 1:
+        move = np.flatnonzero((codes & table.mask) == table.match)
+        src = codes.repeat(len(move))
+    else:
+        chunk = max(1, _MOVE_CHUNK // max(len(codes), 1))
+        move, at = [codes[:0]], [codes[:0]]
+        for lo in range(0, len(table.mask), chunk):
+            m, a = np.nonzero((codes & table.mask[lo:lo + chunk, None])
+                              == table.match[lo:lo + chunk, None])
+            move.append(m + lo)
+            at.append(a)
+        move = np.concatenate(move)
+        src = codes[np.concatenate(at)]
+    return move, src, (src & ~table.mask[move]) | table.put[move]
+
+
+def closure(table: MoveTable, start: np.ndarray, cap: float = np.inf
+            ) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+    """``(codes, (move, src, dst))``: every code the table's rows reach
+    from the codes ``start``, ascending, and every match
+    (:func:`match_moves`) of a reached code, frontier by frontier; None
+    once the set holds more than ``cap`` codes.
+
+    Breadth-first over sorted frontiers: each frontier is matched at once,
+    and the destinations not yet seen (found by bisection in the sorted
+    set) are the next frontier.
+    """
+    codes = frontier = np.unique(np.asarray(start, dtype=np.int64))
+    edges = [(codes[:0],) * 3]
+    while len(frontier) and len(codes) <= cap:
+        edges.append(match_moves(table, frontier))
+        dst = edges[-1][2]
+        pos = np.minimum(np.searchsorted(codes, dst), len(codes) - 1)
+        frontier = np.unique(dst[codes[pos] != dst])
+        codes = np.union1d(codes, frontier)
+    if len(codes) > cap:
+        return None
+    return codes, tuple(map(np.concatenate, zip(*edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,64 +491,34 @@ def _embed_terms(by_support: dict[tuple[int, ...], np.ndarray],
 
 
 def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
-                   reached: np.ndarray, n_sites: int
+                   start: np.ndarray, n_sites: int
                    ) -> tuple[np.ndarray | None,
                               Iterator[sp.csr_matrix] | None]:
-    """``(codes, blocks)``: the closure of the doubled indices marked in the
-    4^N boolean mask ``reached`` under every ``(local matrix, support)``
-    term's column pattern, ascending, and each term embedded at its support
-    and restricted to those codes, built one at a time as ``blocks`` is
-    read; ``(None, None)`` when the closure is every index.
+    """``(codes, blocks)``: the closure of the doubled indices ``start``
+    under the stored entries of every ``(local matrix, support)`` term
+    (:func:`closure` on their :func:`move_table`), ascending, and each term
+    embedded at its support and restricted to those codes, built from that
+    term's own matches as ``blocks`` is read; ``(None, None)`` when the
+    closure is every index.
 
-    The closure is breadth-first: a code's local digit d at a support is
-    replaced by each row digit that column d of the local matrix holds.  It
-    marks ``reached`` in place and stops once every index is reached.  No
-    stored entry of a term joins ``codes`` to an index outside it, so sums
-    and products of the terms keep a vector on ``codes``, and the i-th
+    No stored entry of a term joins ``codes`` to an index outside it, so
+    sums and products of the terms keep a vector on ``codes``, and the i-th
     block equals ``embed_local(*terms[i], n_sites)[codes][:, codes]`` bit
     for bit.
     """
-    patterns = []
-    for local, sites in terms:
-        cols = sp.csc_matrix(local)               # column d's rows, values
-        patterns.append((cols, sites, _spread(np.arange(cols.shape[0]),
-                                              sites, n_sites, 4)))
-
-    def moves(codes, cols, sites, off):
-        """(column, row, value) of every entry of one term in ``codes``'
-        columns: column positions into ``codes``, rows as global codes."""
-        d = _gather(codes, sites, n_sites)
-        start, count = cols.indptr[d], np.diff(cols.indptr)[d]
-        col = np.repeat(np.arange(len(codes)), count)
-        k = (np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
-             + start[col])
-        row = cols.indices[k]
-        return col, codes[col] + off[row] - off[d[col]], cols.data[k]
-
-    frontier = np.flatnonzero(reached)
-    count = len(frontier)
-    while len(frontier) and count < len(reached):
-        fresh = [frontier[:0]]   # there may be no terms
-        for pattern in patterns:
-            row = moves(frontier, *pattern)[1]
-            row = np.unique(row[~reached[row]])
-            reached[row] = True
-            fresh.append(row)
-        frontier = np.concatenate(fresh)
-        count += len(frontier)
-    if count == len(reached):
+    table = move_table(terms, n_sites, 4)
+    found = closure(table, start, cap=4 ** n_sites - 1)
+    if found is None:       # the closure is every index
         return None, None
-    codes = np.flatnonzero(reached)
+    codes, (move, src, dst) = found
+    row, col = np.searchsorted(codes, dst), np.searchsorted(codes, src)
 
-    def block(pattern):
-        col, row, val = moves(codes, *pattern)
-        out = sp.coo_matrix((val, (np.searchsorted(codes, row), col)),
-                            shape=(len(codes),) * 2).tocsr()
-        out.sum_duplicates()
-        out.sort_indices()
-        return out
+    def block(t):     # canonical: tocsr sums duplicates and sorts indices
+        at = (move >= table.starts[t]) & (move < table.starts[t + 1])
+        return sp.coo_matrix((table.value[move[at]], (row[at], col[at])),
+                             shape=(len(codes),) * 2).tocsr()
 
-    return codes, map(block, patterns)
+    return codes, map(block, range(len(terms)))
 
 
 def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
@@ -479,7 +538,8 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     n = spec.n_sites
     by_support = _local_terms(spec)
     codes, blocks = _closed_blocks(
-        [(by_support[s], s) for s in sorted(by_support)], amplitudes != 0, n)
+        [(by_support[s], s) for s in sorted(by_support)],
+        np.flatnonzero(amplitudes), n)
     if codes is None:   # every index: the 4^N sum is the same matrix
         return np.arange(4 ** n), _embed_terms(by_support, n)
     dim = len(codes)

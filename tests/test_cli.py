@@ -725,8 +725,10 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
     ("mv-run", {"scan": {"n_values": [66]}}, "run on 3 to 63 sites"),
     ("mv-run", {"n_sites": 6, "initial": {"bits": "110100"},
                 "track": "continuous", "t": "abc"}, "t must be a number"),
-    ("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": 30,
-                "initial": {"bits": "0" * 30}}, "holds 1 to 29 sites"),
+    *[("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": n,
+                  "initial": {"bits": "0" * n}},
+       "4^N complex amplitudes in memory, which holds 1 to 14 sites")
+      for n in (15, 30)],
     *[("evolve", {**_DISCRETE, "evolution": {"kind": "continuous", "t": 1.0},
                   "model": {"id": "fuks", "params": {"p": 0.3,
                                                      "gamma": gamma}}},
@@ -737,7 +739,7 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
      'start must be "published"'),
 ], ids=["ml-cost-3-weights", "ml-cost-w1", "ml-cost-misspelt",
         "fates-demo-p", "mv-scan-2", "mv-scan-66", "mv-run-t",
-        "evolve-30-sites", "continuous-fuks-gamma-0",
+        "evolve-15-sites", "evolve-30-sites", "continuous-fuks-gamma-0",
         "continuous-fuks-gamma-negative", "discrete-fuks-p-0.9",
         "ml-opt-start-misspelt"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,

@@ -29,8 +29,8 @@ from qcadc.observables import (density_n, diag_indices, diag_probabilities,
                                expval_sz, trace_of)
 from qcadc.superop import (
     ID2, P0, P1, SIGMA_MINUS, LindbladSpec, LocalOperator, VecState,
-    assemble_lindbladian, devectorize, doubled, reachable_generator,
-    vectorize,
+    assemble_lindbladian, devectorize, doubled, match_moves, move_table,
+    reachable_generator, vectorize,
 )
 from conftest import basis_density, ghz_density, random_density
 
@@ -453,7 +453,45 @@ def test_rate_matrix_is_diagonal_restriction_random_specs(n, seed):
     assert abs(got - want).max() < 1e-12
 
 
+def random_mixed_width_spec(rng, n):
+    """Jumps on one, two or three adjacent sites that send each basis
+    pattern to one basis pattern (or annihilate it), with random amplitudes
+    and some zero rates."""
+    jumps = []
+    for _ in range(rng.integers(1, 6)):
+        width, j = int(rng.integers(1, 4)), int(rng.integers(n))
+        K = np.zeros((2 ** width, 2 ** width), dtype=complex)
+        for col in range(2 ** width):
+            if rng.random() < 0.6:
+                K[rng.integers(2 ** width), col] = (rng.normal()
+                                                    + 1j * rng.normal())
+        rate = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 2.0))
+        jumps.append((LocalOperator(tuple((j + i) % n for i in range(width)),
+                                    K), rate))
+    return LindbladSpec(n, (), tuple(jumps))
+
+
+@given(st.integers(min_value=3, max_value=7),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mixed_width_specs_match_the_references(n, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_mixed_width_spec(rng, n)
+    bits0 = rng.integers(0, 2, n)
+    assert_same_reachable(spec, bits0)
+    idx = diag_indices(n)
+    want = assemble_lindbladian(spec).matrix.tocsr()[idx][:, idx]
+    assert abs(diagonal_rate_matrix(spec) - want).max() < 1e-12
+    t_grid = np.linspace(0.0, 1.0, 5)
+    got = DiagonalDynamics(spec).gillespie_mean_occupancy(
+        bits0, t_grid, 4, np.random.default_rng(seed))
+    want = _reference_gillespie(spec, bits0, t_grid, 4,
+                                np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
 def test_enabled_moves_on_all_codes_match_rate_matrix():
+    # the shared matcher on the move table of DiagonalDynamics
     for n in (3, 4, 6):
         for spec in (fuks_lindblad(FuksParams(0.3), n),
                      ml_lindblad(published_ml_weights(), n),
@@ -461,7 +499,8 @@ def test_enabled_moves_on_all_codes_match_rate_matrix():
             dyn = DiagonalDynamics(spec)
             table = _reference_table(spec)
             codes = np.arange(2 ** n)
-            src, dst, rate = dyn.enabled_moves(codes)
+            move, src, dst = match_moves(dyn._table, codes)
+            rate = dyn._table.value[move]
             off = np.zeros((2 ** n, 2 ** n))
             np.add.at(off, (dst, src), rate)
             Q = dyn.rate_matrix().toarray()
@@ -474,25 +513,53 @@ def test_enabled_moves_on_all_codes_match_rate_matrix():
 
 @pytest.mark.parametrize("chunk", [1, 120, 1000])
 def test_enabled_moves_in_chunks_keep_the_per_move_order(monkeypatch, chunk):
-    # 40 codes: chunks of 1, 3 and 25 move-table rows
-    import qcadc.evolve as ev
-    monkeypatch.setattr(ev, "_MOVE_CHUNK", chunk)
+    # 40 codes: chunks of 1, 3 and 25 move-table rows, on radix-2 tables
+    # of DiagonalDynamics and on the radix-4 table of a doubled generator;
+    # one code is matched in one flat pass, to the same moves
+    import qcadc.superop as so
+    monkeypatch.setattr(so, "_MOVE_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    for spec in (fuks_lindblad(FuksParams(0.3), 7), *mv_lindblads(7),
-                 random_basis_preserving_spec(rng, 7)):
-        dyn = DiagonalDynamics(spec)
-        t = dyn._table
-        codes = rng.permutation(2 ** 7)[:40]
-        src, dst, rate = [codes[:0]], [codes[:0]], [np.empty(0)]
-        for m in range(len(t.rate)):         # one move-table row at a time
-            hit = codes[(codes & t.mask[m]) == t.match[m]]
-            src.append(hit)
-            dst.append((hit & ~t.mask[m]) | t.put[m])
-            rate.append(np.full(len(hit), t.rate[m]))
-        got = dyn.enabled_moves(codes)
-        for g, w in zip(got, (src, dst, rate)):
-            w = np.concatenate(w)
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    by_support = so._local_terms(fuks_lindblad(FuksParams(0.3), 4))
+    doubled_table = move_table([(by_support[s], s) for s in
+                                sorted(by_support)], 4, 4)
+    for table, dim in (
+            *((DiagonalDynamics(spec)._table, 2 ** 7)
+              for spec in (fuks_lindblad(FuksParams(0.3), 7),
+                           *mv_lindblads(7),
+                           random_basis_preserving_spec(rng, 7))),
+            (doubled_table, 4 ** 4)):
+        drawn = rng.permutation(dim)[:40]
+        for codes in (drawn, drawn[:1]):
+            move, src, dst = [codes[:0]], [codes[:0]], [codes[:0]]
+            for m in range(len(table.mask)):     # one table row at a time
+                hit = codes[(codes & table.mask[m]) == table.match[m]]
+                move.append(np.full(len(hit), m))
+                src.append(hit)
+                dst.append((hit & ~table.mask[m]) | table.put[m])
+            got = match_moves(table, codes)
+            for g, w in zip(got, (move, src, dst)):
+                w = np.concatenate(w)
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("family", ["fuks", "ml", "mv-spread",
+                                    "mv-consensus"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_doubled_closure_of_a_basis_state_is_its_classical_chain(family, n):
+    # one kernel, two radixes: the doubled closure of |s><s| is the
+    # diagonal of the classical reachable set, and the generator there is
+    # Q (ml's diagonal sums in another order, so not to the bit)
+    spec = {"fuks": lambda: fuks_lindblad(FuksParams(0.3), n),
+            "ml": lambda: ml_lindblad(published_ml_weights(), n),
+            "mv-spread": lambda: mv_lindblads(n)[0],
+            "mv-consensus": lambda: mv_lindblads(n)[1]}[family]()
+    rng = np.random.default_rng(n)
+    for bits in (rng.integers(0, 2, n), mv_worst_consensus_input(n)):
+        state = vectorize(basis_density(bits))
+        codes, sub = reachable_generator(spec, state.amplitudes)
+        chain, Q = DiagonalDynamics(spec).reachable(bits)
+        assert np.array_equal(codes, diag_indices(n)[chain])
+        assert abs(sub - Q).max() < 1e-12
 
 
 def test_reachable_subspace_matches_full_rate_matrix():
@@ -927,15 +994,14 @@ def test_dephasing_continuous_steady_states():
         assert abs(probs[idx] - 1 / 3) < 1e-6
 
 
-def test_mixed_width_spec_runs_diagonal_though_diagonal_dynamics_refuses_it():
-    # every jump is basis preserving, but the move table of DiagonalDynamics
-    # takes one width; a continuous run decides on its reachable block
+def test_mixed_width_spec_runs_diagonal_and_diagonal_dynamics_accepts_it():
+    # every jump is basis preserving; each move-table row carries the mask
+    # of its own jump's support, so the widths may differ
     fuks = fuks_lindblad(FuksParams(0.3), 3)
     mixed = LindbladSpec(3, (), fuks.jumps
                          + ((LocalOperator((0,), SIGMA_MINUS), 0.5),))
-    assert not is_basis_preserving(mixed)
-    with pytest.raises(NotBasisPreservingError, match="mixed jump widths"):
-        DiagonalDynamics(mixed)
+    assert is_basis_preserving(mixed)
+    assert_same_reachable(mixed, np.array([0, 1, 1]))
     state = vectorize(basis_density([0, 1, 1]))
     out = continuous_evolve(mixed, state, 1.0, samples=2)
     assert out.method_used == "diagonal"
@@ -1160,7 +1226,8 @@ def test_closed_blocks_are_window_factors_restricted_as_they_are_read():
                for _, local, starts in fuks_rule(FuksParams(0.3), n).branches
                for s in starts]
     state = vectorize(basis_density([1, 1, 0, 1, 0, 0]))
-    codes, blocks = _closed_blocks(windows, state.amplitudes != 0, n)
+    codes, blocks = _closed_blocks(windows, np.flatnonzero(state.amplitudes),
+                                   n)
     assert iter(blocks) is blocks
     assert 0 < len(codes) < 4 ** n
     for (local, sites), block in zip(windows, blocks, strict=True):
