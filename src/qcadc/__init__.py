@@ -9,7 +9,7 @@ from .config import ENGINE_VERSION as __version__
 from .superop import (
     VecState, LocalOperator, SuperOp, LindbladSpec,
     vectorize, devectorize, embed_local, kraus_to_superop,
-    assemble_lindbladian, apply_adjoint_generator,
+    assemble_lindbladian,
 )
 from .models import (
     FuksParams, DephasingParams, MLWeights, DiscreteRule,

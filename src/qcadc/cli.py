@@ -435,6 +435,9 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
                 all_rows.append((entry["id"], n, rep.gap, rep.null_dim,
                                  rep.method))
                 gaps[n] = rep.gap
+                for warning in rep.warnings:
+                    print(f"note: {entry['id']} N={n}: {warning}",
+                          file=sys.stderr)
         per_model_gaps[entry["id"]] = gaps
         # the bond-projector family's smallest two ring sizes sit off the
         # power law; they default to excluded from the fit (overridable)
@@ -789,6 +792,20 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, part), getattr(want, part))
 
+    def c_sector_spectrum():
+        # the momentum-sector, graded-block spectrum against the one dense
+        # eigvals of the whole generator, both ordered by rounded value
+        def ordered(ev):
+            return ev[np.lexsort((ev.imag.round(8), ev.real.round(8)))]
+
+        for spec in (models.fuks_lindblad(models.FuksParams(0.3), 4),
+                     models.dephasing_lindblad(models.DephasingParams(1.0),
+                                               3)):
+            got = ordered(spectra.spectrum(spec).eigenvalues)
+            want = ordered(np.linalg.eigvals(
+                assemble_lindbladian(spec).dense()))
+            assert np.abs(got - want).max() < 1e-10
+
     check("vectorization round trip", c_round_trip)
     check("discrete steps preserve trace", c_channel_traces)
     check("generators annihilate trace", c_generator_trace_annihilation)
@@ -796,6 +813,7 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
     check("majority voting budget (N=6 exhaustive)", c_mv_budget)
     check("diagonal restriction matches generator", c_diagonal_oracle)
     check("block step matches the 4^N step", c_block_step)
+    check("sector spectrum matches the 4^N spectrum", c_sector_spectrum)
 
     for name, ok, msg in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}{': ' + msg if msg else ''}")

@@ -44,11 +44,11 @@ from .config import DENSE_SUPEROP_CAP, TOL
 __all__ = [
     "P0", "P1", "SIGMA_MINUS", "SIGMA_PLUS", "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2",
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
-    "vectorize", "devectorize", "doubled", "embed_local", "embed_physical",
+    "vectorize", "devectorize", "doubled", "embed_local",
     "basis_moves", "MoveTable", "move_table", "match_moves", "closure",
     "kraus_to_superop", "assemble_lindbladian", "reachable_generator",
     "conserved_grading", "rotate_ring", "translation_sectors",
-    "apply_adjoint_generator", "kraus_completeness_residual",
+    "kraus_completeness_residual",
     "ChannelInvalidError",
 ]
 
@@ -229,35 +229,16 @@ def doubled(ket_op: np.ndarray, bra_op: np.ndarray | None = None) -> np.ndarray:
 # embedding
 
 
-def _spread(idx: np.ndarray, positions: Sequence[int], n_sites: int,
-            radix: int) -> np.ndarray:
-    """Global offsets of the local digit strings ``idx`` placed at
-    ``positions``; site 0 is the most significant digit."""
+def _spread(idx: np.ndarray, positions: Sequence[int],
+            n_sites: int) -> np.ndarray:
+    """Global doubled-index offsets of the local base-4 digit strings
+    ``idx`` placed at ``positions``; site 0 is the most significant
+    digit."""
     off = np.zeros(len(idx), dtype=np.int64)
     for i, s in enumerate(positions):
-        off += ((idx // radix ** (len(positions) - 1 - i)) % radix
-                * radix ** (n_sites - 1 - s))
+        off += (idx // 4 ** (len(positions) - 1 - i) % 4
+                * 4 ** (n_sites - 1 - s))
     return off
-
-
-def _scatter(m: sp.coo_matrix, sites: Sequence[int], n_sites: int,
-             radix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global (rows, cols, vals) of the local matrix ``m`` placed at ``sites``
-    with identity digits everywhere else.
-
-    ``radix`` is 2 for physical indices and 4 for doubled ones; site 0 is
-    the most significant digit.  Local digits are ordered as ``sites``, so
-    wrapped supports need no permutation.
-    """
-    rest = [s for s in range(n_sites) if s not in sites]
-    base = _spread(np.arange(radix ** len(rest), dtype=np.int64), rest,
-                   n_sites, radix)
-    rows = (base[:, None] + _spread(m.row.astype(np.int64), sites, n_sites,
-                                    radix)).reshape(-1)
-    cols = (base[:, None] + _spread(m.col.astype(np.int64), sites, n_sites,
-                                    radix)).reshape(-1)
-    vals = np.broadcast_to(m.data, (len(base), len(m.data))).reshape(-1)
-    return rows, cols, vals
 
 
 def embed_local(matrix: np.ndarray | sp.spmatrix, sites: Sequence[int],
@@ -274,21 +255,18 @@ def embed_local(matrix: np.ndarray | sp.spmatrix, sites: Sequence[int],
     m = sp.coo_matrix(matrix)
     if m.shape != (4 ** k, 4 ** k):
         raise ValueError(f"matrix shape {m.shape} does not match support {sites}")
-    rows, cols, vals = _scatter(m, sites, n_sites, 4)
+    rest = [s for s in range(n_sites) if s not in sites]
+    base = _spread(np.arange(4 ** len(rest), dtype=np.int64), rest, n_sites)
+    rows = (base[:, None] + _spread(m.row.astype(np.int64), sites,
+                                    n_sites)).reshape(-1)
+    cols = (base[:, None] + _spread(m.col.astype(np.int64), sites,
+                                    n_sites)).reshape(-1)
+    vals = np.broadcast_to(m.data, (len(base), len(m.data))).reshape(-1)
     dim = 4 ** n_sites
     out = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     out.sum_duplicates()
     out.sort_indices()
     return out
-
-
-def embed_physical(op: LocalOperator, n_sites: int) -> np.ndarray:
-    """Embed a physical (un-doubled) local operator into the 2^N space."""
-    _check_contiguous(op.sites, n_sites)
-    rows, cols, vals = _scatter(sp.coo_matrix(op.matrix), op.sites, n_sites, 2)
-    full = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
-    np.add.at(full, (rows, cols), vals)
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +430,32 @@ def _local_hamiltonian(H: np.ndarray, coeff: float) -> np.ndarray:
 
 def _local_terms(spec: LindbladSpec) -> dict[tuple[int, ...], np.ndarray]:
     """Per support, the sum of the local doubled-space terms of ``spec``:
-    the Hamiltonian terms, then the jumps, each in spec order."""
-    by_support: dict[tuple[int, ...], np.ndarray] = {}
+    the Hamiltonian terms, then the jumps, each in spec order.
 
-    def add(sites: tuple[int, ...], local: np.ndarray) -> None:
+    Each distinct local term (the same builder, matrix and coefficient) is
+    built once and added wherever it sits: a ring-invariant spec repeats
+    one term on every support.  A support's entry may be that shared,
+    read-only array.
+    """
+    by_support: dict[tuple[int, ...], np.ndarray] = {}
+    built: dict[tuple, np.ndarray] = {}
+
+    def add(sites: tuple[int, ...], build, matrix: np.ndarray,
+            coeff: float) -> None:
+        key = (build, matrix.dtype.str, matrix.shape, matrix.tobytes(), coeff)
+        if key not in built:
+            built[key] = build(matrix, coeff)
+            built[key].setflags(write=False)
+        local = built[key]
         if sites in by_support:
             by_support[sites] = by_support[sites] + local
         else:
             by_support[sites] = local
 
     for op, coeff in spec.hamiltonian_terms:
-        add(op.sites, _local_hamiltonian(op.matrix, coeff))
+        add(op.sites, _local_hamiltonian, op.matrix, coeff)
     for op, rate in spec.jumps:
-        add(op.sites, _local_dissipator(op.matrix, rate))
+        add(op.sites, _local_dissipator, op.matrix, rate)
     return by_support
 
 
@@ -598,25 +589,29 @@ def rotate_ring(idx: np.ndarray, n_sites: int, r: int) -> np.ndarray:
 
 
 def translation_sectors(matrix: sp.spmatrix, n_sites: int
-                        ) -> list[tuple[sp.csr_matrix, np.ndarray]]:
+                        ) -> tuple[int, Iterator[tuple[sp.csr_matrix,
+                                                       np.ndarray]]]:
     """Momentum sectors of the ring shift T for a doubled-space matrix M.
 
     T moves every site one step round the ring: doubled index i goes to
     ``rotate_ring(i, N, 1) = i // 4 + (i % 4) * 4**(N-1)``.  When M
     commutes with T (to ``TOL.null`` times its max-column-sum norm:
     assembly sums the same terms in a different order on each site), the
-    result holds one ``(P_k, reps_k)`` per momentum k = 0..N-1.  Column c
-    of the sparse isometry P_k is ``sum_j omega**(-k j) T^j |r> / sqrt(p)``
-    (omega = exp(2 pi i / N)) for the orbit representative
-    ``r = reps_k[c]``, the smallest index of its orbit, of period p; an
-    orbit is kept only where k p = 0 mod N, since its sum vanishes
-    otherwise.  ``P_k^H M P_k`` is M on sector k, and the sectors' spectra
-    together make up M's.  Every orbit member shares the representative's
-    (ket, bra) counts, so each sector splits further by
+    result is ``(N, sectors)``, and ``sectors`` yields one ``(P_k,
+    reps_k)`` per momentum k = 0..N-1, in order, each built only when it
+    is drawn, so a caller that stops early never builds the rest.  Column
+    c of the sparse isometry P_k is ``sum_j omega**(-k j) T^j |r> /
+    sqrt(p)`` (omega = exp(2 pi i / N)) for the orbit representative ``r
+    = reps_k[c]``, the smallest index of its orbit, of period p; an orbit
+    is kept only where k p = 0 mod N, since its sum vanishes otherwise.
+    ``P_k^H M P_k`` is M on sector k, and the sectors' spectra together
+    make up M's.  Every orbit member shares the representative's (ket,
+    bra) counts, so each sector splits further by
     :func:`conserved_grading` read at ``reps_k``.
 
-    When M does not commute with T, the result is the single identity
-    sector ``[(I, arange(4^N))]``: each index is its own orbit.
+    When M does not commute with T, the result is ``(1, sectors)`` with
+    the single identity sector ``(I, arange(4^N))``: each index is its own
+    orbit.
     """
     dim = matrix.shape[0]
     idx = np.arange(dim, dtype=np.int64)
@@ -624,7 +619,7 @@ def translation_sectors(matrix: sp.spmatrix, n_sites: int
     t = sp.csr_matrix((np.ones(dim), (shift, idx)), shape=(dim, dim))
     comm = abs(t @ matrix - matrix @ t).sum(axis=0).max()
     if comm > TOL.null * abs(matrix).sum(axis=0).max():
-        return [(sp.identity(dim, dtype=complex, format="csr"), idx)]
+        return 1, iter([(sp.identity(dim, dtype=complex, format="csr"), idx)])
     orbit = [idx]                       # orbit[j][i] = T^j i
     for _ in range(n_sites - 1):
         orbit.append(shift[orbit[-1]])
@@ -633,34 +628,15 @@ def translation_sectors(matrix: sp.spmatrix, n_sites: int
     members = orbit[:, reps]
     period = n_sites // (members == reps).sum(axis=0)   # T^j r = r, N/p times
     j = np.arange(n_sites)[:, None]
-    sectors = []
-    for k in range(n_sites):
-        keep = np.flatnonzero(k * period % n_sites == 0)
-        on = j < period[keep]
-        cols = np.broadcast_to(np.arange(len(keep)), on.shape)[on]
-        vals = (np.exp(-2j * np.pi * (k * j % n_sites) / n_sites)
-                / np.sqrt(period[keep]))[on]
-        basis = sp.csr_matrix((vals, (members[:, keep][on], cols)),
-                              shape=(dim, len(keep)))
-        sectors.append((basis, reps[keep]))
-    return sectors
 
+    def sectors():
+        for k in range(n_sites):
+            keep = np.flatnonzero(k * period % n_sites == 0)
+            on = j < period[keep]
+            cols = np.broadcast_to(np.arange(len(keep)), on.shape)[on]
+            vals = (np.exp(-2j * np.pi * (k * j % n_sites) / n_sites)
+                    / np.sqrt(period[keep]))[on]
+            yield (sp.csr_matrix((vals, (members[:, keep][on], cols)),
+                                 shape=(dim, len(keep))), reps[keep])
 
-def apply_adjoint_generator(spec: LindbladSpec,
-                            observable: np.ndarray | LocalOperator
-                            | Sequence[LocalOperator]) -> np.ndarray:
-    """Heisenberg-picture action L^dag[O], returned as a dense 2^N matrix.
-
-    In the site-local vectorization the adjoint generator is exactly the
-    conjugate transpose of the assembled generator, since <A, L[B]> uses the
-    Hilbert-Schmidt pairing preserved by the per-site doubling.
-    """
-    if isinstance(observable, LocalOperator):
-        obs = embed_physical(observable, spec.n_sites)
-    elif isinstance(observable, np.ndarray):
-        obs = np.asarray(observable, dtype=complex)
-    else:
-        obs = sum(embed_physical(op, spec.n_sites) for op in observable)
-    gen = assemble_lindbladian(spec)
-    out = gen.matrix.conj().T @ vectorize(obs).amplitudes
-    return devectorize(VecState(spec.n_sites, out))
+    return n_sites, sectors()

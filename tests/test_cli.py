@@ -787,6 +787,35 @@ def test_gap_scan_exits_3_naming_the_sizes_that_fail(tmp_path, capsys,
     assert rows[1][:3] == ["fuks", "4", "nan"]
 
 
+def test_gap_scan_notes_spectrum_warnings_on_stderr(tmp_path, capsys,
+                                                     monkeypatch):
+    import dataclasses
+    from qcadc import spectra
+    cfg = {"models": [{"id": "fuks", "n_values": [3, 4]},
+                      {"id": "dephasing", "n_values": [4]}]}
+    code, plain = run(tmp_path / "plain", "gap-scan", cfg)
+    assert code == 0 and capsys.readouterr().err == ""
+    spectrum = spectra.spectrum
+
+    def warn_at_4(spec, **kwargs):
+        rep = spectrum(spec, **kwargs)
+        if spec.n_sites != 4:
+            return rep
+        return dataclasses.replace(rep, warnings=("first", "second"))
+
+    monkeypatch.setattr(spectra, "spectrum", warn_at_4)
+    code, out = run(tmp_path / "warned", "gap-scan", cfg)
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "note: fuks N=4: first\nnote: fuks N=4: second\n"
+        "note: dephasing N=4: first\nnote: dephasing N=4: second\n")
+    # the notes change no output file
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in plain.iterdir())
+    for path in plain.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
 _MV_DISCRETE = {"n_sites": 6, "initial": {"bits": "110100"},
                 "track": "discrete"}
 _MV_SPREAD = {**_DISCRETE, "model": {"id": "mv-spread"}}

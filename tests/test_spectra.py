@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from qcadc import spectra
+from qcadc.config import TOL
 from qcadc.models import (
     DephasingParams, FuksParams, dephasing_lindblad, fuks_lindblad,
     ml_lindblad, published_ml_weights, steady_family_state,
@@ -189,7 +190,8 @@ def _same_multiset(got, want, tol=1e-8):
 
 def _identity_sector(matrix, n_sites):
     dim = matrix.shape[0]
-    return [(sp.identity(dim, dtype=complex, format="csr"), np.arange(dim))]
+    return 1, iter([(sp.identity(dim, dtype=complex, format="csr"),
+                     np.arange(dim))])
 
 
 def _graded_blocks_eigvals(spec):
@@ -228,7 +230,7 @@ SECTOR_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(SECTOR_FAMILIES))
 def test_sector_split_matches_identity_sector(family, n, monkeypatch):
     spec = SECTOR_FAMILIES[family](n)
-    assert len(translation_sectors(assemble_lindbladian(spec).matrix, n)) == n
+    assert translation_sectors(assemble_lindbladian(spec).matrix, n)[0] == n
     split = spectrum(spec)
     monkeypatch.setattr(spectra, "translation_sectors", _identity_sector)
     unsplit = spectrum(spec)
@@ -253,9 +255,9 @@ def _site_dependent(spec, scale):
 ], ids=["fuks-rates", "dephasing-omega-rates"])
 def test_non_invariant_spec_takes_identity_sector_bit_for_bit(spec):
     gen = assemble_lindbladian(spec)
-    sectors = translation_sectors(gen.matrix, spec.n_sites)
-    assert len(sectors) == 1
-    basis, reps = sectors[0]
+    count, sectors = translation_sectors(gen.matrix, spec.n_sites)
+    assert count == 1
+    [(basis, reps)] = sectors
     assert np.array_equal(reps, np.arange(4 ** spec.n_sites))
     assert (basis != sp.identity(len(reps), format="csr")).nnz == 0
     assert np.array_equal(spectrum(spec).eigenvalues,
@@ -271,7 +273,7 @@ def test_conjugate_paired_sectors_equal_full_momentum_loop(family, n):
     gen = assemble_lindbladian(spec)
     _, grading = conserved_grading(gen.matrix, n)
     full = []
-    for basis, reps in translation_sectors(gen.matrix, n):
+    for basis, reps in translation_sectors(gen.matrix, n)[1]:
         h = (basis.conj().T @ gen.matrix @ basis).toarray()
         for g in np.unique(grading[reps]):
             block = np.flatnonzero(grading[reps] == g)
@@ -298,3 +300,107 @@ def test_n7_gaps_match_closed_forms():
     assert abs(deph.gap - (1 - np.cos(2 * np.pi / 7))) < 1e-12
     assert (fuks.null_dim, deph.null_dim) == (4, 8)
     assert (fuks.method, deph.method) == ("dense/difference", "dense/joint")
+
+
+def _full_sector_loop(spec):
+    """``spectrum``'s dense loop as it was before sectors were drawn
+    lazily and blocks cut in one pass: the full sector list, each basis's
+    columns permuted into label order, one sparse slice and one eigvals
+    per graded block; then the same report fields."""
+    gen = assemble_lindbladian(spec)
+    n = spec.n_sites
+    norm = float(np.abs(gen.matrix).sum(axis=0).max())
+    _, grading = conserved_grading(gen.matrix, n)
+    sectors = list(translation_sectors(gen.matrix, n)[1])
+    real = len(sectors) > 1 and not gen.matrix.data.imag.any()
+    stop = len(sectors) // 2 + 1 if real else len(sectors)
+    eigenvalues, twins = [], []
+    for q, (basis, reps) in enumerate(sectors[:stop]):
+        paired = real and 0 < 2 * q < len(sectors)
+        sizes = np.unique(grading[reps], return_counts=True)[1]
+        ends = np.cumsum(sizes)
+        basis = basis[:, np.argsort(grading[reps], kind="stable")]
+        h = (basis.conj().T @ gen.matrix @ basis).tocsr()
+        for block in map(slice, ends - sizes, ends):
+            sub = h[block, block].toarray()
+            if real and not paired:
+                sub = sub.real
+            w = np.linalg.eigvals(sub)
+            eigenvalues.append(w)
+            if paired:
+                twins.append(w.conj())
+    ev = np.concatenate(eigenvalues + twins).astype(complex)
+    zero = TOL.null * norm
+    nonzero = ev[np.abs(ev) >= zero]
+    border = np.abs(ev[(np.abs(ev) >= 0.1 * zero) & (np.abs(ev) <= 10 * zero)])
+    warnings = (f"{len(border)} eigenvalue(s) within a decade of the zero "
+                f"threshold {zero:.3e}; smallest {border.min():.3e}",
+                ) if len(border) else ()
+    return (ev, float(np.abs(nonzero).min()), len(ev) - len(nonzero),
+            float(nonzero.real.max()), warnings)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["fuks", "dephasing", "dephasing-omega",
+                                    "ml"])
+def test_spectrum_equals_the_full_sector_loop(family, n):
+    spec = SECTOR_FAMILIES[family](n)
+    rep = spectrum(spec)
+    ev, gap, null_dim, max_re, warnings = _full_sector_loop(spec)
+    assert np.array_equal(rep.eigenvalues, ev)
+    assert rep.gap == gap
+    assert rep.null_dim == null_dim
+    assert rep.max_re_nonzero == max_re
+    assert rep.warnings == warnings
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("family", sorted(SECTOR_FAMILIES))
+def test_spectrum_draws_only_the_sectors_it_reads(family, n, monkeypatch):
+    drawn = []
+
+    def counted(matrix, n_sites):
+        count, sectors = translation_sectors(matrix, n_sites)
+
+        def tap():
+            for sector in sectors:
+                drawn.append(sector)
+                yield sector
+        return count, tap()
+
+    monkeypatch.setattr(spectra, "translation_sectors", counted)
+    spectrum(SECTOR_FAMILIES[family](n))
+    # only the Hamiltonian of the dephasing-omega family is not real
+    assert len(drawn) == (n if family == "dephasing-omega" else n // 2 + 1)
+
+
+def _assert_assembly_is_one_local_build_per_term(spec):
+    # the reference builds every term on its own, as assembly did before
+    # it built each distinct local term once
+    from qcadc import superop
+    by_support = {}
+    for build, terms in ((superop._local_hamiltonian, spec.hamiltonian_terms),
+                         (superop._local_dissipator, spec.jumps)):
+        for op, coeff in terms:
+            local = build(op.matrix, coeff)
+            by_support[op.sites] = (by_support[op.sites] + local
+                                    if op.sites in by_support else local)
+    want = superop._embed_terms(by_support, spec.n_sites)
+    got = assemble_lindbladian(spec).matrix
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", sorted(SECTOR_FAMILIES))
+def test_assembly_equals_one_local_build_per_term(family, n):
+    _assert_assembly_is_one_local_build_per_term(SECTOR_FAMILIES[family](n))
+
+
+def test_assembly_keeps_each_rate_of_a_repeated_jump():
+    # the same jump matrix at different rates is a different local term
+    for spec in (_site_dependent(fuks_lindblad(FuksParams(0.3), 4),
+                                 lambda i: 1 + 0.25 * (i // 6)),
+                 _site_dependent(dephasing_lindblad(DephasingParams(1.0), 5),
+                                 lambda i: 1 + 0.5 * (i // 4 == 2))):
+        _assert_assembly_is_one_local_build_per_term(spec)

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from qcadc.superop import (
     ID2, P0, P1, PAULI_X, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS,
     ChannelInvalidError, LindbladSpec, LocalOperator, VecState,
-    apply_adjoint_generator, assemble_lindbladian, devectorize, doubled,
-    embed_local, embed_physical, kraus_to_superop, rotate_ring,
-    translation_sectors, vectorize,
+    assemble_lindbladian, devectorize, doubled, embed_local,
+    kraus_to_superop, rotate_ring, translation_sectors, vectorize,
 )
 from conftest import basis_density, ghz_density, random_density, random_hermitian
 
@@ -298,23 +297,30 @@ def test_negative_rate_rejected():
 
 
 def sz_matrix(n):
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j in range(n):
-        out += embed_physical(LocalOperator((j,), PAULI_Z), n) / 2
-    return out
+    """sum_j Z_j / 2: (N - 2 * popcount(b)) / 2 on basis state b."""
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n) & 1
+    return np.diag((n - 2 * bits.sum(axis=1)) / 2).astype(complex)
+
+
+def adjoint(spec, observable):
+    """L^dag[O] as a 2^N matrix: the conjugate transpose of the assembled
+    generator, which the Hilbert-Schmidt pairing makes the adjoint in the
+    site-local vectorization."""
+    gen = assemble_lindbladian(spec)
+    return devectorize(gen.matrix.conj().T @ vectorize(observable).amplitudes)
 
 
 def test_adjoint_annihilates_identity(rng):
     from qcadc.models import FuksParams, fuks_lindblad
     spec = fuks_lindblad(FuksParams(0.4), 3)
-    out = apply_adjoint_generator(spec, np.eye(8, dtype=complex))
+    out = adjoint(spec, np.eye(8, dtype=complex))
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_adjoint_conserves_sz_fuks():
     from qcadc.models import FuksParams, fuks_lindblad
     spec = fuks_lindblad(FuksParams(0.25), 4)
-    out = apply_adjoint_generator(spec, sz_matrix(4))
+    out = adjoint(spec, sz_matrix(4))
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -322,7 +328,7 @@ def test_adjoint_conserves_sz_dephasing():
     from qcadc.models import DephasingParams, dephasing_lindblad
     for omega in (0.0, 0.8):
         spec = dephasing_lindblad(DephasingParams(omega=omega), 3)
-        out = apply_adjoint_generator(spec, sz_matrix(3))
+        out = adjoint(spec, sz_matrix(3))
         assert np.max(np.abs(out)) < 1e-12
 
 
@@ -334,7 +340,7 @@ def test_adjoint_matches_trace_pairing(rng):
     rho = random_density(rng, 3)
     O = random_hermitian(rng, 3)
     lhs = np.trace(O @ devectorize(gen @ vectorize(rho)))
-    rhs = np.trace(apply_adjoint_generator(spec, O) @ rho)
+    rhs = np.trace(adjoint(spec, O) @ rho)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -384,8 +390,8 @@ def test_rotate_ring_composes_and_inverts(n):
 def test_translation_sectors_are_momentum_eigenbases(n):
     from qcadc.models import DephasingParams, dephasing_lindblad
     spec = dephasing_lindblad(DephasingParams(1.0), n)
-    sectors = translation_sectors(assemble_lindbladian(spec).matrix, n)
-    assert len(sectors) == n
+    count, sectors = translation_sectors(assemble_lindbladian(spec).matrix, n)
+    assert count == n
     shift = ring_shift_oracle(n)
     total = np.zeros((4 ** n, 4 ** n), dtype=complex)
     for k, (basis, reps) in enumerate(sectors):
@@ -395,12 +401,15 @@ def test_translation_sectors_are_momentum_eigenbases(n):
         # the representative is the smallest index its column touches
         assert np.array_equal(reps, [np.flatnonzero(c)[0] for c in p.T])
         total += p @ p.conj().T
+    assert k == n - 1
     assert np.abs(total - np.eye(4 ** n)).max() < 1e-12
 
 
 def test_translation_sectors_refuse_a_broken_ring_symmetry():
     spec = LindbladSpec(3, (), ((LocalOperator((0,), SIGMA_MINUS), 1.0),))
     matrix = assemble_lindbladian(spec).matrix
-    [(basis, reps)] = translation_sectors(matrix, 3)
+    count, sectors = translation_sectors(matrix, 3)
+    assert count == 1
+    [(basis, reps)] = sectors
     assert np.array_equal(reps, np.arange(64))
     assert (basis != sp.identity(64, format="csr")).nnz == 0
