@@ -46,7 +46,8 @@ from two adjacent particles reaches 441 indices).
 The majority-voting runs read per-site occupation curves from one stream,
 :func:`_occupancy`: exact on the ascending reachable set of
 :meth:`DiagonalDynamics.reachable`, by uniformization, or one block of
-Gillespie means when that set holds more than ``exact_cap`` states.
+Gillespie means when that set holds more than ``exact_cap`` states, drawn
+from the moves the capped search matched before it stopped.
 
 Both kinds of reachable set, doubled indices and the classical chain's
 basis codes, come from one kernel: :func:`superop.closure` on a move table
@@ -77,7 +78,7 @@ __all__ = [
     "discrete_run", "continuous_evolve",
     "diagonal_rate_matrix", "is_basis_preserving", "DiagonalDynamics",
     "converge_to_fixed_point", "krylov_expmv", "crossing_time",
-    "uniformized_rows", "mean_occupancy",
+    "mean_occupancy",
 ]
 
 DEFAULT_SAMPLES = 64
@@ -277,6 +278,32 @@ def _code_of(bits) -> int:
     return code
 
 
+def _by_source(parts: list[tuple[np.ndarray, np.ndarray]], rows: int
+               ) -> tuple[np.ndarray, ...]:
+    """``(codes, starts, ends, move)`` of the per-frontier ``(move, src)``
+    matches of a capped :func:`superop.closure` on a table of ``rows``
+    rows: ``codes`` ascending, and the rows ``codes[i]`` matches are
+    ``move[starts[i]:ends[i]]``, in row order.
+
+    A code's matches all come from the one frontier that held it, in row
+    order, so a stable sort of each frontier by source keeps the order that
+    :func:`superop.match_moves` gives for the code alone.  Only compact
+    arrays outlive a frontier, and the frontiers' arrays are never joined,
+    so a capped run's peak memory stays that of its search.
+    """
+    row_type = np.min_scalar_type(rows)
+    codes, counts, moves = [], [], []
+    for move, src in parts:
+        code, count = np.unique(src, return_counts=True)
+        codes.append(code)
+        counts.append(count)
+        moves.append(move[np.argsort(src, kind="stable")].astype(row_type))
+    codes, counts, move = map(np.concatenate, (codes, counts, moves))
+    ends = np.cumsum(counts)
+    order = np.argsort(codes)
+    return codes[order], (ends - counts)[order], ends[order], move
+
+
 class DiagonalDynamics:
     """Classical continuous-time Markov chain restriction of a generator.
 
@@ -285,7 +312,8 @@ class DiagonalDynamics:
     |<out|L|in>|^2 at (out, in) for in != out, goes into one radix-2 move
     table in spec order, and its matcher (:func:`superop.match_moves`)
     gives the full 2^N rate matrix, the reachable-subspace restriction and
-    the moves of exact-jump (Gillespie) trajectory sampling.
+    the moves of exact-jump (Gillespie) trajectory sampling.  Each distinct
+    jump matrix is probed (:func:`superop.basis_moves`) once.
     """
 
     def __init__(self, spec: LindbladSpec):
@@ -294,11 +322,15 @@ class DiagonalDynamics:
                 "spec has Hamiltonian terms; the diagonal restriction "
                 "only exists for pure-jump basis-preserving generators")
         self.n_sites = spec.n_sites
-        terms = []
+        terms, probes = [], {}
         for op, rate in spec.jumps:
             if rate == 0.0:
                 continue
-            probed = basis_moves(op.matrix)
+            matrix = op.matrix
+            key = (matrix.dtype.str, matrix.shape, matrix.tobytes())
+            if key not in probes:
+                probes[key] = basis_moves(matrix)
+            probed = probes[key]
             if probed is None:
                 raise NotBasisPreservingError(
                     f"jump on sites {op.sites} maps a basis state to a "
@@ -309,6 +341,9 @@ class DiagonalDynamics:
                     local[out_code, in_code] = rate * weight
             terms.append((local, op.sites))
         self._table = move_table(terms, self.n_sites, 2)
+        # the matches of a capped reachable search, by source code
+        # (_by_source); Gillespie sampling starts from them
+        self._known = (np.empty(0, dtype=np.int64),) * 4
 
     def _rate_matrix(self, codes: np.ndarray, move: np.ndarray,
                      src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -335,13 +370,14 @@ class DiagonalDynamics:
         ``codes`` holds every state reached, ascending (:func:`closure`),
         and ``Q_sub`` is the rate matrix on them, built from the moves the
         closure matched.  A set of more than ``cap`` states raises
-        ``MemoryError``.
+        ``MemoryError``; the moves matched until then are kept, grouped by
+        code, for :meth:`gillespie_mean_occupancy` to start from.
         """
-        found = closure(self._table, [_code_of(bits0)], cap)
-        if found is None:
+        codes, found = closure(self._table, [_code_of(bits0)], cap)
+        if codes is None:
+            self._known = _by_source(found, len(self._table.mask))
             raise MemoryError(f"reachable set exceeds cap {cap}")
-        codes, moves = found
-        return codes, self._rate_matrix(codes, *moves)
+        return codes, self._rate_matrix(codes, *found)
 
     # -- Gillespie sampling ---------------------------------------------------
 
@@ -350,38 +386,60 @@ class DiagonalDynamics:
                                  ) -> np.ndarray:
         """Trajectory-averaged per-site occupation on a fixed time grid.
 
-        Each visited code's bits, moves, cumulative rates and total rate
-        are computed once per call; after each jump, the grid points the
-        state held through are filled in one slice.  Times and moves are
-        looked up by bisection in Python lists.
+        Each visited code's moves, cumulative rates and total rate are
+        found once per call: among the moves of a capped :meth:`reachable`
+        search when it matched that code, else by matching the code alone.
+        Times and moves are looked up by bisection in Python lists.  Each
+        stay of a trajectory that holds grid points is recorded as (first
+        grid index, end grid index, code); the occupations are summed once
+        from those stays, as a difference array over the grid.  The counts
+        are whole numbers, so the sums are exact.
         """
+        from array import array
         from bisect import bisect_left
-        n = self.n_sites
+        n, table = self.n_sites, self._table
+        known, starts, ends, known_move = self._known
+        keep, put = (~table.mask).tolist(), table.put.tolist()
         grid = np.asarray(t_grid, dtype=float).tolist()
-        acc = np.zeros((len(grid), n))
-        shifts = n - 1 - np.arange(n)
         start = _code_of(bits0)
-        seen = {}
+        seen, visited = {}, []
+        stays = array("q")          # (first, end, visited index) triples
         for _ in range(n_traj):
             code, now, gi = start, 0.0, 0
             while gi < len(grid):
                 if code not in seen:
-                    move, _, dst = match_moves(self._table, [code])
-                    rates = self._table.value[move]
-                    seen[code] = ((code >> shifts) & 1, dst.tolist(),
+                    i = known.searchsorted(code)
+                    if i < len(known) and known[i] == code:
+                        move = known_move[starts[i]:ends[i]]
+                    else:
+                        move = match_moves(table, [code])[0]
+                    rates = table.value[move]
+                    seen[code] = (len(visited),
+                                  [(code & keep[m]) | put[m]
+                                   for m in move.tolist()],
                                   np.cumsum(rates).tolist(),
                                   float(rates.sum()))
-                bits, dst, cum_rates, total = seen[code]
+                    visited.append(code)
+                index, dst, cum_rates, total = seen[code]
                 if not dst:
-                    acc[gi:] += bits
+                    stays.extend((gi, len(grid), index))
                     break
                 now += rng.exponential(1.0 / total)
                 gj = bisect_left(grid, now)
                 if gj > gi:
-                    acc[gi:gj] += bits
+                    stays.extend((gi, gj, index))
                     gi = gj
                 code = dst[bisect_left(cum_rates, rng.random() * total)]
-        return acc / n_traj
+        first, end, index = np.frombuffer(stays, dtype=np.int64).reshape(
+            -1, 3).T
+        bits = (np.array(visited, dtype=np.int64)[:, None]
+                >> (n - 1 - np.arange(n))) & 1
+        ones = np.ones(len(index))
+        # row g: the stays that begin at grid index g less those that end
+        change = sp.coo_matrix((np.r_[ones, -ones],
+                                (np.r_[first, end], np.r_[index, index])),
+                               shape=(len(grid) + 1, len(visited)))
+        return np.cumsum(change.tocsr() @ bits, axis=0)[:-1] / n_traj
 
 
 def diagonal_rate_matrix(spec: LindbladSpec) -> sp.csr_matrix:
@@ -564,19 +622,49 @@ def _poisson_pmf(k: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
+def _poisson_block(k0: int, count: int, means: np.ndarray) -> np.ndarray:
+    """Pois(k; mean) for k = k0..k0 + count - 1 (rows) and every mean
+    (columns): :func:`_poisson_pmf` at k0, then the ratio recursion
+    w(k) = w(k - 1) mean / k down the block, as one running product."""
+    means = np.asarray(means, dtype=float)
+    factors = np.empty((count, len(means)))
+    factors[0] = _poisson_pmf(np.array([k0]), means)[0]
+    factors[1:] = means / np.arange(k0 + 1.0, k0 + count)[:, None]
+    return np.cumprod(factors, axis=0)
+
+
 def _uniformized_blocks(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
                         t_grid: np.ndarray
                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows of :func:`uniformized_rows` as they become final.
+    """Rows ``obs^T exp(Q t) p0`` for every time of ``t_grid``, in one pass,
+    yielded as they become final.
 
-    Yields ``(idx, rows)``: the grid indices whose rows are final after a
-    block of 64 powers, in order of their time, and those rows.  The row of
-    mean m = L t takes the Poisson weights of the blocks from the one that
-    reaches k = m - 9 sqrt(m) (the lower tail below it is under 3e-18) to
-    the one that reaches k = m + 9 sqrt(m) + 30, Bernstein's bound for an
-    upper tail under 1e-16, and is then final; weights are evaluated only
-    for those live rows.  The stream stops at the cutoff K of the latest
-    time, where every row left is final.
+    ``Q`` is a rate matrix (columns sum to zero, off-diagonal entries
+    non-negative).  Uniformization (Jensen's method): with the largest exit
+    rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
+    P^k p0 are streamed once, up to the cutoff K at which the Poisson tail
+    at the latest time is below 1e-16, and projected onto ``obs`` 64 at a
+    time.  Yields ``(idx, rows)``: the grid indices whose rows are final
+    after a block of 64 powers, in order of their time, and those rows.
+
+    Each block's Poisson weights are built for it alone, and only for the
+    live times: those whose window k in [m - 9 sqrt(m), m + 9 sqrt(m) + 30],
+    m = L t, the block reaches and has not passed (Fox & Glynn's truncation
+    window, Commun. ACM 31:440, 1988; the lower tail below it is under
+    3e-18, and Bernstein's bound puts the upper tail under 1e-16).  A live
+    time's weights are seeded at the block's first power by the point form
+    :func:`_poisson_pmf` and carried down the block by Fox & Glynn's ratio
+    recursion w(k) = w(k - 1) m / k (:func:`_poisson_block`).  Re-seeding
+    every block bounds the rounding to 63 recursion steps, each of two
+    roundings, on top of the seed's own error: a few units in the last place
+    of the largest weight.  A time's row is final once the stream passes its
+    window, normalized to unit weight over the k it took.  The stream stops
+    at K, where every row left is final.
+
+    Time is linear in K, about L * max(t_grid) sparse matrix-vector
+    products; memory is that of 64 vectors and 64 rows of weights, whatever
+    K is.  More than 1e8 expected jumps (L * max(t_grid)) is refused with a
+    ValueError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and t_grid.min() < 0:
@@ -610,7 +698,7 @@ def _uniformized_blocks(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
         if j == _PROJECT_CHUNK - 1 or k == K:
             live = int(np.searchsorted(first, k, side="right"))
             if live > done:
-                w = _poisson_pmf(np.arange(k - j, k + 1), means[done:live])
+                w = _poisson_block(k - j, j + 1, means[done:live])
                 rows[done:live] += w.T @ (block[:j + 1] @ obs)
                 weight[done:live] += w.sum(axis=0)
             final = (len(means) if k == K
@@ -621,31 +709,6 @@ def _uniformized_blocks(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
                 done = final
         if k < K:
             v = step @ v
-
-
-def uniformized_rows(Q: sp.spmatrix, p0: np.ndarray, obs: np.ndarray,
-                     t_grid: np.ndarray) -> np.ndarray:
-    """Rows ``obs^T exp(Q t) p0`` for every time of ``t_grid``, in one pass.
-
-    ``Q`` is a rate matrix (columns sum to zero, off-diagonal entries
-    non-negative).  Uniformization (Jensen's method): with the largest exit
-    rate L and P = I + Q/L, exp(Q t) = sum_k Pois(k; L t) P^k.  The vectors
-    P^k p0 are streamed once, up to the K at which the Poisson tail at the
-    latest time is below 1e-16, and projected onto ``obs`` 64 at a time.
-    Each block's Poisson weights are built for it alone, and only for the
-    live times: those whose window k in [m - 9 sqrt(m), m + 9 sqrt(m) + 30],
-    m = L t, the block reaches and has not passed (Fox & Glynn's truncation
-    window, Commun. ACM 31:440, 1988).  A time's row is final once the
-    stream passes its window, normalized to unit weight over the k it took
-    (:func:`_uniformized_blocks`).  Time is linear in K, about
-    L * max(t_grid) sparse matrix-vector products; memory is that of 64
-    vectors and 64 rows of weights, whatever K is.  More than 1e8 expected
-    jumps (L * max(t_grid)) is refused with a ValueError.
-    """
-    rows = np.empty((len(t_grid), obs.shape[1]))
-    for idx, final in _uniformized_blocks(Q, p0, obs, t_grid):
-        rows[idx] = final
-    return rows
 
 
 def _uniformized_flow(Q: sp.spmatrix, p0: np.ndarray, dt: float, count: int,
@@ -675,7 +738,8 @@ def _occupancy(spec: LindbladSpec, bits0: np.ndarray, t_grid: np.ndarray,
     Exact on the reachable subspace, streamed by
     :func:`_uniformized_blocks`, when that holds at most ``exact_cap``
     states ("diagonal-exact"); else one block of every row, the mean of
-    ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie").
+    ``n_traj`` Gillespie trajectories drawn from ``rng`` ("gillespie"),
+    which start from the moves the capped search matched.
     """
     dyn = DiagonalDynamics(spec)
     try:

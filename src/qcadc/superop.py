@@ -346,27 +346,33 @@ def match_moves(table: MoveTable, codes: np.ndarray
 
 
 def closure(table: MoveTable, start: np.ndarray, cap: float = np.inf
-            ) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+            ) -> tuple[np.ndarray | None, tuple | list]:
     """``(codes, (move, src, dst))``: every code the table's rows reach
     from the codes ``start``, ascending, and every match
-    (:func:`match_moves`) of a reached code, frontier by frontier; None
-    once the set holds more than ``cap`` codes.
+    (:func:`match_moves`) of a reached code, frontier by frontier.  Once
+    the set holds more than ``cap`` codes the search stops and returns
+    ``(None, parts)``: the ``(move, src)`` matches of each frontier it
+    matched, which hold every code reached but the last frontier.
 
     Breadth-first over sorted frontiers: each frontier is matched at once,
-    and the destinations not yet seen (found by bisection in the sorted
-    set) are the next frontier.
+    the destinations not yet seen (found by bisection in the sorted set)
+    are the next frontier, and it is merged into the set.  Only ``(move,
+    src)`` is kept per frontier; ``dst`` is formed once at the end, as
+    :func:`match_moves` forms it.
     """
     codes = frontier = np.unique(np.asarray(start, dtype=np.int64))
-    edges = [(codes[:0],) * 3]
+    parts = [(codes[:0],) * 2]
     while len(frontier) and len(codes) <= cap:
-        edges.append(match_moves(table, frontier))
-        dst = edges[-1][2]
+        move, src, dst = match_moves(table, frontier)
+        parts.append((move, src))
         pos = np.minimum(np.searchsorted(codes, dst), len(codes) - 1)
         frontier = np.unique(dst[codes[pos] != dst])
-        codes = np.union1d(codes, frontier)
+        # two sorted runs with no code in common: a stable sort merges them
+        codes = np.sort(np.concatenate((codes, frontier)), kind="stable")
     if len(codes) > cap:
-        return None
-    return codes, tuple(map(np.concatenate, zip(*edges)))
+        return None, parts
+    move, src = map(np.concatenate, zip(*parts))
+    return codes, (move, src, (src & ~table.mask[move]) | table.put[move])
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +504,10 @@ def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
     for bit.
     """
     table = move_table(terms, n_sites, 4)
-    found = closure(table, start, cap=4 ** n_sites - 1)
-    if found is None:       # the closure is every index
+    codes, found = closure(table, start, cap=4 ** n_sites - 1)
+    if codes is None:       # the closure is every index
         return None, None
-    codes, (move, src, dst) = found
+    move, src, dst = found
     row, col = np.searchsorted(codes, dst), np.searchsorted(codes, src)
 
     def block(t):     # canonical: tocsr sums duplicates and sorts indices

@@ -15,10 +15,10 @@ from qcadc.evolve import (
     DiagonalDynamics, EvolutionResult, KrylovError, NotBasisPreservingError,
     continuous_evolve, converge_to_fixed_point, crossing_time,
     diagonal_rate_matrix, discrete_run, is_basis_preserving, krylov_expmv,
-    mean_occupancy, mv_worst_case_times, uniformized_rows,
+    mean_occupancy, mv_worst_case_times,
 )
-from qcadc.evolve import (_first_crossing, _poisson_cutoff, _poisson_pmf,
-                          _uniformized_blocks)
+from qcadc.evolve import (_first_crossing, _poisson_block, _poisson_cutoff,
+                          _poisson_pmf, _uniformized_blocks)
 from qcadc.models import (
     DephasingParams, DiscreteRule, FuksParams, MLWeights, center_windows,
     dephasing_lindblad, fates_rule, fuks_kraus_sets, fuks_lindblad,
@@ -490,6 +490,50 @@ def test_mixed_width_specs_match_the_references(n, seed):
     assert np.array_equal(got, want)
 
 
+def unmemoized_rate_matrix(spec):
+    """The rate matrix with every jump of nonzero rate probed on its own."""
+    from qcadc.superop import basis_moves
+    terms = []
+    for op, rate in spec.jumps:
+        if rate == 0.0:
+            continue
+        local = np.zeros(op.matrix.shape)
+        for in_code, out_code, weight in basis_moves(op.matrix):
+            if in_code != out_code:
+                local[out_code, in_code] = rate * weight
+        terms.append((local, op.sites))
+    dyn = DiagonalDynamics(LindbladSpec(spec.n_sites, (), ()))
+    dyn._table = move_table(terms, spec.n_sites, 2)
+    return dyn.rate_matrix()
+
+
+def test_diagonal_dynamics_probes_each_distinct_jump_matrix_once(
+        monkeypatch):
+    import qcadc.evolve as ev
+    probed = []
+    probe = ev.basis_moves
+    monkeypatch.setattr(ev, "basis_moves",
+                        lambda matrix: probed.append(1) or probe(matrix))
+    rng = np.random.default_rng(11)
+    for spec in (*mv_lindblads(12), *mv_lindblads(7),
+                 random_mixed_width_spec(rng, 6),
+                 random_mixed_width_spec(rng, 7)):
+        distinct = {(op.matrix.dtype.str, op.matrix.shape,
+                     op.matrix.tobytes())
+                    for op, rate in spec.jumps if rate != 0.0}
+        probed.clear()
+        got = DiagonalDynamics(spec).rate_matrix()
+        assert len(probed) == len(distinct)
+        want = unmemoized_rate_matrix(spec)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    # the twelve-site mv specs each repeat two jump matrices on every window
+    probed.clear()
+    for spec in mv_lindblads(12):
+        DiagonalDynamics(spec)
+    assert len(probed) == 4
+
+
 def test_enabled_moves_on_all_codes_match_rate_matrix():
     # the shared matcher on the move table of DiagonalDynamics
     for n in (3, 4, 6):
@@ -632,6 +676,39 @@ def test_gillespie_draws_match_reference_loop():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("cap", [1, 300, 10 ** 6])
+def test_capped_gillespie_equals_a_run_without_the_search(cap):
+    # the capped search's matches, grouped by code, are each code's moves
+    # in row order, so sampling from them draws what matching each code
+    # alone draws; a search that finishes keeps none.  The cases reach
+    # 1124, 256, 494 and 16 codes
+    rng = np.random.default_rng(3)
+    cases = [(mv_lindblads(18)[1], mv_worst_consensus_input(18)),
+             (mv_lindblads(18)[0], mv_worst_spread_input(18)),
+             (fuks_lindblad(FuksParams(0.3), 9), [1, 0, 1, 1, 0, 0, 1, 0, 0]),
+             (random_mixed_width_spec(rng, 10), rng.integers(0, 2, 10))]
+    t_grid = np.linspace(0.0, 8.0, 97)
+    for spec, bits0 in cases:
+        bits0 = np.asarray(bits0)
+        dyn = DiagonalDynamics(spec)
+        try:
+            dyn.reachable(bits0, cap=cap)
+        except MemoryError:
+            assert cap < 10 ** 6
+        codes, starts, ends, move = dyn._known
+        assert np.array_equal(codes, np.unique(codes))
+        for code, lo, hi in zip(codes, starts, ends):
+            assert np.array_equal(move[lo:hi],
+                                  match_moves(dyn._table, [code])[0])
+        # the matches serve a run from any start, the search's and others
+        for start in (bits0, 1 - bits0):
+            got = dyn.gillespie_mean_occupancy(
+                start, t_grid, 25, np.random.default_rng(5))
+            want = DiagonalDynamics(spec).gillespie_mean_occupancy(
+                start, t_grid, 25, np.random.default_rng(5))
+            assert np.array_equal(got, want)
+
+
 def random_rate_matrix(rng, dim):
     """Sparse random rates; a ring of moves leaves every state."""
     keep = rng.random((dim, dim)) < 0.4
@@ -639,6 +716,14 @@ def random_rate_matrix(rng, dim):
     off = rng.random((dim, dim)) * keep
     np.fill_diagonal(off, 0.0)
     return off - np.diag(off.sum(axis=0))
+
+
+def collect_rows(Q, p0, obs, t_grid):
+    """Every row of the :func:`_uniformized_blocks` stream, in grid order."""
+    rows = np.empty((len(t_grid), obs.shape[1]))
+    for idx, final in _uniformized_blocks(Q, p0, obs, t_grid):
+        rows[idx] = final
+    return rows
 
 
 @pytest.mark.parametrize("dim, rate_times_t", [(2, 0.5), (6, 5.0), (12, 60.0),
@@ -651,15 +736,15 @@ def test_uniformized_rows_match_expm(rng, dim, rate_times_t):
     p0 /= p0.sum()
     obs = rng.random((dim, 3))
     t_grid = np.linspace(0.0, T, 9)
-    got = uniformized_rows(sp.csr_matrix(Q), p0, obs, t_grid)
+    got = collect_rows(sp.csr_matrix(Q), p0, obs, t_grid)
     want = np.array([obs.T @ (expm(Q * t) @ p0) for t in t_grid])
     assert np.abs(got - want).max() < 1e-10
 
 
 def all_columns_rows(Q, p0, obs, t_grid):
-    """The single-pass reference: every block weights every time, out to
-    the cutoff of the latest time, and each row is normalized once at the
-    end."""
+    """The single-pass reference: every block weights every time, by the
+    same block routine, out to the cutoff of the latest time, and each row
+    is normalized once at the end."""
     rate = max(float(-Q.diagonal().min()), 0.0)
     means = rate * np.asarray(t_grid)
     K = _poisson_cutoff(means.max())
@@ -670,7 +755,7 @@ def all_columns_rows(Q, p0, obs, t_grid):
         j = k % 64
         block[j] = v
         if j == 63 or k == K:
-            w = _poisson_pmf(np.arange(k - j, k + 1), means)
+            w = _poisson_block(k - j, j + 1, means)
             rows += w.T @ (block[:j + 1] @ obs)
             weight += w.sum(axis=0)
         if k < K:
@@ -698,7 +783,7 @@ def test_uniformized_blocks_yield_final_rows_in_time_order(rng, dim,
         seen += idx.tolist()
     assert sorted(seen) == list(range(len(t_grid)))
     assert np.all(np.diff(t_grid[seen]) >= 0)
-    assert np.abs(uniformized_rows(Q, p0, obs, t_grid) - want).max() <= 1e-15
+    assert np.abs(collect_rows(Q, p0, obs, t_grid) - want).max() <= 1e-15
 
 
 def test_uniformized_blocks_stream_rows_before_the_last_block():
@@ -724,7 +809,7 @@ def test_uniformized_rows_of_a_counting_chain_are_the_poisson_law(rng):
     t_grid = rng.permutation(np.r_[0.0, np.linspace(0.5, 150.0, 300)])
     p0 = np.zeros(dim)
     p0[0] = 1.0
-    got = uniformized_rows(Q, p0, np.eye(dim), t_grid)
+    got = collect_rows(Q, p0, np.eye(dim), t_grid)
     want = poisson.pmf(np.arange(dim), t_grid[:, None])
     want[:, -1] = poisson.sf(dim - 2, t_grid)
     assert np.abs(got - want).max() <= 1e-12
@@ -734,17 +819,17 @@ def test_uniformized_rows_of_a_counting_chain_are_the_poisson_law(rng):
 
 def test_uniformized_rows_one_state_and_zero_rates(rng):
     obs = np.array([[0.25, 1.0]])
-    got = uniformized_rows(sp.csr_matrix((1, 1)), np.ones(1), obs,
+    got = collect_rows(sp.csr_matrix((1, 1)), np.ones(1), obs,
                            np.linspace(0.0, 5.0, 4))
     assert np.array_equal(got, np.repeat(obs, 4, axis=0))
     p0 = rng.random(4)
     p0 /= p0.sum()
     obs = rng.random((4, 3))
-    got = uniformized_rows(sp.csr_matrix((4, 4)), p0, obs,
+    got = collect_rows(sp.csr_matrix((4, 4)), p0, obs,
                            np.array([0.0, 1.0, 1e3]))
     assert np.abs(got - p0 @ obs).max() < 1e-15
     with pytest.raises(ValueError, match="non-negative"):
-        uniformized_rows(sp.csr_matrix((4, 4)), p0, obs, np.array([-1.0]))
+        collect_rows(sp.csr_matrix((4, 4)), p0, obs, np.array([-1.0]))
 
 
 @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 12.0, 24.0, 693.0, 1e4,
@@ -800,6 +885,48 @@ def test_poisson_pmf_is_the_single_expression_form(ks):
                           single_expression_pmf(ks, means))
 
 
+@pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 12.0, 15.5, 24.0, 693.0,
+                                  1e4, 98765.4, 1e5])
+def test_poisson_block_weights_match_exact_values(mean):
+    # every 64-power block the stream weights a time of mean m with, from
+    # the one that reaches m - 9 sqrt(m) to the one that reaches m + 9
+    # sqrt(m) + 30, at each of its 64 offsets: a seed from the point form,
+    # then 63 steps of the ratio recursion
+    from decimal import Decimal, getcontext
+    getcontext().prec = 50
+    width = 9.0 * np.sqrt(mean)
+    starts = range(int(max(mean - width, 0.0)) // 64 * 64,
+                   int(mean + width + 30.0) + 1, 64)
+    m, p, exact = Decimal(mean), (-Decimal(mean)).exp(), []
+    for k in range(starts[-1] + 64):   # 50 digits: the rounding does not show
+        if k:
+            p = p * m / k
+        exact.append(float(p))
+    exact = np.array(exact)
+    for k0 in starts:
+        got = _poisson_block(k0, 64, np.array([mean]))[:, 0]
+        assert got[0] == _poisson_pmf(np.array([k0]), np.array([mean]))[0, 0]
+        want = exact[k0:k0 + 64]
+        assert np.abs(got - want).max() <= 4e-15 * exact.max()
+        seen = want > 1e-300
+        assert np.all(np.abs(got - want)[seen] <= 1e-12 * want[seen])
+
+
+@pytest.mark.parametrize("k0, count", [(0, 64), (0, 1), (15, 64),
+                                       (640, 37), (99_968, 64)])
+def test_poisson_block_columns_are_seeded_by_the_point_form(k0, count):
+    means = np.r_[0.0, 1e-3, 0.5, 12.0, 15.5, 693.0, 1e4, 1e5,
+                  np.linspace(0.0, 96.0, 60)]
+    got = _poisson_block(k0, count, means)
+    assert got.shape == (count, len(means))
+    assert np.array_equal(got[0], _poisson_pmf(np.array([k0]), means)[0])
+    for col, mean in enumerate(means):
+        alone = _poisson_block(k0, count, np.array([mean]))[:, 0]
+        assert np.array_equal(got[:, col], alone)
+    assert np.all(got[:, 0] == (1.0 if k0 == 0 else 0.0) * (
+        np.arange(count) == 0))
+
+
 def test_uniformized_rows_memory_does_not_grow_with_horizon():
     # two states, 0 -> 1 at rate a and 1 -> 0 at rate b: the occupation of
     # state 1 from state 0 is a/(a+b) (1 - exp(-(a+b) t)); L t reaches 2e4,
@@ -811,7 +938,7 @@ def test_uniformized_rows_memory_does_not_grow_with_horizon():
                              np.linspace(5.0, 2e4, 100)])
     tracemalloc.start()
     try:
-        got = uniformized_rows(Q, np.array([1.0, 0.0]),
+        got = collect_rows(Q, np.array([1.0, 0.0]),
                                np.array([[0.0], [1.0]]), t_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -837,11 +964,11 @@ def test_poisson_cutoff_equals_the_search_from_zero():
 def test_uniformized_rows_refuses_too_many_jumps():
     Q = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     p0, obs = np.array([1.0, 0.0]), np.eye(2)
-    uniformized_rows(Q, p0, obs, np.array([0.0, 1.0]))
+    collect_rows(Q, p0, obs, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match=r"exit rate 1 x time 2e\+08 = "
                                          r"2e\+08 expected jumps is too "
                                          r"large to stream"):
-        uniformized_rows(Q, p0, obs, np.array([0.0, 2e8]))
+        collect_rows(Q, p0, obs, np.array([0.0, 2e8]))
 
 
 def test_mean_occupancy_exact_matches_full_expm():
@@ -1176,19 +1303,10 @@ def make_sector_case(rng, n, family, kind):
     return spec, vectorize(rho)
 
 
-@functools.lru_cache(maxsize=None)
-def rng_free_propagator(family, n, t):
-    """The oracle of a family whose spec draws nothing: a dense exponential
-    of the whole 4^N generator, built once per size, since at N = 5 it
-    takes seconds and the steps it checks a few milliseconds."""
-    spec = sector_spec(None, n, family)
-    return expm(assemble_lindbladian(spec).dense() * t)
-
-
 def full_space_action(spec, t, state):
-    """The oracle of a drawn spec: exp(L t) on the state, by scipy's
-    expm_multiply on the whole sparse 4^N generator, which at N = 5 takes
-    milliseconds where the dense exponential takes seconds."""
+    """The oracle: exp(L t) on the state, by scipy's expm_multiply on the
+    whole sparse 4^N generator, which at N = 5 takes milliseconds where the
+    dense exponential of every family takes over a second."""
     return expm_multiply(assemble_lindbladian(spec).matrix * t,
                          state.amplitudes)
 
@@ -1245,8 +1363,7 @@ def test_reachable_step_matches_full_space_expm(n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
     t = 0.8
-    want = (full_space_action(spec, t, state) if family == "random"
-            else rng_free_propagator(family, n, t) @ state.amplitudes)
+    want = full_space_action(spec, t, state)
     for method, tol in (("dense", 1e-12), ("krylov", 1e-8)):
         got = continuous_evolve(spec, state, t, method=method, samples=2)
         assert got.method_used == method
