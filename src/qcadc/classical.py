@@ -160,8 +160,8 @@ def partitioned_rule_step(rule: int, bits,
     Mirrors the quantum discrete convention exactly: the windows of
     :func:`models.center_windows`, two center phases, each applied in
     descending site order with updates visible to later centers of the same
-    phase.  The traffic/majority mixture pins odd centers first (see the
-    quantum builder for why).
+    phase.  The traffic/majority mixture pins odd centers first (see
+    :func:`models.fates_rule` for why).
     """
     if rule not in (184, 232):
         raise ValueError(f"unsupported partitioned rule {rule}")

@@ -412,8 +412,13 @@ def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
     mode, entries = run["mode"], run["models"]
     # every spec is built before any spectrum, so a size the family refuses
     # is a config error, not a row
-    specs = []
+    specs, seen = [], set()
     for entry in entries:
+        # gaps.csv rows and fits.json keys are named by id alone
+        if entry["id"] in seen:
+            raise ConfigError(f"models[].id {entry['id']!r} appears twice; "
+                              f"its rows and fits could not be told apart")
+        seen.add(entry["id"])
         for n in entry["n_values"]:
             if mode == "dense" and 4 ** n > DENSE_SUPEROP_CAP:
                 raise ConfigError(f"models[].n_values entry {n}: dense mode "

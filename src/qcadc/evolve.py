@@ -10,11 +10,13 @@ one, stops a fixed-point search on that block, and scatters a vector to
 
 A discrete run steps the closure of the state's support under every window
 of its rule (:meth:`models.DiscreteRule.reachable`), with the step built
-once on that set; when the closure is every index it steps the 4^N vector
-with the 4^N step.  Both give the same vectors to the bit: the set is
-closed under each window factor, so the restricted factors multiply to the
-restricted step with the same summands in the same order, and a step of the
-vector drops only terms whose vector entry is exactly 0.
+once on that set by the one block product every step uses; when the
+closure is every index, that product is the 4^N step and the run steps the
+4^N vector.  A run on the closure gives the same vectors to the bit as the
+4^N step: the set is closed under each window factor, so the restricted
+factors multiply to the restricted step with the same summands in the same
+order, and a step of the vector drops only terms whose vector entry is
+exactly 0.
 
 Continuous runs and the fixed-point search share one propagator,
 :func:`_propagate`.  It runs on the set of doubled indices the initial

@@ -47,6 +47,12 @@ class TrainingPair:
 class TrainingSet:
     pairs: tuple[TrainingPair, ...]
 
+    def __post_init__(self):
+        # an empty set is falsy, so ``tset or default_training_set()``
+        # would silently swap it for the default
+        if not self.pairs:
+            raise ValueError("a training set needs at least one pair")
+
     def __len__(self):
         return len(self.pairs)
 

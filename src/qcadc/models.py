@@ -23,11 +23,11 @@ continuous generator puts on every window.  Its local channel is
 branches: each a weight, a local channel and the window starts in the order
 that :func:`center_windows` or :func:`mv_windows` gives (fates has the two
 branches 184 and 232, the others one).  :meth:`DiscreteRule.matrix`
-multiplies the window factors either on every doubled index
-(:func:`_compose`, behind the ``*_step`` builders, which spectra, the
-selftest and the tests use; an mv phase, whose windows are disjoint, is one
-Kronecker power) or on the codes a run reaches, closed under every window
-(:meth:`DiscreteRule.reachable`), which discrete runs use.
+multiplies the window factors that :func:`superop._closed_blocks` gives,
+one path for every step: on the codes a run reaches, closed under every
+window (:meth:`DiscreteRule.reachable`, which discrete runs use), or, when
+that closure is every doubled index, on all 4^N of them (the ``*_step``
+builders, which spectra, the selftest and the tests use).
 """
 from __future__ import annotations
 
@@ -42,8 +42,10 @@ import scipy.sparse as sp
 from .superop import (
     ID2, P0, P1, PAULI_X, PAULI_Y, SIGMA_MINUS, SIGMA_PLUS,
     LindbladSpec, LocalOperator, SuperOp, _closed_blocks, doubled,
-    embed_local, kraus_completeness_residual, rotate_ring,
+    kraus_completeness_residual,
 )
+# not called; perfbench/tracer.py patches this name and fails without it
+from .superop import embed_local  # noqa: F401
 
 __all__ = [
     "FuksParams", "DephasingParams", "MLWeights",
@@ -51,8 +53,8 @@ __all__ = [
     "DiscreteRule", "fuks_rule", "fuks_step", "fuks_lindblad",
     "dephasing_lindblad", "rule_kraus", "MV_PHASE_ORDER", "mv_windows",
     "mv_rule", "mv_spread_step", "mv_consensus_step", "mv_lindblads",
-    "mv_layer_counts", "mv_pad", "fates_kraus_sets", "fates_rule_step",
-    "fates_rule", "fates_step", "ml_lindblad", "published_ml_weights",
+    "mv_layer_counts", "mv_pad", "fates_kraus_sets", "fates_rule",
+    "fates_step", "ml_lindblad", "published_ml_weights",
     "steady_family_state", "BELL_PLUS", "BELL_MINUS",
 ]
 
@@ -187,27 +189,6 @@ def _window(start: int, n_sites: int) -> tuple[int, int, int]:
     return start, (start + 1) % n_sites, (start + 2) % n_sites
 
 
-def _compose(local: np.ndarray, starts, n_sites: int) -> sp.csr_matrix:
-    """Product of the 3-site channel ``local`` embedded at each window start,
-    the first start acting first, on every doubled index.
-
-    When the starts split into runs ``r, r + 3, ..., r + N - 3`` (r < 3),
-    each run tiles the ring with disjoint windows, as every phase of
-    :func:`mv_windows` does, and is built as one Kronecker power
-    (:func:`_tiling`).  Otherwise, as for the overlapping windows of
-    :func:`center_windows`, each window is embedded on its own
-    (:func:`embed_local`), so the float products keep their order.
-    """
-    starts = tuple(starts)
-    phases = {tuple(range(r, n_sites, 3)): r for r in range(3)}
-    runs = [starts[i:i + n_sites // 3]
-            for i in range(0, len(starts), n_sites // 3)]
-    if n_sites % 3 == 0 and all(run in phases for run in runs):
-        return _product(_tiling(local, phases[run], n_sites) for run in runs)
-    return _product(embed_local(local, _window(s, n_sites), n_sites)
-                    for s in starts)
-
-
 def _product(factors: Iterable[sp.csr_matrix]) -> sp.csr_matrix:
     """``... @ factors[1] @ factors[0]``, indices sorted: the first factor
     acts first."""
@@ -219,46 +200,27 @@ def _product(factors: Iterable[sp.csr_matrix]) -> sp.csr_matrix:
     return mat
 
 
-def _tiling(local: np.ndarray, r: int, n_sites: int) -> sp.csr_matrix:
-    """``local`` on every window ``r, r + 3, ...`` of the ring at once: the
-    Kronecker power ``local^{(x) N/3}`` acts on the windows at 0, 3, ...,
-    and :func:`rotate_ring` moves its row and column indices r sites
-    round the ring."""
-    power = sp.coo_matrix(local)
-    for _ in range(n_sites // 3 - 1):
-        power = sp.kron(power, local, format="coo")
-    out = sp.coo_matrix((power.data, (rotate_ring(power.row, n_sites, r),
-                                      rotate_ring(power.col, n_sites, r))),
-                        shape=power.shape).tocsr()
-    out.sort_indices()
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteRule:
     """A discrete rule's step: the weighted sum of its branches, each a
     weight, a 3-site local channel and the window starts it is applied at,
-    first start first (:func:`_compose`).  A rule of one branch is its
-    product alone, with no weight applied."""
+    first start first.  A rule of one branch is its product alone, with no
+    weight applied."""
 
     n_sites: int
     branches: tuple[tuple[float, np.ndarray, tuple[int, ...]], ...]
 
-    def matrix(self, blocks: Iterator[sp.csr_matrix] | None = None
-               ) -> sp.csr_matrix:
-        """The step on every doubled index, or, from ``blocks`` (one factor
-        per window, branch by branch, as :meth:`reachable` restricts them),
-        on the codes they are restricted to.
+    def matrix(self, blocks: Iterator[sp.csr_matrix]) -> sp.csr_matrix:
+        """The step from ``blocks``: one window factor per window start,
+        branch by branch, on the codes :meth:`reachable` restricts them to
+        (every doubled index, or the closure of a support).
 
         On those codes each block is the 4^N window factor restricted to
         them, so the blocks multiply, one by one, to the restricted product
-        with the same summands in the same order.  An mv phase's Kronecker
-        power multiplies its disjoint windows in another grouping, which
-        gives the same bits because the mv channels hold only 0 and 1.
+        with the same summands in the same order.
         """
-        parts = [_compose(local, starts, self.n_sites) if blocks is None
-                 else _product(islice(blocks, len(starts)))
-                 for _, local, starts in self.branches]
+        parts = [_product(islice(blocks, len(starts)))
+                 for _, _, starts in self.branches]
         if len(parts) == 1:
             return parts[0]
         mat = self.branches[0][0] * parts[0]
@@ -269,8 +231,10 @@ class DiscreteRule:
         return mat
 
     def step(self) -> SuperOp:
-        """The step on the 4^N doubled space."""
-        return SuperOp(self.n_sites, self.matrix(), "step")
+        """The step on the 4^N doubled space: :meth:`reachable` from every
+        index."""
+        _, mat = self.reachable(np.ones(4 ** self.n_sites))
+        return SuperOp(self.n_sites, mat, "step")
 
     def reachable(self, amplitudes: np.ndarray
                   ) -> tuple[np.ndarray | None, sp.csr_matrix]:
@@ -279,7 +243,8 @@ class DiscreteRule:
         equal to ``step().matrix[codes][:, codes]`` bit for bit.  A set
         closed under every window is closed under their products and sums,
         so the step keeps a vector on ``codes``.  When the closure is every
-        index, ``codes`` is None and ``sub`` is the 4^N step."""
+        index, ``codes`` is None and ``sub`` is the 4^N step
+        (:func:`superop._closed_blocks` makes that choice)."""
         windows = [(local, _window(s, self.n_sites))
                    for _, local, starts in self.branches for s in starts]
         codes, blocks = _closed_blocks(windows, np.flatnonzero(amplitudes),
@@ -466,22 +431,14 @@ def fates_kraus_sets(rule: int) -> dict[tuple[int, int], list[np.ndarray]]:
     }
 
 
-def fates_rule_step(rule: int, n_sites: int,
-                    phase_order: str = "odd_first") -> SuperOp:
-    """Full partitioned center update of one mixture branch rule.
-
-    Default phase order is odd centers first: with even-first phases the
-    traffic branch pumps the reference seven-site majority input straight to
-    all-ones, which contradicts the documented failure of this mixture, so
-    the failure demo pins the other order.
-    """
-    return DiscreteRule(n_sites, ((1.0, _rule_local(rule), center_windows(
-        n_sites, phase_order)),)).step()
-
-
 def fates_rule(p: float, n_sites: int) -> DiscreteRule:
-    """Average map p * step(184) + (1-p) * step(232), each branch in the
-    odd-first order of :func:`fates_rule_step`.
+    """Average map p * step(184) + (1-p) * step(232), each branch a full
+    partitioned center update in the odd-first order of
+    :func:`center_windows`.
+
+    Odd centers go first because with even-first phases the traffic branch
+    pumps the reference seven-site majority input straight to all-ones,
+    which contradicts the documented failure of this mixture.
 
     Trajectory sampling draws one global coin per time step instead; see
     ``classical.fates_classical_trajectory``.

@@ -472,31 +472,26 @@ def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
     (:func:`_local_terms`), and the supports are added in sorted order,
     which keeps assembly deterministic and the scatter count low.
     """
-    return SuperOp(spec.n_sites, _embed_terms(_local_terms(spec),
-                                              spec.n_sites), "generator")
-
-
-def _embed_terms(by_support: dict[tuple[int, ...], np.ndarray],
-                 n_sites: int) -> sp.csr_matrix:
-    """The 4^N sum of the per-support terms, in sorted-support order."""
-    dim = 4 ** n_sites
-    mat = sp.csr_matrix((dim, dim), dtype=complex)
+    n = spec.n_sites
+    by_support = _local_terms(spec)
+    mat = sp.csr_matrix((4 ** n, 4 ** n), dtype=complex)
     for sites in sorted(by_support):
-        mat = mat + embed_local(by_support[sites], sites, n_sites)
+        mat = mat + embed_local(by_support[sites], sites, n)
     mat.sort_indices()
-    return mat
+    return SuperOp(n, mat, "generator")
 
 
 def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
                    start: np.ndarray, n_sites: int
-                   ) -> tuple[np.ndarray | None,
-                              Iterator[sp.csr_matrix] | None]:
+                   ) -> tuple[np.ndarray | None, Iterator[sp.csr_matrix]]:
     """``(codes, blocks)``: the closure of the doubled indices ``start``
     under the stored entries of every ``(local matrix, support)`` term
     (:func:`closure` on their :func:`move_table`), ascending, and each term
     embedded at its support and restricted to those codes, built from that
-    term's own matches as ``blocks`` is read; ``(None, None)`` when the
-    closure is every index.
+    term's own matches as ``blocks`` is read.  When the closure is every
+    index, ``codes`` is None and each block is the term's 4^N embedding
+    (:func:`embed_local`): this is the one place that chooses between the
+    two forms.
 
     No stored entry of a term joins ``codes`` to an index outside it, so
     sums and products of the terms keep a vector on ``codes``, and the i-th
@@ -506,7 +501,8 @@ def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
     table = move_table(terms, n_sites, 4)
     codes, found = closure(table, start, cap=4 ** n_sites - 1)
     if codes is None:       # the closure is every index
-        return None, None
+        return None, (embed_local(local, sites, n_sites)
+                      for local, sites in terms)
     move, src, dst = found
     row, col = np.searchsorted(codes, dst), np.searchsorted(codes, src)
 
@@ -529,18 +525,16 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     vector on ``codes``.  ``sub`` equals
     ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
     each support's term is restricted to ``codes`` and the terms are added
-    in the same sorted order.  When ``codes`` is every index, ``sub`` is
-    that 4^N sum, built by the same embedding as the assembly.
+    in the same sorted order.
     """
     n = spec.n_sites
     by_support = _local_terms(spec)
     codes, blocks = _closed_blocks(
         [(by_support[s], s) for s in sorted(by_support)],
         np.flatnonzero(amplitudes), n)
-    if codes is None:   # every index: the 4^N sum is the same matrix
-        return np.arange(4 ** n), _embed_terms(by_support, n)
-    dim = len(codes)
-    sub = sp.csr_matrix((dim, dim), dtype=complex)
+    if codes is None:   # every index
+        codes = np.arange(4 ** n)
+    sub = sp.csr_matrix((len(codes),) * 2, dtype=complex)
     for block in blocks:
         sub = sub + block
     sub.sort_indices()

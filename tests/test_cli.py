@@ -757,7 +757,12 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,
      "entry 9: dense mode is capped"),
     ({"models": [{"id": "fuks", "n_values": [3, 4]}], "mode": "foo"},
      "unknown mode 'foo'"),
-], ids=["refused-size", "above-dense-cap", "unknown-mode"])
+    ({"models": [{"id": "dephasing", "params": {"omega": 0.0},
+                  "n_values": [3]},
+                 {"id": "dephasing", "params": {"omega": 1.0},
+                  "n_values": [3]}]},
+     "models[].id 'dephasing' appears twice"),
+], ids=["refused-size", "above-dense-cap", "unknown-mode", "repeated-id"])
 def test_gap_scan_refuses_sizes_and_modes_up_front(tmp_path, capsys, cfg,
                                                     message):
     code, out = run(tmp_path, "gap-scan", cfg)

@@ -22,7 +22,7 @@ from qcadc.evolve import (_first_crossing, _poisson_block, _poisson_cutoff,
 from qcadc.models import (
     DephasingParams, DiscreteRule, FuksParams, MLWeights, center_windows,
     dephasing_lindblad, fates_rule, fuks_kraus_sets, fuks_lindblad,
-    fuks_rule, mv_lindblads, mv_rule, mv_spread_step, published_ml_weights,
+    fuks_rule, mv_lindblads, mv_rule, published_ml_weights,
     ml_lindblad,
 )
 from qcadc.observables import (density_n, diag_indices, diag_probabilities,
@@ -84,9 +84,13 @@ def test_discrete_run_keeps_each_step_vector_uncopied(monkeypatch, rng):
         def __matmul__(self, v):
             products.append(step.matrix @ v)
             return products[-1]
-    built = DiscreteRule.matrix
-    monkeypatch.setattr(DiscreteRule, "matrix", lambda self, blocks=None: (
-        Recorded() if blocks is None else built(self, blocks)))
+    block = DiscreteRule.reachable
+
+    def reachable(self, amplitudes):
+        codes, _ = block(self, amplitudes)
+        assert codes is None
+        return codes, Recorded()
+    monkeypatch.setattr(DiscreteRule, "reachable", reachable)
     out = discrete_run(rule, state, max_steps=4)
     assert len(products) == 4
     assert out.final_state.amplitudes is products[-1]
@@ -179,15 +183,19 @@ def test_every_kind_of_run_rejects_a_non_finite_state():
 
 
 def test_mv_schedule_run_spreads_cluster():
-    # after the spreading budget no two adjacent ones remain (N=12 cluster)
+    # after the spreading budget no two adjacent ones remain (N=12 cluster):
+    # tau_a // 3 full layers, then the one phase-3 sublayer left over
     from qcadc.classical import has_adjacent_ones
-    from qcadc.models import mv_layer_counts
+    from qcadc.cli import build_initial
+    from qcadc.models import MV_PHASE_ORDER, mv_layer_counts
     n = 12
     tau_a, _, _ = mv_layer_counts(n)
-    steps = {ph: mv_spread_step(n, ph) for ph in (1, 2, 3)}
-    v = vectorize(basis_density([1] * 6 + [0] * 6))
-    for phase in mv_sublayer_sequence(tau_a):
-        v = steps[phase] @ v
+    layers = tau_a // 3
+    assert mv_sublayer_sequence(tau_a) == list(MV_PHASE_ORDER) * layers + [3]
+    state = build_initial({"bits": "111111000000"}, n)
+    v = discrete_run(mv_rule("spread", n), state, layers,
+                     record=False).final_state
+    v = discrete_run(mv_rule("spread", n, 3), v, 1, record=False).final_state
     probs = diag_probabilities(v)
     idx = int(np.argmax(probs))
     assert abs(probs[idx] - 1.0) < 1e-9
@@ -1422,13 +1430,16 @@ def refuse_4n_generator(monkeypatch):
 def test_discrete_run_builds_no_4n_step(monkeypatch, model, n, bits, steps,
                                         reached):
     import qcadc.models as md
+    import qcadc.superop as so
     from qcadc.cli import build_initial, build_step
 
     def refused(*args, **kwargs):
         raise AssertionError("a 4^N step was built")
     for name in ("fuks_step", "mv_spread_step", "mv_consensus_step",
-                 "fates_step", "_tiling", "embed_local"):
+                 "fates_step"):
         monkeypatch.setattr(md, name, refused)
+    # the one 4^N window factor builder
+    monkeypatch.setattr(so, "embed_local", refused)
     sizes = []
     block = md.DiscreteRule.reachable
     monkeypatch.setattr(md.DiscreteRule, "reachable", lambda self, a: (

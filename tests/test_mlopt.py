@@ -76,6 +76,12 @@ def test_cost_diagonal_and_dense_routes_agree():
     assert abs(a - b) < 1e-8
 
 
+def test_empty_training_set_is_refused():
+    # an empty set would be falsy and stand in for the default set
+    with pytest.raises(ValueError, match="at least one pair"):
+        TrainingSet(())
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_rate_matrix_matches_spec_restriction(n):
     rng = np.random.default_rng(n)

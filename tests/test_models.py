@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcadc.classical import eca_step, parse_bits
 from qcadc.models import (
-    BELL_MINUS, BELL_PLUS, DephasingParams, FuksParams, MLWeights,
-    center_windows, dephasing_lindblad, fates_kraus_sets, fates_rule_step,
+    BELL_MINUS, BELL_PLUS, DephasingParams, DiscreteRule, FuksParams,
+    MLWeights, center_windows, dephasing_lindblad, fates_kraus_sets,
     fates_step, fuks_kraus_sets, fuks_lindblad, fuks_neighborhood_channel,
     fuks_step, ml_lindblad, mv_consensus_step, mv_layer_counts, mv_lindblads,
     mv_pad, mv_spread_step, mv_windows, published_ml_weights, rule_kraus,
@@ -319,7 +319,8 @@ def window_chain(local, starts, n):
 @pytest.mark.parametrize("rule, build", [("spread", mv_spread_step),
                                          ("consensus", mv_consensus_step)])
 def test_mv_kronecker_steps_match_the_window_chain(rule, build, n, phase):
-    # each phase is built as a rotated Kronecker power of the local channel
+    # the phases' windows are disjoint, yet every step is the one window
+    # chain of embedded factors
     local = sum(doubled(K) for K in rule_kraus(rule))
     assert_same_csr(build(n, phase).matrix,
                        window_chain(local, mv_windows(n, phase), n))
@@ -430,6 +431,13 @@ def test_mv_pad():
 
 # ---------------------------------------------------------------------------
 # traffic/majority mixture
+
+
+def fates_rule_step(rule, n, order="odd_first"):
+    """One branch of the fates mixture alone: the full partitioned center
+    update of rule 184 or 232."""
+    local = sum(doubled(K) for K in rule_kraus(rule))
+    return DiscreteRule(n, ((1.0, local, center_windows(n, order)),)).step()
 
 
 def test_fates_endpoints_match_deterministic_rules():

@@ -385,7 +385,11 @@ def _assert_assembly_is_one_local_build_per_term(spec):
             local = build(op.matrix, coeff)
             by_support[op.sites] = (by_support[op.sites] + local
                                     if op.sites in by_support else local)
-    want = superop._embed_terms(by_support, spec.n_sites)
+    n = spec.n_sites
+    want = sp.csr_matrix((4 ** n, 4 ** n), dtype=complex)
+    for sites in sorted(by_support):
+        want = want + superop.embed_local(by_support[sites], sites, n)
+    want.sort_indices()
     got = assemble_lindbladian(spec).matrix
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
