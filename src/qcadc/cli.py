@@ -294,6 +294,9 @@ def build_step(model_cfg: dict, n_sites: int):
 
 
 def build_initial(cfg: dict, n_sites: int):
+    """The initial state of an ``evolve`` run.  ``bits`` and ``named: ghz``
+    are built as block states on their 1 and 4 doubled indices; only an
+    ``initial.file``, a 2^N x 2^N matrix, is built on all 4^N."""
     initial = _read(cfg, {"bits": _ring(None), "file": _given(None),
                           "named": _one_of("ghz", default=None)}, "initial")
     if sum(value is not None for value in initial.values()) != 1:
@@ -303,15 +306,23 @@ def build_initial(cfg: dict, n_sites: int):
         if len(bits) != n_sites:
             raise ConfigError(
                 f"initial.bits has {len(bits)} sites, n_sites={n_sites}")
-        amplitudes = np.zeros(4 ** n_sites, dtype=complex)
-        amplitudes[observables.diag_indices(n_sites)[
-            evolve._code_of(bits)]] = 1.0
-        return VecState(n_sites, amplitudes)
-    dim = 2 ** n_sites
+        # |s><s|: digit 3 at each one-site
+        code = sum(3 * 4 ** (n_sites - 1 - int(j))
+                   for j in np.flatnonzero(bits))
+        return VecState(n_sites, np.ones(1, dtype=complex),
+                        np.array([code], dtype=np.int64))
     if path is None:                                # named: ghz
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = psi[-1] = 1 / np.sqrt(2)
-        return vectorize(np.outer(psi, psi.conj()))
+        # (|0..0> + |1..1>)/sqrt 2: the outer product on the all-0 and
+        # all-1 strings, whose doubled indices have every digit 0, 1, 2
+        # or 3 (|0..0><0..0|, |0..0><1..1|, |1..1><0..0|, |1..1><1..1|)
+        psi = np.full(2, 1 / np.sqrt(2), dtype=complex)
+        codes = np.arange(4, dtype=np.int64) * ((4 ** n_sites - 1) // 3)
+        return VecState(n_sites, np.outer(psi, psi.conj()).reshape(-1), codes)
+    if n_sites > _MAX_FILE_N:
+        raise ConfigError(
+            f"initial.file holds all 4^N amplitudes of a state, which fit "
+            f"in memory for 1 to {_MAX_FILE_N} sites; n_sites={n_sites}")
+    dim = 2 ** n_sites
     try:
         rho = np.asarray(np.load(path), dtype=complex)
     except (OSError, ValueError, TypeError) as err:
@@ -340,14 +351,18 @@ def build_initial(cfg: dict, n_sites: int):
 # subcommands
 
 
-# a run keeps its state as 4^N complex amplitudes: 16 GiB at N = 15
-_MAX_DOUBLED_N = 14
+# a run keeps its state on the doubled indices it reaches (at most
+# evolve._MAX_REACHED) and reads each sample through the 2^N diagonal,
+# 16 MB at N = 20; an initial.file state holds all 4^N amplitudes, 4 GiB
+# at N = 14
+_MAX_DOUBLED_N = 20
+_MAX_FILE_N = 14
 
 _KIND = _one_of("continuous", "discrete", "converge")
 _EVOLVE_RUN = {"model": _given(), "initial": _given(), "seed": _SEED,
                "n_sites": _count(lo=1, hi=_MAX_DOUBLED_N, why=(
-                   f"must fit a state of 4^N complex amplitudes in memory, "
-                   f"which holds 1 to {_MAX_DOUBLED_N} sites"))}
+                   f"must lie in 1 to {_MAX_DOUBLED_N}: each sample is read "
+                   f"through the 2^N diagonal of the state"))}
 _EVOLVE = {
     "continuous": {**_EVOLVE_RUN, "samples": _count(evolve.DEFAULT_SAMPLES),
                    "evolution": _table({"kind": _KIND, "t": _real()})},
@@ -771,9 +786,8 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         assert np.abs(got - want).max() < 1e-12
         # continuous runs take the rate matrix from the block a basis state
         # reaches: real, on diagonal indices, with the same moves
-        basis_001 = np.zeros(64, dtype=complex)
-        basis_001[idx[1]] = 1.0
-        state = VecState(3, basis_001)
+        basis_001 = idx[1:2]
+        state = VecState(3, np.ones(1, dtype=complex), basis_001)
         codes, sub = reachable_generator(spec, basis_001)
         basis = np.searchsorted(idx, codes)
         assert len(codes) > 1 and np.array_equal(idx[basis], codes)
@@ -788,9 +802,7 @@ def cmd_selftest(cfg: dict, out: Path, args) -> int:
         # discrete runs step the codes a basis state reaches: the 4^N step
         # sliced to them, bit for bit
         rule = models.fuks_rule(models.FuksParams(0.3), 3)
-        basis_001 = np.zeros(64, dtype=complex)
-        basis_001[observables.diag_indices(3)[1]] = 1.0
-        codes, block = rule.reachable(basis_001)
+        codes, block = rule.reachable(observables.diag_indices(3)[1:2])
         assert codes is not None and len(codes) < 64
         want = models.fuks_step(models.FuksParams(0.3), 3).matrix
         want = want[codes][:, codes]

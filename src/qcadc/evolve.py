@@ -5,8 +5,11 @@ Every run builds its flow of vectors on the block of doubled indices the
 state reaches (repeated application of one step, or the propagator) and
 hands it to one sampling driver, :func:`_run`.  The driver checks each
 vector on its block, raising ``FloatingPointError`` on the first non-finite
-one, stops a fixed-point search on that block, and scatters a vector to
-4^N only for a recorded sample and for the final state.
+one, and stops a fixed-point search on that block.  A recorded sample and
+the final state stay block states (:class:`superop.VecState` with
+``codes``), read through their 2^N diagonal; only a run given a 4^N state
+scatters its final state back to 4^N.  A state that reaches more than
+``_MAX_REACHED`` doubled indices is refused with a ValueError.
 
 A discrete run steps the closure of the state's support under every window
 of its rule (:meth:`models.DiscreteRule.reachable`), with the step built
@@ -89,6 +92,9 @@ _KRYLOV_TOL = 1e-10         # Krylov error budget relative to |v|, over t
 _KRYLOV_DIM = 40            # Arnoldi basis size per Krylov substep
 _MV_SAMPLES = 600           # time-grid points of each mv worst-case run
 _MV_THRESHOLD = 0.99        # the fraction at which that run is done
+# most doubled indices a run's state reaches: a discrete, continuous or
+# converge run from a state that reaches more is refused (ValueError)
+_MAX_REACHED = 1 << 20
 
 
 class KrylovError(RuntimeError):
@@ -134,37 +140,36 @@ def _run(state: VecState, times: Iterable[float], codes: np.ndarray | None,
 
     ``flow`` yields amplitudes on the doubled indices ``codes`` (zero off
     them), or on every index when ``codes`` is None.  Each vector is
-    checked on its block and scattered to a 4^N state only for a recorded
-    row and, once more, for the final state.  Returns (final state, time
-    reached, whether the run converged, trajectory or None).  With ``tol``
-    the run converges, and stops, at the first vector within ``tol`` in
-    2-norm of the one before it (the first is compared with ``state``).  A
-    non-finite vector raises ``FloatingPointError``.
+    checked on its block, and a recorded row reads it as a block state on
+    ``codes``.  Returns (final state, time reached, whether the run
+    converged, trajectory or None); the final state is a block state on
+    ``codes``, or a 4^N one when ``state`` is.  With ``tol`` the run
+    converges, and stops, at the first vector within ``tol`` in 2-norm of
+    the one before it (the first is compared with ``state``).  A non-finite
+    vector raises ``FloatingPointError``.
     """
     n = state.n_sites
 
-    def lift(block: np.ndarray) -> VecState:
-        if codes is None:
-            return VecState(n, block)
-        v = np.zeros(4 ** n, dtype=complex)
-        v[codes] = block
-        return VecState(n, v)
+    def at(block: np.ndarray) -> VecState:   # a diagonal flow's are real
+        return VecState(n, np.asarray(block, dtype=complex), codes)
 
     rows = [_sample_row(0.0, state)] if record else None
-    previous = state.amplitudes if codes is None else state.amplitudes[codes]
+    previous = state.amplitudes_on(codes)
     block, reached, converged = None, 0.0, False
     # times first: the flow computes no state past the last time
     for tk, block in zip(times, flow):
         if not np.all(np.isfinite(block)):
             raise FloatingPointError(f"non-finite amplitudes at t = {tk:g}")
         if record:
-            rows.append(_sample_row(tk, lift(block)))
+            rows.append(_sample_row(tk, at(block)))
         reached = float(tk)
         if tol is not None and np.linalg.norm(block - previous) < tol:
             converged = True
             break
         previous = block
-    final = state if block is None else lift(block)
+    final = state if block is None else at(block)
+    if state.codes is None:
+        final = final.full()
     return final, reached, converged, (np.array(rows) if record else None)
 
 
@@ -177,11 +182,10 @@ def discrete_run(rule: DiscreteRule, state: VecState, max_steps: int,
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if rule.n_sites != state.n_sites:
         raise ValueError("step dimension does not match state")
-    codes, step = rule.reachable(state.amplitudes)
-    start = state.amplitudes if codes is None else state.amplitudes[codes]
+    codes, step = rule.reachable(state.support(), _MAX_REACHED)
     final, reached, _, rows = _run(
         state, map(float, range(1, max_steps + 1)), codes,
-        _iterate(lambda v: step @ v, start), record)
+        _iterate(lambda v: step @ v, state.amplitudes_on(codes)), record)
     return EvolutionResult(final, reached, False, "discrete", rows)
 
 
@@ -479,12 +483,12 @@ def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
     module docstring.  ``passes`` streams a diagonal flow in passes of at
     most ``_MAX_JUMPS`` expected jumps (:func:`_uniformized_flow`)."""
     n = state.n_sites
-    codes, sub = reachable_generator(spec, state.amplitudes)
+    codes, sub = reachable_generator(spec, state.support(), _MAX_REACHED)
     rate_matrix = _is_rate_matrix(codes, sub, n)
     if method == "auto":
         method = ("diagonal" if rate_matrix else
                   "dense" if 4 ** n <= DENSE_EXPM_CAP else "krylov")
-    w = state.amplitudes[codes]
+    w = state.amplitudes_on(codes)
     if method == "diagonal":
         if not rate_matrix:
             raise NotBasisPreservingError(

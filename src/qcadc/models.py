@@ -233,22 +233,22 @@ class DiscreteRule:
     def step(self) -> SuperOp:
         """The step on the 4^N doubled space: :meth:`reachable` from every
         index."""
-        _, mat = self.reachable(np.ones(4 ** self.n_sites))
+        _, mat = self.reachable(np.arange(4 ** self.n_sites))
         return SuperOp(self.n_sites, mat, "step")
 
-    def reachable(self, amplitudes: np.ndarray
+    def reachable(self, support: np.ndarray, cap: float = np.inf
                   ) -> tuple[np.ndarray | None, sp.csr_matrix]:
-        """``(codes, sub)``: the closure of the support of ``amplitudes``
+        """``(codes, sub)``: the closure of the doubled indices ``support``
         under every window's local channel, ascending, and the step on it,
         equal to ``step().matrix[codes][:, codes]`` bit for bit.  A set
         closed under every window is closed under their products and sums,
         so the step keeps a vector on ``codes``.  When the closure is every
         index, ``codes`` is None and ``sub`` is the 4^N step
-        (:func:`superop._closed_blocks` makes that choice)."""
+        (:func:`superop._closed_blocks` makes that choice, and refuses a
+        closure of more than ``cap`` indices)."""
         windows = [(local, _window(s, self.n_sites))
                    for _, local, starts in self.branches for s in starts]
-        codes, blocks = _closed_blocks(windows, np.flatnonzero(amplitudes),
-                                       self.n_sites)
+        codes, blocks = _closed_blocks(windows, support, self.n_sites, cap)
         return codes, self.matrix(blocks)
 
 

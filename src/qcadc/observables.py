@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TOL
-from .superop import VecState, devectorize, vectorize
+from .superop import VecState, devectorize, diag_indices, vectorize
 
 __all__ = [
     "AlphaBeta", "PhysicalityReport", "diag_indices", "diag_probabilities",
@@ -25,17 +25,6 @@ __all__ = [
     "reduced_site_matrix", "project_alpha_beta", "physicality_check",
     "trace_distance", "state_fidelity",
 ]
-
-
-@lru_cache(maxsize=None)
-def diag_indices(n_sites: int) -> np.ndarray:
-    """Doubled-space indices of the 2^N diagonal entries |s><s|."""
-    bits = np.arange(2 ** n_sites, dtype=np.int64)
-    idx = np.zeros(2 ** n_sites, dtype=np.int64)
-    for j in range(n_sites):
-        bit = (bits >> (n_sites - 1 - j)) & 1
-        idx += 3 * bit * 4 ** (n_sites - 1 - j)
-    return idx
 
 
 @lru_cache(maxsize=None)
@@ -49,11 +38,11 @@ def _popcounts(n_sites: int) -> np.ndarray:
 
 def diag_probabilities(state: VecState) -> np.ndarray:
     """Real parts of the density matrix diagonal, basis order 00..0 to 11..1."""
-    return state.amplitudes[diag_indices(state.n_sites)].real
+    return state.diagonal.real
 
 
 def trace_of(state: VecState) -> complex:
-    return complex(state.amplitudes[diag_indices(state.n_sites)].sum())
+    return complex(state.diagonal.sum())
 
 
 def herm_residual(state: VecState) -> float:
@@ -127,7 +116,7 @@ def project_alpha_beta(state: VecState) -> AlphaBeta:
     alpha = 1.0 - density_n(state) / n
     # all-site digit 1 = |0><1| on every site = the |0..0><1..1| component
     beta_idx = (4 ** n - 1) // 3
-    beta = complex(state.amplitudes[beta_idx])
+    beta = complex(state.amplitudes_on(np.array([beta_idx]))[0])
     return AlphaBeta(float(np.clip(alpha, 0.0, 1.0)), beta)
 
 

@@ -33,7 +33,7 @@ around the ring (site N is adjacent to site 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -72,18 +72,101 @@ class ChannelInvalidError(ValueError):
 
 @dataclass(frozen=True)
 class VecState:
-    """Density matrix vectorized in site-local ordering (length 4^N)."""
+    """Density matrix vectorized in site-local ordering.
+
+    With ``codes`` None the state holds all 4^N amplitudes.  Otherwise it
+    holds them on the ascending doubled indices ``codes`` alone and is zero
+    elsewhere: a block state, as an ``evolve`` run keeps it on the indices
+    its initial state reaches.
+    """
 
     n_sites: int
     amplitudes: np.ndarray
+    codes: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.amplitudes.shape != (4 ** self.n_sites,):
-            raise ValueError(
-                f"amplitude vector has length {self.amplitudes.shape}, "
-                f"expected 4^{self.n_sites}"
-            )
+        if self.codes is None:
+            if self.amplitudes.shape != (4 ** self.n_sites,):
+                raise ValueError(
+                    f"amplitude vector has length {self.amplitudes.shape}, "
+                    f"expected 4^{self.n_sites}"
+                )
+        else:
+            codes = self.codes
+            if (codes.ndim != 1 or self.amplitudes.shape != codes.shape
+                    or len(codes) and not (0 <= codes[0] and codes[-1]
+                                           < 4 ** self.n_sites)
+                    or np.any(codes[1:] <= codes[:-1])):
+                raise ValueError(
+                    f"a block state needs as many amplitudes as codes, "
+                    f"ascending in [0, 4^{self.n_sites}); got "
+                    f"{self.amplitudes.shape} amplitudes on "
+                    f"{codes.shape} codes")
+            codes.setflags(write=False)
         self.amplitudes.setflags(write=False)
+
+    def support(self) -> np.ndarray:
+        """The doubled indices of the nonzero amplitudes, ascending."""
+        nonzero = np.flatnonzero(self.amplitudes)
+        return nonzero if self.codes is None else self.codes[nonzero]
+
+    def amplitudes_on(self, codes: np.ndarray | None) -> np.ndarray:
+        """The amplitudes on the ascending doubled indices ``codes``
+        (every index when None), which hold the state's support.  Each is
+        the stored value, the sign of a zero included, or 0."""
+        if self.codes is None:
+            return self.amplitudes if codes is None else self.amplitudes[codes]
+        if codes is None:
+            out = np.zeros(4 ** self.n_sites, dtype=self.amplitudes.dtype)
+            out[self.codes] = self.amplitudes
+            return out
+        out = np.zeros(len(codes), dtype=self.amplitudes.dtype)
+        if len(codes):
+            pos = np.minimum(np.searchsorted(codes, self.codes),
+                             len(codes) - 1)
+            held = codes[pos] == self.codes
+            out[pos[held]] = self.amplitudes[held]
+        return out
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The density matrix diagonal, basis order 00..0 to 11..1, read-only.
+
+        A block state's diagonal codes are scattered into 2^N zeros: the
+        array a 4^N vector of the same state gives, so every reading of it
+        is the same to the bit."""
+        n, codes = self.n_sites, self.codes
+        if codes is None:
+            out = self.amplitudes[diag_indices(n)]
+        else:
+            # a code is diagonal when the ket and bra bits of every site
+            # agree; its basis code is then every other bit
+            on = np.flatnonzero(
+                (((codes >> 1) ^ codes) & ((4 ** n - 1) // 3)) == 0)
+            basis = np.zeros(len(on), dtype=np.int64)
+            for j in range(n):
+                basis |= (codes[on] >> (2 * j) & 1) << j
+            out = np.zeros(2 ** n, dtype=self.amplitudes.dtype)
+            out[basis] = self.amplitudes[on]
+        out.setflags(write=False)
+        return out
+
+    def full(self) -> "VecState":
+        """The same state on all 4^N indices (itself when it is one)."""
+        if self.codes is None:
+            return self
+        return VecState(self.n_sites, self.amplitudes_on(None))
+
+
+@lru_cache(maxsize=None)
+def diag_indices(n_sites: int) -> np.ndarray:
+    """Doubled-space indices of the 2^N diagonal entries |s><s|."""
+    bits = np.arange(2 ** n_sites, dtype=np.int64)
+    idx = np.zeros(2 ** n_sites, dtype=np.int64)
+    for j in range(n_sites):
+        bit = (bits >> (n_sites - 1 - j)) & 1
+        idx += 3 * bit * 4 ** (n_sites - 1 - j)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -345,6 +428,14 @@ def match_moves(table: MoveTable, codes: np.ndarray
     return move, src, (src & ~table.mask[move]) | table.put[move]
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, ascending: ``np.unique`` by a sort
+    and a neighbour mask (numpy 2.4 dedupes int64 by hashing, several
+    times slower)."""
+    codes = np.sort(codes)
+    return codes[np.r_[True, codes[1:] != codes[:-1]]] if len(codes) else codes
+
+
 def closure(table: MoveTable, start: np.ndarray, cap: float = np.inf
             ) -> tuple[np.ndarray | None, tuple | list]:
     """``(codes, (move, src, dst))``: every code the table's rows reach
@@ -360,13 +451,13 @@ def closure(table: MoveTable, start: np.ndarray, cap: float = np.inf
     src)`` is kept per frontier; ``dst`` is formed once at the end, as
     :func:`match_moves` forms it.
     """
-    codes = frontier = np.unique(np.asarray(start, dtype=np.int64))
+    codes = frontier = _sorted_unique(np.asarray(start, dtype=np.int64))
     parts = [(codes[:0],) * 2]
     while len(frontier) and len(codes) <= cap:
         move, src, dst = match_moves(table, frontier)
         parts.append((move, src))
         pos = np.minimum(np.searchsorted(codes, dst), len(codes) - 1)
-        frontier = np.unique(dst[codes[pos] != dst])
+        frontier = _sorted_unique(dst[codes[pos] != dst])
         # two sorted runs with no code in common: a stable sort merges them
         codes = np.sort(np.concatenate((codes, frontier)), kind="stable")
     if len(codes) > cap:
@@ -482,7 +573,7 @@ def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
 
 
 def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
-                   start: np.ndarray, n_sites: int
+                   start: np.ndarray, n_sites: int, cap: float = np.inf
                    ) -> tuple[np.ndarray | None, Iterator[sp.csr_matrix]]:
     """``(codes, blocks)``: the closure of the doubled indices ``start``
     under the stored entries of every ``(local matrix, support)`` term
@@ -491,7 +582,7 @@ def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
     term's own matches as ``blocks`` is read.  When the closure is every
     index, ``codes`` is None and each block is the term's 4^N embedding
     (:func:`embed_local`): this is the one place that chooses between the
-    two forms.
+    two forms.  A closure of more than ``cap`` indices raises ValueError.
 
     No stored entry of a term joins ``codes`` to an index outside it, so
     sums and products of the terms keep a vector on ``codes``, and the i-th
@@ -499,7 +590,10 @@ def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
     for bit.
     """
     table = move_table(terms, n_sites, 4)
-    codes, found = closure(table, start, cap=4 ** n_sites - 1)
+    codes, found = closure(table, start, cap=min(cap, 4 ** n_sites - 1))
+    if codes is None and 4 ** n_sites > cap:
+        raise ValueError(f"the state reaches more than {cap:,} doubled "
+                         f"indices, the most a run holds")
     if codes is None:       # the closure is every index
         return None, (embed_local(local, sites, n_sites)
                       for local, sites in terms)
@@ -514,15 +608,16 @@ def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
     return codes, map(block, range(len(terms)))
 
 
-def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
+def reachable_generator(spec: LindbladSpec, support: np.ndarray,
+                        cap: float = np.inf
                         ) -> tuple[np.ndarray, sp.csr_matrix]:
     """``(codes, sub)``: the doubled indices the generator can reach from
-    the support of ``amplitudes``, ascending, and the generator on them,
+    the doubled indices ``support``, ascending, and the generator on them,
     built from the local terms with no 4^N assembly.
 
-    ``codes`` is the closure of ``flatnonzero(amplitudes)`` under every
-    support's local term (:func:`_closed_blocks`), so exp(L t) keeps a
-    vector on ``codes``.  ``sub`` equals
+    ``codes`` is the closure of ``support`` under every support's local
+    term (:func:`_closed_blocks`, which refuses more than ``cap`` codes),
+    so exp(L t) keeps a vector on ``codes``.  ``sub`` equals
     ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
     each support's term is restricted to ``codes`` and the terms are added
     in the same sorted order.
@@ -530,8 +625,7 @@ def reachable_generator(spec: LindbladSpec, amplitudes: np.ndarray
     n = spec.n_sites
     by_support = _local_terms(spec)
     codes, blocks = _closed_blocks(
-        [(by_support[s], s) for s in sorted(by_support)],
-        np.flatnonzero(amplitudes), n)
+        [(by_support[s], s) for s in sorted(by_support)], support, n, cap)
     if codes is None:   # every index
         codes = np.arange(4 ** n)
     sub = sp.csr_matrix((len(codes),) * 2, dtype=complex)

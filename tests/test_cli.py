@@ -48,6 +48,89 @@ def test_evolve_continuous_fuks_example(tmp_path):
     assert "config_hash" in summary and "engine_version" in summary
 
 
+def _traced_peak(tmp_path, cfg):
+    """(exit code, summary, the peak of memory traced during the run)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "evolve", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, json.loads((out / "summary.json").read_text()), peak
+
+
+@pytest.mark.parametrize("evolution, method", [
+    ({"kind": "discrete", "steps": 5}, "discrete"),
+    ({"kind": "continuous", "t": 5.0}, "diagonal"),
+])
+def test_evolve_from_bits_allocates_no_4n_array(tmp_path, evolution, method):
+    # the state lives on the 134 doubled indices the half cluster reaches;
+    # one 4^12 complex vector is 256 MiB
+    cfg = {"model": {"id": "fuks", "params": {"p": 0.3}}, "n_sites": 12,
+           "initial": {"bits": "111111000000"}, "evolution": evolution}
+    code, summary, peak = _traced_peak(tmp_path, cfg)
+    assert code == 0 and summary["method"] == method
+    assert peak < 32 * 2 ** 20
+    assert abs(summary["final"]["trace"] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("evolution, method, beta_abs", [
+    # one discrete step removes the extreme coherence |0..0><1..1|; the
+    # continuous generator keeps it
+    ({"kind": "discrete", "steps": 3}, "discrete", 0.0),
+    ({"kind": "continuous", "t": 1.0}, "krylov", 0.5),
+])
+def test_evolve_from_ghz_at_14_sites_holds_its_4_codes(tmp_path, evolution,
+                                                      method, beta_abs):
+    # the 2^14 x 2^14 outer product and its 4^14 vector would take 4 GiB
+    # each
+    cfg = {"model": {"id": "fuks", "params": {"p": 0.3}}, "n_sites": 14,
+           "initial": {"named": "ghz"}, "evolution": evolution,
+           **({"samples": 2} if evolution["kind"] == "continuous" else {})}
+    code, summary, peak = _traced_peak(tmp_path, cfg)
+    assert code == 0 and summary["method"] == method
+    assert peak < 32 * 2 ** 20
+    final = summary["final"]
+    assert abs(final["beta_abs"] - beta_abs) < 1e-12
+    assert abs(final["n_over_N"] - 0.5) < 1e-12
+    assert abs(final["trace"] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("evolution, method", [
+    ({"kind": "discrete", "steps": 10}, "discrete"),
+    ({"kind": "continuous", "t": 5.0}, "diagonal"),
+])
+def test_evolve_runs_fuks_past_14_sites_from_the_half_cluster(
+        tmp_path, evolution, method):
+    cfg = {"model": {"id": "fuks", "params": {"p": 0.3}}, "n_sites": 16,
+           "initial": {"bits": "1" * 8 + "0" * 8}, "evolution": evolution}
+    code, out = run(tmp_path, "evolve", cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["method"] == method and summary["n_sites"] == 16
+    assert abs(summary["final"]["n_over_N"] - 0.5) < 1e-12
+    assert abs(summary["final"]["trace"] - 1) < 1e-12
+    _, rows = read_csv(out / "trajectory.csv")
+    assert rows[0][:4] == ["0", "0.5", "0", "1"]
+
+
+def test_evolve_refuses_a_state_past_the_reached_set_cap(tmp_path, capsys,
+                                                         monkeypatch):
+    # with hopping the half cluster at N = 6 reaches C(6, 3)^2 = 400 codes
+    monkeypatch.setattr(evolve, "_MAX_REACHED", 399)
+    cfg = {"model": {"id": "dephasing", "params": {"omega": 1.0}},
+           "n_sites": 6, "initial": {"bits": "111000"},
+           "evolution": {"kind": "continuous", "t": 1.0}}
+    code, out = run(tmp_path, "evolve", cfg)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: evolution: the state reaches more than 399 doubled indices")
+    assert not out.exists()
+    monkeypatch.setattr(evolve, "_MAX_REACHED", 400)
+    assert run(tmp_path, "evolve", cfg)[0] == 0
+
+
 def test_evolve_takes_initial_bits_as_a_list(tmp_path):
     cfg = {"model": {"id": "fuks", "params": {"p": 0.3}}, "n_sites": 3,
            "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
@@ -68,8 +151,11 @@ def test_initial_bits_is_the_vectorized_basis_density():
     strings = [format(c, f"0{n}b") for n in range(1, 6) for c in range(2 ** n)]
     strings += ["".join(rng.choice(["0", "1"], 8)) for _ in range(4)]
     for bits in strings:
-        got = build_initial({"bits": bits}, len(bits)).amplitudes
+        got = build_initial({"bits": bits}, len(bits))
         want = vectorize(basis_density([int(b) for b in bits])).amplitudes
+        # a block state on its one code
+        assert got.codes is not None and len(got.codes) == 1
+        got = got.full().amplitudes
         assert got.dtype == want.dtype and np.array_equal(got, want), bits
 
 
@@ -727,8 +813,13 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
                 "track": "continuous", "t": "abc"}, "t must be a number"),
     *[("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": n,
                   "initial": {"bits": "0" * n}},
-       "4^N complex amplitudes in memory, which holds 1 to 14 sites")
-      for n in (15, 30)],
+       "n_sites must lie in 1 to 20: each sample is read through the 2^N "
+       "diagonal") for n in (21, 30)],
+    # refused before the file is read: it does not exist
+    ("evolve", {**_DISCRETE, "model": {"id": "fuks"}, "n_sites": 15,
+                "initial": {"file": "no-such-file.npy"}},
+     "initial.file holds all 4^N amplitudes of a state, which fit in "
+     "memory for 1 to 14 sites; n_sites=15"),
     *[("evolve", {**_DISCRETE, "evolution": {"kind": "continuous", "t": 1.0},
                   "model": {"id": "fuks", "params": {"p": 0.3,
                                                      "gamma": gamma}}},
@@ -739,7 +830,8 @@ def test_fractional_seeds_are_config_errors(tmp_path, capsys, command, cfg):
      'start must be "published"'),
 ], ids=["ml-cost-3-weights", "ml-cost-w1", "ml-cost-misspelt",
         "fates-demo-p", "mv-scan-2", "mv-scan-66", "mv-run-t",
-        "evolve-15-sites", "evolve-30-sites", "continuous-fuks-gamma-0",
+        "evolve-21-sites", "evolve-30-sites", "evolve-file-15-sites",
+        "continuous-fuks-gamma-0",
         "continuous-fuks-gamma-negative", "discrete-fuks-p-0.9",
         "ml-opt-start-misspelt"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, cfg,

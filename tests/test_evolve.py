@@ -86,8 +86,8 @@ def test_discrete_run_keeps_each_step_vector_uncopied(monkeypatch, rng):
             return products[-1]
     block = DiscreteRule.reachable
 
-    def reachable(self, amplitudes):
-        codes, _ = block(self, amplitudes)
+    def reachable(self, support, cap):
+        codes, _ = block(self, support, cap)
         assert codes is None
         return codes, Recorded()
     monkeypatch.setattr(DiscreteRule, "reachable", reachable)
@@ -608,7 +608,7 @@ def test_doubled_closure_of_a_basis_state_is_its_classical_chain(family, n):
     rng = np.random.default_rng(n)
     for bits in (rng.integers(0, 2, n), mv_worst_consensus_input(n)):
         state = vectorize(basis_density(bits))
-        codes, sub = reachable_generator(spec, state.amplitudes)
+        codes, sub = reachable_generator(spec, state.support())
         chain, Q = DiagonalDynamics(spec).reachable(bits)
         assert np.array_equal(codes, diag_indices(n)[chain])
         assert abs(sub - Q).max() < 1e-12
@@ -1185,7 +1185,7 @@ def test_basis_preserving_block_runs_diagonal_and_matches_dense(n, family,
     assert np.abs(out.final_state.amplitudes
                   - want.final_state.amplitudes).max() < 1e-12
     # the block's moves are those of the classical rate matrix
-    codes, sub = reachable_generator(spec, amplitudes)
+    codes, sub = reachable_generator(spec, state.support())
     basis = np.searchsorted(diag_indices(n), codes)
     assert np.array_equal(diag_indices(n)[basis], codes)
     Q = sum(diagonal_rate_matrix(g) for g in groups).toarray()
@@ -1330,7 +1330,7 @@ def test_reachable_generator_is_the_closed_slice_of_the_assembly(
         n, family, kind, seed):
     rng = np.random.default_rng(seed)
     spec, state = make_sector_case(rng, n, family, kind)
-    codes, sub = reachable_generator(spec, state.amplitudes)
+    codes, sub = reachable_generator(spec, state.support())
     gen = assemble_lindbladian(spec).matrix
     want = gen[codes][:, codes]
     assert np.array_equal(codes, np.unique(codes))
@@ -1442,8 +1442,8 @@ def test_discrete_run_builds_no_4n_step(monkeypatch, model, n, bits, steps,
     monkeypatch.setattr(so, "embed_local", refused)
     sizes = []
     block = md.DiscreteRule.reachable
-    monkeypatch.setattr(md.DiscreteRule, "reachable", lambda self, a: (
-        lambda r: sizes.append(len(r[0])) or r)(block(self, a)))
+    monkeypatch.setattr(md.DiscreteRule, "reachable", lambda self, *a: (
+        lambda r: sizes.append(len(r[0])) or r)(block(self, *a)))
     rule, state = build_step(model, n), build_initial({"bits": bits}, n)
     out = discrete_run(rule, state, max_steps=steps)
     assert sizes == [reached]
@@ -1624,3 +1624,75 @@ def test_crossing_time():
     v = t / 10
     assert crossing_time(t, v, 0.55) == 6.0
     assert np.isnan(crossing_time(t, v, 2.0))
+
+
+# every kind of run, each as (make the rule or spec, run it)
+BLOCK_RUNS = {
+    "discrete fuks": (lambda n: fuks_rule(FuksParams(0.3), n),
+                      lambda rule, s: discrete_run(rule, s, 4)),
+    "discrete mv-spread": (lambda n: mv_rule("spread", n),
+                           lambda rule, s: discrete_run(rule, s, 4)),
+    "discrete fates": (lambda n: fates_rule(0.4, n),
+                       lambda rule, s: discrete_run(rule, s, 4)),
+    **{f"continuous {method}": (
+        lambda n: fuks_lindblad(FuksParams(0.3), n),
+        lambda spec, s, method=method: continuous_evolve(
+            spec, s, 2.0, method=method, samples=3))
+       for method in ("diagonal", "dense", "krylov")},
+    "continuous dephasing dense": (
+        lambda n: dephasing_lindblad(DephasingParams(1.0), min(n, 5)),
+        lambda spec, s: continuous_evolve(spec, s, 1.0, method="dense",
+                                          samples=3)),
+    "continuous dephasing krylov": (
+        lambda n: dephasing_lindblad(DephasingParams(1.0), min(n, 5)),
+        lambda spec, s: continuous_evolve(spec, s, 1.0, method="krylov",
+                                          samples=3)),
+    "converge": (lambda n: fuks_lindblad(FuksParams(0.3), n),
+                 lambda spec, s: converge_to_fixed_point(
+                     spec, s, tol=1e-6, horizon=40.0)),
+}
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(BLOCK_RUNS)), size=st.integers(3, 7),
+       start=st.sampled_from(["bits", "ghz"]), seed=st.integers(0, 2 ** 16))
+@example(kind="continuous dephasing krylov", size=5, start="bits", seed=1)
+@example(kind="converge", size=6, start="ghz", seed=0)
+def test_block_state_runs_match_4n_state_runs_bit_for_bit(kind, size, start,
+                                                          seed):
+    # a run from the block state the CLI builds (its 1 or 4 codes) and one
+    # from the same state on all 4^N indices: the same trajectory, alpha
+    # and beta, and final vector once scattered, to the bit
+    from qcadc.cli import build_initial
+    from qcadc.observables import project_alpha_beta
+    make, run_it = BLOCK_RUNS[kind]
+    model = make(3 * (1 + size % 2) if "mv" in kind else size)
+    n = model.n_sites
+    bits = "".join(map(str, np.random.default_rng(seed).integers(0, 2, n)))
+    block = build_initial({"bits": bits} if start == "bits"
+                          else {"named": start}, n)
+    assert len(block.codes) == (1 if start == "bits" else 4)
+    if kind == "continuous diagonal" and start == "ghz":
+        # the coherences are off the diagonal path for either form
+        for state in (block, block.full()):
+            with pytest.raises(NotBasisPreservingError):
+                run_it(model, state)
+        return
+    got, want = run_it(model, block), run_it(model, block.full())
+    assert got.method_used == want.method_used
+    assert (got.time_reached, got.converged) == (want.time_reached,
+                                                 want.converged)
+    assert got.trajectory.shape == want.trajectory.shape
+    assert _bits(got.trajectory) == _bits(want.trajectory)
+    assert want.final_state.codes is None
+    # complex, as the diagonal path's real rows read as complex ones
+    assert got.final_state.amplitudes.dtype == complex
+    assert want.final_state.amplitudes.dtype == complex
+    a, b = (project_alpha_beta(r.final_state) for r in (got, want))
+    assert (_bits(a.alpha), _bits(a.beta)) == (_bits(b.alpha), _bits(b.beta))
+    assert (_bits(got.final_state.full().amplitudes)
+            == _bits(want.final_state.amplitudes))

@@ -413,3 +413,48 @@ def test_translation_sectors_refuse_a_broken_ring_symmetry():
     [(basis, reps)] = sectors
     assert np.array_equal(reps, np.arange(64))
     assert (basis != sp.identity(64, format="csr")).nnz == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60),
+       repeats=st.lists(st.integers(0, 59), max_size=60))
+def test_closure_dedupe_equals_np_unique(values, repeats):
+    # with duplicates, as every frontier of the closure has
+    from qcadc.superop import _sorted_unique
+    codes = np.array(values + [values[i] for i in repeats if i < len(values)],
+                     dtype=np.int64)
+    np.random.default_rng(len(codes)).shuffle(codes)
+    got, want = _sorted_unique(codes), np.unique(codes)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_block_state_reads_as_its_4n_vector(rng):
+    # a block state on some codes and the 4^N vector with those entries
+    # (and zeros elsewhere) give the same diagonal to the bit, and each
+    # converts to the other
+    n = 4
+    full = vectorize(random_density(rng, n)).amplitudes
+    codes = np.flatnonzero(rng.random(4 ** n) < 0.4)
+    lifted = np.zeros(4 ** n, dtype=complex)
+    lifted[codes] = full[codes]
+    block = VecState(n, full[codes], codes)
+    want = VecState(n, lifted)
+    assert np.array_equal(block.full().amplitudes, lifted)
+    assert np.array_equal(block.diagonal, want.diagonal)
+    assert np.array_equal(block.support(), want.support())
+    some = np.flatnonzero(rng.random(4 ** n) < 0.5)
+    wider = np.union1d(block.support(), some)
+    assert np.array_equal(block.amplitudes_on(wider), lifted[wider])
+    assert np.array_equal(want.amplitudes_on(wider), lifted[wider])
+    assert not block.diagonal.flags.writeable
+
+
+@pytest.mark.parametrize("amplitudes, codes", [
+    (np.ones(2, dtype=complex), np.array([3, 1])),       # not ascending
+    (np.ones(2, dtype=complex), np.array([1, 1])),       # repeated
+    (np.ones(1, dtype=complex), np.array([256])),        # past 4^4
+    (np.ones(2, dtype=complex), np.array([0])),          # lengths differ
+])
+def test_block_state_refuses_bad_codes(amplitudes, codes):
+    with pytest.raises(ValueError, match="a block state needs"):
+        VecState(4, amplitudes, codes)
