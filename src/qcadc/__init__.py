@@ -8,8 +8,7 @@ generator spectra, and an exact classical bitstring track.
 from .config import ENGINE_VERSION as __version__
 from .superop import (
     VecState, LocalOperator, SuperOp, LindbladSpec,
-    vectorize, devectorize, embed_local, kraus_to_superop,
-    assemble_lindbladian,
+    vectorize, devectorize, embed_local, assemble_lindbladian,
 )
 from .models import (
     FuksParams, DephasingParams, MLWeights, DiscreteRule,
@@ -23,8 +22,7 @@ from .evolve import (
 )
 from .spectra import spectrum, steady_state_basis, gap_scan, loglog_fit
 from .observables import (
-    expval_sz, density_n, density_profile, project_alpha_beta,
-    physicality_check,
+    expval_sz, density_n, project_alpha_beta, physicality_check,
 )
 from .classical import (
     eca_step, fuks_classical_step, mv_classify, tau_formula,

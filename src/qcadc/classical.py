@@ -230,11 +230,13 @@ def _mv_step(rings: np.ndarray, rule: str, phase: int) -> None:
     rings[left], rings[mid], rings[right] = out >> 2, (out >> 1) & 1, out & 1
 
 
-def _mv_run(rings: np.ndarray, rule: str, count: int, going) -> np.ndarray:
+def _mv_run(rings: np.ndarray, rule: str, count: int, going,
+            seen=None) -> np.ndarray:
     """Up to ``count`` sublayers of ``rule``, in place, on site-major rings
     (N, B), phases in :func:`mv_sublayer_sequence` order.  A ring stops
     before the first sublayer at which the per-ring predicate ``going`` is
-    false for it; only the rings still active are stepped.  Returns the
+    false for it; only the rings still active are stepped, and ``seen``,
+    when given, is called with them after each sublayer.  Returns the
     sublayers each ring used."""
     used = np.zeros(rings.shape[1], dtype=np.int64)
     active = np.arange(rings.shape[1])
@@ -250,6 +252,8 @@ def _mv_run(rings: np.ndarray, rule: str, count: int, going) -> np.ndarray:
             if not active.size:
                 break
         _mv_step(live, rule, phase)
+        if seen is not None:
+            seen(live)
     if live is not rings:
         rings[:, active] = live
     used[active] = len(sequence)
@@ -330,6 +334,12 @@ def mv_classify(bits):
     :func:`tau_formula` sublayers does not yield a uniform state for some
     ring; that would falsify the closed-form bound.
     """
+    return _mv_classify(bits)
+
+
+def _mv_classify(bits, seen=None):
+    """:func:`mv_classify`, calling ``seen`` with the site-major rings still
+    running after each sublayer (:func:`_mv_run`)."""
     batch = np.ndim(bits) == 2
     start = _zero_one(np.asarray(bits)) if batch else parse_bits(bits)[None]
     rings = np.ascontiguousarray(start.T)
@@ -338,8 +348,8 @@ def mv_classify(bits):
         raise ValueError(f"length {n} is not a positive multiple of 3; "
                          f"apply mv_pad first")
     tau_a, tau_b, _total = mv_layer_counts(n)
-    used = (_mv_run(rings, "spread", tau_a, _adjacent_ones)
-            + _mv_run(rings, "consensus", tau_b, _mixed))
+    used = (_mv_run(rings, "spread", tau_a, _adjacent_ones, seen)
+            + _mv_run(rings, "consensus", tau_b, _mixed, seen))
     failed = np.flatnonzero(_mixed(rings))
     if failed.size:
         i = failed[0]

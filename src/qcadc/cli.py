@@ -606,7 +606,13 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     if len(bits) != n:
         raise ConfigError(f"initial.bits has {len(bits)} sites, n_sites={n}")
     if form == "discrete":
-        label, used = classical.mv_classify(bits)
+        # the ones after each sublayer of the classifying run itself
+        ones = [int(bits.sum())]
+        label, used = classical._mv_classify(
+            bits, lambda live: ones.append(int(live.sum())))
+        write_trajectory(out / "trajectory.csv", [
+            (k, m / n, n / 2 - m, 1.0, "discrete")
+            for k, m in enumerate(ones)])
         write_json(out / "summary.json", {
             **_stamp(cfg), "label": label, "sublayers_used": used,
             "budget": classical.tau_formula(n)})

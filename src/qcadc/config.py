@@ -29,9 +29,9 @@ TOL = Tolerances()
 # sparse-only paths must be used instead.
 DENSE_SUPEROP_CAP = 65536  # 4^8
 
-# The one step builder of evolve (continuous runs, fixed-point search)
-# takes a dense expm of the generator up to this dimension under method
-# "auto", and Krylov above.
+# Continuous runs and the fixed-point search of evolve take a dense expm
+# of the generator up to this dimension: method "auto" picks it when 4^N is
+# at most this, and method "dense" refuses a reached block larger than it.
 DENSE_EXPM_CAP = 4096  # 4^6
 
 ENGINE_VERSION = "0.1.0"

@@ -37,7 +37,8 @@ exactly zero.  Methods:
                    fixed-point search streams its horizon in passes of at
                    most ``_MAX_JUMPS`` expected jumps, each from the last
                    state of the one before.
-* ``dense``     -- one dense exponential of the block per run.
+* ``dense``     -- one dense exponential of the block per run, for a
+                   block of at most ``DENSE_EXPM_CAP`` = 4096 indices.
 * ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
                    adaptive substepping.
 * ``auto``      -- diagonal when the block is a rate matrix, else dense up
@@ -70,13 +71,13 @@ from scipy.linalg import expm
 # not called; perfbench/tracer.py patches this name and fails without it
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
-from .config import DENSE_EXPM_CAP, DENSE_SUPEROP_CAP
+from .config import DENSE_EXPM_CAP
 from .models import DiscreteRule
 from .observables import density_n, expval_sz, trace_of
 # not called; perfbench/tracer.py patches this name and fails without it
 from .superop import assemble_lindbladian  # noqa: F401
-from .superop import (LindbladSpec, VecState, basis_moves, closure,
-                      match_moves, move_table, reachable_generator)
+from .superop import (LindbladSpec, VecState, _is_diagonal, basis_moves,
+                      closure, match_moves, move_table, reachable_generator)
 
 __all__ = [
     "EvolutionResult", "KrylovError", "NotBasisPreservingError",
@@ -464,9 +465,7 @@ def _is_rate_matrix(codes: np.ndarray, sub: sp.csr_matrix,
     classical rate matrix: every index diagonal, no entry with a nonzero
     imaginary part and no negative off-diagonal entry.  A non-finite entry
     is not held against it; the run reports that as a numerical failure."""
-    # site digit 2 ket + bra sits at bits 2j + 1 and 2j of an index, so the
-    # index is diagonal when every such bit pair agrees
-    if np.any(((codes >> 1) ^ codes) & ((4 ** n_sites - 1) // 3)):
+    if not _is_diagonal(codes, n_sites).all():
         return False
     coo = sub.tocoo()
     off = coo.data.real[coo.row != coo.col]
@@ -497,9 +496,10 @@ def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
                 "indices the state reaches")
         flow = _uniformized_flow(sub.real, w.real, dt, count, passes)
     elif method == "dense":
-        if len(codes) > DENSE_SUPEROP_CAP:
-            raise ValueError(f"dense path refused above dimension "
-                             f"{DENSE_SUPEROP_CAP}")
+        if len(codes) > DENSE_EXPM_CAP:
+            raise ValueError(f"the dense method takes at most "
+                             f"{DENSE_EXPM_CAP:,} reached doubled indices; "
+                             f"the state reaches {len(codes):,}")
         prop = expm(sub.toarray() * dt)
         flow = _iterate(lambda v: prop @ v, w)
     elif method == "krylov":

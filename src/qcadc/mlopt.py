@@ -9,8 +9,7 @@ basis preserving, so every evaluation runs on the 2^N classical restriction.
 That rate matrix is linear in the six free weights, Q(w) = sum_k w_k Q_k:
 the moves of each Q_k are derived once per ring size from the engine's
 diagonal restriction and cached, Q(w) is scattered from them, and one
-exponential per ring size serves every training pair of that size.  The
-full doubled-space route (``method="dense"``) exists for cross-checking.
+exponential per ring size serves every training pair of that size.
 """
 from __future__ import annotations
 
@@ -20,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .evolve import DiagonalDynamics, _code_of, continuous_evolve
+from .evolve import DiagonalDynamics, _code_of
 from .models import MLWeights, ml_lindblad
-from .superop import vectorize
 
 __all__ = [
     "TrainingPair", "TrainingSet", "default_training_set", "StateScore",
@@ -133,38 +131,18 @@ def ml_rate_matrix(weights: MLWeights, n_sites: int) -> np.ndarray:
     return off - np.diag(off.sum(axis=0))
 
 
-def _dense_endpoints(weights: MLWeights, bits: tuple[int, ...],
-                     tau: float) -> tuple[float, float]:
-    """Endpoint weights from the full doubled-space evolution."""
-    from .observables import diag_probabilities
-    n = len(bits)
-    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    s = _code_of(bits)
-    rho[s, s] = 1.0
-    out = continuous_evolve(ml_lindblad(weights, n), vectorize(rho), tau,
-                            method="dense", samples=1, record=False)
-    probs = diag_probabilities(out.final_state)
-    return float(probs[0]), float(probs[-1])
-
-
 def per_state_scores(weights: MLWeights, tset: TrainingSet | None = None,
-                     horizon_rule=default_horizon,
-                     method: str = "diagonal") -> list[StateScore]:
-    if method not in ("diagonal", "dense"):
-        raise ValueError(f"unknown method {method!r}")
+                     horizon_rule=default_horizon) -> list[StateScore]:
     tset = tset or default_training_set()
     props: dict[int, np.ndarray] = {}
     out = []
     for pair in tset.pairs:
         n = len(pair.bits)
         tau = float(horizon_rule(n))
-        if method == "dense":
-            f0, f1 = _dense_endpoints(weights, pair.bits, tau)
-        else:
-            if n not in props:
-                props[n] = expm(ml_rate_matrix(weights, n) * tau)
-            p = props[n][:, _code_of(pair.bits)]   # the law at tau from s
-            f0, f1 = float(p[0]), float(p[-1])
+        if n not in props:
+            props[n] = expm(ml_rate_matrix(weights, n) * tau)
+        p = props[n][:, _code_of(pair.bits)]   # the law at tau from s
+        f0, f1 = float(p[0]), float(p[-1])
         summand = (-1) ** (1 - pair.label) * f0 + (-1) ** pair.label * f1
         predicted = 1 if f1 > f0 else 0
         out.append(StateScore(pair.bits, pair.label, f0, f1,
@@ -173,11 +151,10 @@ def per_state_scores(weights: MLWeights, tset: TrainingSet | None = None,
 
 
 def ml_cost(weights: MLWeights, tset: TrainingSet | None = None,
-            horizon_rule=default_horizon, method: str = "diagonal") -> float:
+            horizon_rule=default_horizon) -> float:
     """Signed-fidelity sum; minimum is minus the training-set size."""
     return float(sum(s.summand
-                     for s in per_state_scores(weights, tset, horizon_rule,
-                                               method)))
+                     for s in per_state_scores(weights, tset, horizon_rule)))
 
 
 def truncate_weights(weights: MLWeights) -> MLWeights:

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from .config import TOL
 from .superop import (
     ID2, P0, P1, PAULI_X, PAULI_Y, SIGMA_MINUS, SIGMA_PLUS,
     LindbladSpec, LocalOperator, SuperOp, _closed_blocks, doubled,
@@ -154,7 +155,7 @@ def _center_kraus(kraus_by_nbhd: dict[tuple[int, int], list[np.ndarray]]
     proj = {0: P0, 1: P1}
     ops = []
     for (a, b), kraus in kraus_by_nbhd.items():
-        if kraus_completeness_residual(kraus) > 1e-12:
+        if kraus_completeness_residual(kraus) > TOL.channel:
             raise ValueError(f"neighborhood {(a, b)} Kraus set is not complete")
         ops += [_kron3(proj[a], K, proj[b]) for K in kraus]
     return ops

@@ -1,13 +1,7 @@
 """Expectation values, densities and physicality diagnostics on VecStates.
 
 Diagonal quantities read the 2^N doubled-space entries whose per-site digits
-are 0 or 3 (ket bit equal to bra bit); profiles go through single-site
-reduced matrices obtained by partial trace in the doubled space.
-
-Partial trace, worked N=2 example: the reduced matrix of site 1 keeps site
-1's (a, b) digit free and sums site 2 over its diagonal digits 0 and 3:
-
-    rho_1[a, b] = v[(2a+b) * 4 + 0] + v[(2a+b) * 4 + 3]
+are 0 or 3 (ket bit equal to bra bit).
 """
 from __future__ import annotations
 
@@ -17,13 +11,12 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TOL
-from .superop import VecState, devectorize, diag_indices, vectorize
+from .superop import VecState, devectorize, diag_indices
 
 __all__ = [
     "AlphaBeta", "PhysicalityReport", "diag_indices", "diag_probabilities",
-    "trace_of", "herm_residual", "expval_sz", "density_n", "density_profile",
-    "reduced_site_matrix", "project_alpha_beta", "physicality_check",
-    "trace_distance", "state_fidelity",
+    "trace_of", "herm_residual", "expval_sz", "density_n",
+    "project_alpha_beta", "physicality_check", "trace_distance",
 ]
 
 
@@ -48,11 +41,12 @@ def trace_of(state: VecState) -> complex:
 def herm_residual(state: VecState) -> float:
     """Max deviation of the devectorized matrix from its adjoint.
 
-    Computed by the per-site digit swap (a, b) -> (b, a) plus conjugation,
-    so it never materializes the 2^N x 2^N matrix twice.
+    Computed by the per-site digit swap (a, b) -> (b, a) plus conjugation
+    on the 4^N vector (a block state's, scattered), so it never
+    materializes the 2^N x 2^N matrix twice.
     """
     n = state.n_sites
-    t = state.amplitudes.reshape((4,) * n)
+    t = state.full().amplitudes.reshape((4,) * n)
     swap = np.array([0, 2, 1, 3])
     flipped = t
     for axis in range(n):
@@ -70,23 +64,6 @@ def expval_sz(state: VecState) -> float:
 def density_n(state: VecState) -> float:
     """Total occupation: expectation of the number of one-sites."""
     return float(np.dot(_popcounts(state.n_sites), diag_probabilities(state)))
-
-
-def reduced_site_matrix(state: VecState, site: int) -> np.ndarray:
-    """2x2 reduced density matrix of one site by doubled-space partial trace."""
-    n = state.n_sites
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} outside ring of {n}")
-    t = state.amplitudes.reshape((4,) * n)
-    for axis in reversed([a for a in range(n) if a != site]):
-        t = t.take(0, axis=axis) + t.take(3, axis=axis)
-    return np.array([[t[0], t[1]], [t[2], t[3]]])
-
-
-def density_profile(state: VecState) -> np.ndarray:
-    """Per-site occupation from the single-site reduced matrices."""
-    return np.array([reduced_site_matrix(state, j)[1, 1].real
-                     for j in range(state.n_sites)])
 
 
 @dataclass(frozen=True)
@@ -154,13 +131,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference."""
     diff = (rho - sigma + (rho - sigma).conj().T) / 2
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (squared-overlap convention)."""
-    w, V = np.linalg.eigh((rho + rho.conj().T) / 2)
-    w = np.clip(w, 0, None)
-    sq = (V * np.sqrt(w)) @ V.conj().T
-    inner = sq @ sigma @ sq
-    ev = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0, None)
-    return float(np.sqrt(ev).sum() ** 2)

@@ -46,10 +46,9 @@ __all__ = [
     "VecState", "LocalOperator", "SuperOp", "LindbladSpec",
     "vectorize", "devectorize", "doubled", "embed_local",
     "basis_moves", "MoveTable", "move_table", "match_moves", "closure",
-    "kraus_to_superop", "assemble_lindbladian", "reachable_generator",
+    "assemble_lindbladian", "reachable_generator",
     "conserved_grading", "rotate_ring", "translation_sectors",
     "kraus_completeness_residual",
-    "ChannelInvalidError",
 ]
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -60,14 +59,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-
-
-class ChannelInvalidError(ValueError):
-    """Raised when a Kraus set violates trace preservation."""
-
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(f"Kraus set is not trace preserving: residual {residual:.3e}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +130,8 @@ class VecState:
         if codes is None:
             out = self.amplitudes[diag_indices(n)]
         else:
-            # a code is diagonal when the ket and bra bits of every site
-            # agree; its basis code is then every other bit
-            on = np.flatnonzero(
-                (((codes >> 1) ^ codes) & ((4 ** n - 1) // 3)) == 0)
+            # a diagonal code's basis code is every other bit
+            on = np.flatnonzero(_is_diagonal(codes, n))
             basis = np.zeros(len(on), dtype=np.int64)
             for j in range(n):
                 basis |= (codes[on] >> (2 * j) & 1) << j
@@ -156,6 +145,13 @@ class VecState:
         if self.codes is None:
             return self
         return VecState(self.n_sites, self.amplitudes_on(None))
+
+
+def _is_diagonal(codes: np.ndarray, n_sites: int) -> np.ndarray:
+    """Per doubled index of ``codes``: is it diagonal, |s><s|?  Site j's
+    digit 2 ket + bra sits at bits 2j + 1 and 2j, so an index is diagonal
+    when every such bit pair agrees."""
+    return (((codes >> 1) ^ codes) & ((4 ** n_sites - 1) // 3)) == 0
 
 
 @lru_cache(maxsize=None)
@@ -275,9 +271,10 @@ def vectorize(rho: np.ndarray) -> VecState:
 
 
 def devectorize(state: VecState | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`; bit-exact round trip."""
+    """Inverse of :func:`vectorize`; bit-exact round trip.  A block state
+    is read as its 4^N vector."""
     if isinstance(state, VecState):
-        v, n = state.amplitudes, state.n_sites
+        v, n = state.full().amplitudes, state.n_sites
     else:
         v = np.asarray(state, dtype=complex)
         n = (v.shape[0].bit_length() - 1) // 2
@@ -494,20 +491,6 @@ def basis_moves(matrix: np.ndarray) -> list[tuple[int, int, float]] | None:
             return None
         moves.append((code, int(nz[0]), float(abs(col[nz[0]]) ** 2)))
     return moves
-
-
-def kraus_to_superop(kraus: Sequence[LocalOperator], n_sites: int) -> SuperOp:
-    """Discrete-step superoperator sum_mu K (x) K* for one shared support."""
-    supports = {op.sites for op in kraus}
-    if len(supports) != 1:
-        raise ValueError(f"Kraus operators must share one support, got {supports}")
-    residual = kraus_completeness_residual(op.matrix for op in kraus)
-    if residual > TOL.channel:
-        raise ChannelInvalidError(residual)
-    sites = kraus[0].sites
-    local = sum(doubled(op.matrix) for op in kraus)
-    mat = embed_local(local, sites, n_sites)
-    return SuperOp(n_sites, mat, "step")
 
 
 def _local_dissipator(L: np.ndarray, rate: float) -> np.ndarray:

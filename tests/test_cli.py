@@ -286,6 +286,35 @@ def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
     assert not out.exists()
 
 
+def test_evolve_dense_refuses_a_block_past_the_expm_cap(tmp_path):
+    # dephasing with hopping from four adjacent ones on nine sites reaches
+    # 15,876 doubled indices, 3.76 GiB as one dense matrix.  The run is
+    # refused before any dense allocation; the child's address space is
+    # capped at 2 GiB, so a run that allocated would fail (exit 3), not
+    # take the machine's memory
+    import resource
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"id": "dephasing", "params": {"omega": 1.0}},
+        "n_sites": 9, "initial": {"bits": "111100000"},
+        "evolution": {"kind": "continuous", "t": 1.0}, "samples": 2}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "qcadc", "evolve", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--method", "dense"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 << 30, 2 << 30)))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == (
+        "error: evolution: the dense method takes at most 4,096 reached "
+        "doubled indices; the state reaches 15,876\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method", ["dense", "diagonal"])
 def test_evolve_non_finite_rates_exit_3_without_output(tmp_path, capsys,
@@ -469,7 +498,14 @@ def test_mv_run_single_discrete(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["label"] == 0
-    assert summary["sublayers_used"] <= summary["budget"]
+    used = summary["sublayers_used"]
+    assert used <= summary["budget"]
+    # one row per sublayer of the run, from its start
+    header, rows = read_csv(out / "trajectory.csv")
+    assert header == ["t", "n_over_N", "s_z", "trace", "method"]
+    assert [row[0] for row in rows] == [str(k) for k in range(used + 1)]
+    assert rows[0] == ["0", "0.5", "0", "1", "discrete"]
+    assert rows[-1] == [str(used), "0", "3", "1", "discrete"]
 
 
 def test_mv_run_single_continuous(tmp_path, capsys):

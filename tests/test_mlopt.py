@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qcadc.evolve import diagonal_rate_matrix
+from qcadc.evolve import continuous_evolve, diagonal_rate_matrix
 from qcadc.mlopt import (
     TrainingPair, TrainingSet, _nelder_mead, default_horizon,
     default_training_set, ml_cost, ml_rate_matrix, optimize_weights,
     per_state_scores, truncate_weights,
 )
 from qcadc.models import MLWeights, ml_lindblad, published_ml_weights
+from qcadc.observables import diag_probabilities
+from qcadc.superop import vectorize
+from conftest import basis_density
 
 ZERO_W = MLWeights.from_free((0.0,) * 6)
 
@@ -71,9 +74,18 @@ def test_cost_published_weights_value_and_misclassification():
 def test_cost_diagonal_and_dense_routes_agree():
     w = published_ml_weights()
     sub = TrainingSet(default_training_set().pairs[:3])   # the N=4 states
-    a = ml_cost(w, sub, method="diagonal")
-    b = ml_cost(w, sub, method="dense")
-    assert abs(a - b) < 1e-8
+    # the doubled-space oracle: each state evolved to the horizon by a dense
+    # exponential of the full generator on the block it reaches
+    dense = 0.0
+    for pair in sub.pairs:
+        n = len(pair.bits)
+        out = continuous_evolve(
+            ml_lindblad(w, n), vectorize(basis_density(pair.bits)),
+            default_horizon(n), method="dense", samples=1, record=False)
+        probs = diag_probabilities(out.final_state)
+        dense += ((-1) ** (1 - pair.label) * probs[0]
+                  + (-1) ** pair.label * probs[-1])
+    assert abs(ml_cost(w, sub) - dense) < 1e-8
 
 
 def test_empty_training_set_is_refused():

@@ -18,7 +18,7 @@ from qcadc.models import (
 )
 from qcadc.observables import density_n, diag_probabilities, expval_sz, trace_of
 from qcadc.superop import (
-    P0, P1, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, LindbladSpec, LocalOperator,
+    ID2, P0, P1, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, LindbladSpec, LocalOperator,
     assemble_lindbladian, devectorize, doubled, embed_local,
     kraus_completeness_residual, vectorize,
 )
@@ -82,6 +82,19 @@ def test_all_kraus_sets_complete():
     for rule in (184, 232):
         for kr in fates_kraus_sets(rule).values():
             assert kraus_completeness_residual(kr) < 1e-12
+
+
+def test_center_kraus_rejects_incomplete_set():
+    from qcadc.config import TOL
+    from qcadc.models import _center_kraus
+    sets = fuks_kraus_sets(0.3)
+    sets[(0, 1)] = [0.9 * ID2]
+    with pytest.raises(ValueError, match=r"neighborhood \(0, 1\) Kraus set "
+                                         r"is not complete"):
+        _center_kraus(sets)
+    # a residual within the channel tolerance passes
+    sets[(0, 1)] = [(1 + TOL.channel / 4) * ID2]
+    assert len(_center_kraus(sets)) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
 """The committed experiments under scripts/, run as a user would run them.
 
 Each ``scripts/<command>.<experiment>.json`` is a config for the CLI
-command named before its first dot.
+command named before its first dot; scripts/ holds nothing else.
 """
 import csv
 import json
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcadc.classical import tau_formula
-from qcadc.cli import main
+from qcadc.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "scripts").glob("*.json"))
@@ -34,7 +32,13 @@ def test_every_experiment_is_committed():
     assert [p.name for p in CONFIGS] == [
         "fates-demo.traffic_majority.json", "gap-scan.gap_scaling.json",
         "ml-cost.published_weights.json", "ml-opt.weight_search.json",
-        "mv-run.consensus_profile.json", "mv-run.worst_case_scaling.json"]
+        "mv-run.consensus_profile.json", "mv-run.discrete_fifteen_ones.json",
+        "mv-run.discrete_sixteen_ones.json",
+        "mv-run.worst_case_scaling.json"]
+    # every experiment runs through the CLI: no script creeps back
+    for path in (ROOT / "scripts").iterdir():
+        name = re.fullmatch(r"([a-z-]+)\.\w+\.json", path.name)
+        assert path.is_file() and name and name[1] in COMMANDS, path.name
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -62,20 +66,13 @@ def test_committed_config_runs(path, tmp_path):
             want = (2 * (1 - np.cos(np.pi / n)) if model == "fuks"
                     else 1 - np.cos(2 * np.pi / n))
             assert abs(gap - want) < 1e-9, (model, n)
-
-
-def test_discrete_profile_script(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_mv_profiles.py"),
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    for name, ones in (("fifteen_ones", 15), ("sixteen_ones", 16)):
-        with open(tmp_path / f"discrete_{name}.csv") as fh:
+    if cfg.get("track") == "discrete":
+        # the density after every sublayer of the classifying run
+        n, ones = cfg["n_sites"], cfg["initial"]["bits"].count("1")
+        with open(out / "trajectory.csv") as fh:
             dens = [float(r["n_over_N"]) for r in csv.DictReader(fh)]
-        assert abs(dens[0] - ones / 30) < 1e-6
-        assert dens[-1] == (1.0 if ones > 15 else 0.0)
-        assert len(dens) - 1 <= tau_formula(30)
+        used = json.loads((out / "summary.json").read_text())["sublayers_used"]
+        assert abs(dens[0] - ones / n) < 1e-6
+        assert dens[-1] == (1.0 if ones > n / 2 else 0.0)
+        assert len(dens) - 1 <= tau_formula(n)
+        assert len(dens) - 1 == used
