@@ -141,12 +141,6 @@ def _given(default=_NEEDED):
 _SEED = _count(0, lo=0, why="must be non-negative")
 
 
-def _no_method(args, what: str) -> None:
-    """Only continuous and converge ``evolve`` runs read ``--method``."""
-    if args.method != "auto":
-        raise ConfigError(f"--method {args.method}: {what} reads no method")
-
-
 # ---------------------------------------------------------------------------
 # outputs
 
@@ -157,15 +151,20 @@ def config_hash(cfg: dict) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    """Write ``text`` to ``path`` by a rename; an ``--out`` that cannot
+    hold it (a file, no permission, a full disk) is a ConfigError."""
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -373,29 +372,26 @@ _EVOLVE = {
 }
 
 
-def cmd_evolve(cfg: dict, out: Path, args) -> int:
+def cmd_evolve(cfg: dict, out: Path) -> int:
     kind = _form(cfg.get("evolution"), "kind", _KIND, "evolution")
     run = _read(cfg, _EVOLVE[kind], "config")
-    if kind == "discrete":
-        _no_method(args, "a discrete evolve run")
     n, evo = run["n_sites"], run["evolution"]
     state = build_initial(run["initial"], n)
     model = (build_step if kind == "discrete" else build_spec)(run["model"], n)
     # evolve raises ValueError for what the run cannot take: a negative or
     # non-finite t or horizon, a negative step count, no samples, a bad tol,
-    # the diagonal method on a spec that is not basis preserving or on a
-    # state with coherences
+    # a state that reaches more doubled indices than a run holds, a
+    # diagonal flow with too many jumps to stream
     try:
         if kind == "continuous":
             result = evolve.continuous_evolve(
-                model, state, float(evo["t"]), method=args.method,
-                samples=run["samples"])
+                model, state, float(evo["t"]), samples=run["samples"])
         elif kind == "discrete":
             result = evolve.discrete_run(model, state, evo["steps"])
         else:
             result = evolve.converge_to_fixed_point(
                 model, state, tol=float(evo["tol"]),
-                horizon=float(evo["horizon"]), method=args.method)
+                horizon=float(evo["horizon"]))
     except ValueError as err:
         raise ConfigError(f"evolution: {err}") from err
     _note_ignored(run["model"],
@@ -416,7 +412,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     return 0 if (kind != "converge" or result.converged) else 2
 
 
-def cmd_gap_scan(cfg: dict, out: Path, args) -> int:
+def cmd_gap_scan(cfg: dict, out: Path) -> int:
     run = _read(cfg, {
         "models": _list(_table({
             "id": _one_of("fuks", "dephasing", "ml"), "params": _given({}),
@@ -510,7 +506,7 @@ def _verify_all_rings(n: int) -> tuple[int, int]:
     return correct, worst
 
 
-def cmd_mv_verify(cfg: dict, out: Path, args) -> int:
+def cmd_mv_verify(cfg: dict, out: Path) -> int:
     run = _read(cfg, {"seed": _SEED, "n_values": _list(_count(
         lo=_MV_MIN_N, hi=_VERIFY_MAX_N, multiple=3,
         why=f"needs a multiple of 3 from {_MV_MIN_N} on (pad the input "
@@ -566,7 +562,7 @@ def _note_sampled(n: int, phase: str, n_traj: int, cap: int) -> None:
           file=sys.stderr)
 
 
-def cmd_mv_run(cfg: dict, out: Path, args) -> int:
+def cmd_mv_run(cfg: dict, out: Path) -> int:
     form = "scan" if "scan" in cfg else _form(cfg, "track", _TRACK)
     run = _read(cfg, _MV_RUN[form], "config")
     if form == "scan":
@@ -643,7 +639,7 @@ def cmd_mv_run(cfg: dict, out: Path, args) -> int:
     return 0 if dens[-1] > 0.99 or phase == "spread" else 2
 
 
-def cmd_classify(cfg: dict, out: Path, args) -> int:
+def cmd_classify(cfg: dict, out: Path) -> int:
     run = _read(cfg, {"bits": _bitstring(), "seed": _SEED,
                       "pad": _one_of(True, False, default=True)}, "config")
     bits = run["bits"]
@@ -671,7 +667,7 @@ def _training_set(value, where: str) -> mlopt.TrainingSet:
         for pair in pairs[0](value, where)))
 
 
-def cmd_ml_cost(cfg: dict, out: Path, args) -> int:
+def cmd_ml_cost(cfg: dict, out: Path) -> int:
     run = _read(cfg, {"weights": (_ml_weights, _NEEDED), "seed": _SEED,
                       "training_set": (_training_set, None)}, "config")
     scores = mlopt.per_state_scores(run["weights"], run["training_set"])
@@ -685,7 +681,7 @@ def cmd_ml_cost(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
+def cmd_ml_opt(cfg: dict, out: Path) -> int:
     run = _read(cfg, {"restarts": _count(8), "seed": _SEED,
                       "start": _one_of("published", default=None),
                       "training_set": (_training_set, None)}, "config")
@@ -705,7 +701,7 @@ def cmd_ml_opt(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
+def cmd_fates_demo(cfg: dict, out: Path) -> int:
     run = _read(cfg, {"bits": _ring(), "p": _real(0.5), "seed": _SEED,
                       "steps": _count(1000, lo=0, why="must be non-negative"),
                       "n_seeds": _count(20, lo=1, why="must be at least 1")},
@@ -734,7 +730,7 @@ def cmd_fates_demo(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def cmd_selftest(cfg: dict, out: Path, args) -> int:
+def cmd_selftest(cfg: dict, out: Path) -> int:
     """Fast invariant sweep; prints one line per check."""
     rng = np.random.default_rng(_read(cfg, {"seed": _SEED}, "config")["seed"])
     checks = []
@@ -860,8 +856,31 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 1), not argparse's exit 2,
+    which this CLI gives to non-convergence."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _load_config(path: Path | None) -> dict:
+    """The parsed ``--config`` file, or ``{}`` without one; a file that
+    cannot be read, or that is not UTF-8 JSON, is a ConfigError."""
+    if path is None:
+        return {}
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as err:
+        raise ConfigError(f"config file not found: {path}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config is not valid JSON: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcadc",
         description="Non-unitary quantum cellular automata on rings: "
                     "density classification and majority voting.")
@@ -871,29 +890,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--method", default="auto",
-                        choices=["auto", "dense", "krylov", "diagonal"])
-    args = parser.parse_args(argv)
-
-    cfg = {}
-    if args.config is not None:
-        try:
-            cfg = json.loads(args.config.read_text())
-        except FileNotFoundError:
-            print(f"error: config file not found: {args.config}",
-                  file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as err:
-            print(f"error: config is not valid JSON: {err}", file=sys.stderr)
-            return 1
     try:
+        args = parser.parse_args(argv)
+        cfg = _load_config(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {cfg!r}")
         if args.seed is not None:
             cfg.setdefault("seed", args.seed)
-        if args.command != "evolve":
-            _no_method(args, args.command)
-        return COMMANDS[args.command](cfg, args.out, args)
+        return COMMANDS[args.command](cfg, args.out)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

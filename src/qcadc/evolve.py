@@ -27,7 +27,7 @@ state can reach (:func:`superop.reachable_generator`): the closure of its
 support under the stored entries of the local terms, with the generator's
 columns built on that set alone, never the 4^N matrix.  The generator
 never leaves the set, so amplitudes outside it are zero at t = 0 and stay
-exactly zero.  Methods:
+exactly zero.  ``auto`` picks the method from the block:
 
 * ``diagonal``  -- the block is a classical rate matrix: every reached
                    index is diagonal (ket digit equal to bra digit at every
@@ -37,17 +37,17 @@ exactly zero.  Methods:
                    fixed-point search streams its horizon in passes of at
                    most ``_MAX_JUMPS`` expected jumps, each from the last
                    state of the one before.
-* ``dense``     -- one dense exponential of the block per run, for a
-                   block of at most ``DENSE_EXPM_CAP`` = 4096 indices.
-* ``krylov``    -- Arnoldi approximation of exp(L dt) v per sample, with
-                   adaptive substepping.
-* ``auto``      -- diagonal when the block is a rate matrix, else dense up
-                   to 4^N = 4096 and krylov above.
+* ``dense``     -- otherwise, up to 4^N = ``DENSE_EXPM_CAP`` = 4096: one
+                   dense exponential of the block per run.
+* ``krylov``    -- otherwise, above that: Arnoldi approximation of
+                   exp(L dt) v per sample, with adaptive substepping.
 
 Off the diagonal path ``auto`` decides on 4^N, not on the set's size, so a
 config's method label does not depend on how far its initial state
 reaches; on a small set both methods are cheap (the N = 7 dephasing run
-from two adjacent particles reaches 441 indices).
+from two adjacent particles reaches 441 indices).  A caller may force
+``dense`` (on a block of at most ``DENSE_EXPM_CAP`` indices) or ``krylov``,
+the two reference kernels that tests compare against.
 
 The majority-voting runs read per-site occupation curves from one stream,
 :func:`_occupancy`: exact on the ascending reachable set of
@@ -481,19 +481,15 @@ def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
     The generator and the propagator are built once, on ``codes``; see the
     module docstring.  ``passes`` streams a diagonal flow in passes of at
     most ``_MAX_JUMPS`` expected jumps (:func:`_uniformized_flow`)."""
+    if method not in ("auto", "dense", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
     n = state.n_sites
     codes, sub = reachable_generator(spec, state.support(), _MAX_REACHED)
-    rate_matrix = _is_rate_matrix(codes, sub, n)
     if method == "auto":
-        method = ("diagonal" if rate_matrix else
+        method = ("diagonal" if _is_rate_matrix(codes, sub, n) else
                   "dense" if 4 ** n <= DENSE_EXPM_CAP else "krylov")
     w = state.amplitudes_on(codes)
     if method == "diagonal":
-        if not rate_matrix:
-            raise NotBasisPreservingError(
-                "the diagonal path needs a basis-preserving flow, but the "
-                "state or the generator puts off-diagonal weight on the "
-                "indices the state reaches")
         flow = _uniformized_flow(sub.real, w.real, dt, count, passes)
     elif method == "dense":
         if len(codes) > DENSE_EXPM_CAP:
@@ -502,10 +498,8 @@ def _propagate(spec: LindbladSpec, state: VecState, dt: float, count: int,
                              f"the state reaches {len(codes):,}")
         prop = expm(sub.toarray() * dt)
         flow = _iterate(lambda v: prop @ v, w)
-    elif method == "krylov":
-        flow = _iterate(lambda v: krylov_expmv(sub, v, dt), w)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        flow = _iterate(lambda v: krylov_expmv(sub, v, dt), w)
     return method, dt * np.arange(1, count + 1), codes, flow
 
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .evolve import DiagonalDynamics, _code_of
+from .evolve import DiagonalDynamics, _code_of, _uniformized_blocks
 from .models import MLWeights, ml_lindblad
 
 __all__ = [
@@ -75,8 +76,8 @@ def default_training_set() -> TrainingSet:
 
 _XATOL = 1e-4                 # simplex tolerance, in weight and in cost
 _MAXITER = 2000               # simplex iterations per start
-_WORST_DT = 0.5               # time step of the worst-case march
-_WORST_T_MAX = 800.0          # the march gives up here
+_WORST_DT = 0.5               # time step of the worst-case grid
+_WORST_T_MAX = 800.0          # the grid ends here
 _WORST_THRESHOLD = 0.99       # all-ones weight at which an input is done
 
 
@@ -167,29 +168,32 @@ def ml_worst_case_time(weights: MLWeights, n_sites: int
                        ) -> tuple[float, tuple[int, ...]]:
     """Slowest majority-sector input to reach the all-ones target.
 
-    An input is done when its all-ones weight exceeds 0.99.  Marches the
-    full classical propagator so every input is timed in one pass.
+    An input is done at the first time of the grid 0.5, 1, ..., 800 at
+    which its all-ones weight, (exp(Q^T t) e_all-ones)[s] from input s,
+    exceeds 0.99 (RuntimeError if one is not): one backward pass of
+    :func:`evolve._uniformized_blocks` with Q^T times every input at once.
     """
-    prop = expm(ml_rate_matrix(weights, n_sites) * _WORST_DT)
     dim = 2 ** n_sites
-    pop = np.array([bin(s).count("1") for s in range(dim)])
-    M = np.eye(dim)
-    todo = {s for s in range(dim) if pop[s] > n_sites / 2}
-    taus: dict[int, float] = {}
-    t = 0.0
-    while todo and t < _WORST_T_MAX:
-        M = prop @ M
-        t += _WORST_DT
-        hit = {s for s in todo if M[dim - 1, s] > _WORST_THRESHOLD}
-        for s in hit:
-            taus[s] = t
-        todo -= hit
-    if todo:
-        raise RuntimeError(
-            f"{len(todo)} majority inputs unconverged by t={_WORST_T_MAX}")
-    worst = max(taus, key=taus.get)
+    majority = np.flatnonzero([bin(s).count("1") > n_sites / 2
+                               for s in range(dim)])
+    Q = DiagonalDynamics(ml_lindblad(weights, n_sites)).rate_matrix()
+    p0 = np.zeros(dim)
+    p0[-1] = 1.0
+    grid = _WORST_DT * np.arange(1, int(_WORST_T_MAX / _WORST_DT) + 1)
+    taus = np.full(len(majority), np.nan)
+    for idx, rows in _uniformized_blocks(
+            Q.T.tocsr(), p0, sp.identity(dim, format="csc")[:, majority],
+            grid):
+        for i, row in zip(idx, rows):
+            taus[np.isnan(taus) & (row > _WORST_THRESHOLD)] = grid[i]
+        if not np.isnan(taus).any():
+            break
+    else:
+        raise RuntimeError(f"{int(np.isnan(taus).sum())} majority inputs "
+                           f"unconverged by t={_WORST_T_MAX}")
+    worst = int(majority[np.argmax(taus)])
     bits = tuple((worst >> (n_sites - 1 - i)) & 1 for i in range(n_sites))
-    return taus[worst], bits
+    return float(taus.max()), bits
 
 
 def _nelder_mead(f, x0: np.ndarray, tol: float, maxiter: int

@@ -540,19 +540,11 @@ def _local_terms(spec: LindbladSpec) -> dict[tuple[int, ...], np.ndarray]:
 
 
 def assemble_lindbladian(spec: LindbladSpec) -> SuperOp:
-    """Sparse vectorized generator for a :class:`LindbladSpec`.
-
-    Terms sharing a support are combined locally before embedding
-    (:func:`_local_terms`), and the supports are added in sorted order,
-    which keeps assembly deterministic and the scatter count low.
-    """
+    """Sparse vectorized generator for a :class:`LindbladSpec` on the 4^N
+    doubled space: :func:`reachable_generator` from every index."""
     n = spec.n_sites
-    by_support = _local_terms(spec)
-    mat = sp.csr_matrix((4 ** n, 4 ** n), dtype=complex)
-    for sites in sorted(by_support):
-        mat = mat + embed_local(by_support[sites], sites, n)
-    mat.sort_indices()
-    return SuperOp(n, mat, "generator")
+    return SuperOp(n, reachable_generator(spec, np.arange(4 ** n))[1],
+                   "generator")
 
 
 def _closed_blocks(terms: Sequence[tuple[np.ndarray, Sequence[int]]],
@@ -600,10 +592,11 @@ def reachable_generator(spec: LindbladSpec, support: np.ndarray,
 
     ``codes`` is the closure of ``support`` under every support's local
     term (:func:`_closed_blocks`, which refuses more than ``cap`` codes),
-    so exp(L t) keeps a vector on ``codes``.  ``sub`` equals
-    ``assemble_lindbladian(spec).matrix[codes][:, codes]`` bit for bit:
-    each support's term is restricted to ``codes`` and the terms are added
-    in the same sorted order.
+    so exp(L t) keeps a vector on ``codes``.  Terms sharing a support are
+    combined locally before embedding (:func:`_local_terms`), and the
+    supports are added in sorted order, so ``sub`` equals the generator
+    from every index (:func:`assemble_lindbladian`) restricted to
+    ``codes``, bit for bit.
     """
     n = spec.n_sites
     by_support = _local_terms(spec)

@@ -241,45 +241,32 @@ def test_evolve_converge_exit_codes(tmp_path):
     assert json.loads((out / "summary.json").read_text())["converged"]
 
 
-@pytest.mark.parametrize("model, initial, evolution, method, message", [
+@pytest.mark.parametrize("model, initial, evolution, message", [
     ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous", "t": -1.0},
-     "auto", "finite and non-negative"),
-    ({"id": "fuks"}, {"bits": "001"},
-     {"kind": "continuous", "t": float("inf")}, "auto",
      "finite and non-negative"),
     ({"id": "fuks"}, {"bits": "001"},
-     {"kind": "continuous", "t": float("nan")}, "auto",
-     "finite and non-negative"),
-    ({"id": "dephasing", "params": {"omega": 1.0}}, {"bits": "001"},
-     {"kind": "continuous", "t": 1.0}, "diagonal", "basis-preserving"),
-    ({"id": "fuks"}, {"named": "ghz"}, {"kind": "converge"}, "diagonal",
-     "off-diagonal weight"),
-    # at t = 0 the method is checked all the same
-    ({"id": "dephasing", "params": {"omega": 1.0}}, {"bits": "001"},
-     {"kind": "continuous", "t": 0}, "diagonal", "basis-preserving"),
-    ({"id": "fuks"}, {"named": "ghz"}, {"kind": "continuous", "t": 0},
-     "diagonal", "off-diagonal weight"),
+     {"kind": "continuous", "t": float("inf")}, "finite and non-negative"),
+    ({"id": "fuks"}, {"bits": "001"},
+     {"kind": "continuous", "t": float("nan")}, "finite and non-negative"),
     ({"id": "fuks"}, {"bits": "0a1"}, {"kind": "continuous", "t": 1.0},
-     "auto", "initial.bits"),
-    ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous"}, "auto",
+     "initial.bits"),
+    ({"id": "fuks"}, {"bits": "001"}, {"kind": "continuous"},
      "missing key evolution.t"),
     ({"id": "mv-spread"}, {"bits": "011"}, {"kind": "discrete", "steps": -1},
-     "auto", "max_steps must be non-negative"),
+     "max_steps must be non-negative"),
     # a run that converges, so that an unchecked horizon returns
     ({"id": "fuks", "params": {"p": 0.3}}, {"bits": "001"},
-     {"kind": "converge", "horizon": float("inf")}, "auto",
+     {"kind": "converge", "horizon": float("inf")},
      "horizon must be finite and non-negative"),
     ({"id": "fuks"}, {"bits": "001"}, {"kind": "converge", "horizon": -5},
-     "auto", "horizon must be finite and non-negative"),
-], ids=["negative-t", "infinite-t", "nan-t", "diagonal-not-basis-preserving",
-        "diagonal-coherent-state", "diagonal-t0-not-basis-preserving",
-        "diagonal-t0-coherent-state", "bad-bits", "missing-t", "negative-steps",
-        "infinite-horizon", "negative-horizon"])
+     "horizon must be finite and non-negative"),
+], ids=["negative-t", "infinite-t", "nan-t", "bad-bits", "missing-t",
+        "negative-steps", "infinite-horizon", "negative-horizon"])
 def test_evolve_rejects_bad_run(tmp_path, capsys, model, initial, evolution,
-                                method, message):
+                                message):
     cfg = {"model": model, "n_sites": 3, "initial": initial,
            "evolution": evolution}
-    code, out = run(tmp_path, "evolve", cfg, extra=["--method", method])
+    code, out = run(tmp_path, "evolve", cfg)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -290,39 +277,45 @@ def test_evolve_dense_refuses_a_block_past_the_expm_cap(tmp_path):
     # dephasing with hopping from four adjacent ones on nine sites reaches
     # 15,876 doubled indices, 3.76 GiB as one dense matrix.  The run is
     # refused before any dense allocation; the child's address space is
-    # capped at 2 GiB, so a run that allocated would fail (exit 3), not
-    # take the machine's memory
+    # capped at 2 GiB, so a run that allocated would fail, not take the
+    # machine's memory
     import resource
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "model": {"id": "dephasing", "params": {"omega": 1.0}},
-        "n_sites": 9, "initial": {"bits": "111100000"},
-        "evolution": {"kind": "continuous", "t": 1.0}, "samples": 2}))
+    probe = (
+        "from qcadc import cli, evolve\n"
+        "spec = cli.build_spec({'id': 'dephasing', 'params': {'omega': 1.0}},"
+        " 9)\n"
+        "state = cli.build_initial({'bits': '111100000'}, 9)\n"
+        "try:\n"
+        "    evolve.continuous_evolve(spec, state, 1.0, method='dense',"
+        " samples=2)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run(
-        [sys.executable, "-m", "qcadc", "evolve", "--config", str(cfg),
-         "--out", str(tmp_path / "out"), "--method", "dense"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (2 << 30, 2 << 30)))
-    assert done.returncode == 1, done.stderr
-    assert done.stderr == (
-        "error: evolution: the dense method takes at most 4,096 reached "
-        "doubled indices; the state reaches 15,876\n")
-    assert not (tmp_path / "out").exists()
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "the dense method takes at most 4,096 reached doubled indices; the "
+        "state reaches 15,876\n")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method", ["dense", "diagonal"])
+@pytest.mark.parametrize("model", [
+    # the Hamiltonian term keeps the run off the diagonal path
+    {"id": "dephasing", "params": {"omega": 1e308, "gamma": 1e308}},
+    {"id": "fuks", "params": {"gamma": 1e308}},
+], ids=["dense", "diagonal"])
 def test_evolve_non_finite_rates_exit_3_without_output(tmp_path, capsys,
-                                                       method):
-    cfg = {"model": {"id": "fuks", "params": {"gamma": 1e308}},
-           "n_sites": 3, "initial": {"bits": "001"},
+                                                       model):
+    cfg = {"model": model, "n_sites": 3, "initial": {"bits": "001"},
            "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
-    code, out = run(tmp_path, "evolve", cfg, extra=["--method", method])
+    code, out = run(tmp_path, "evolve", cfg)
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
@@ -594,7 +587,7 @@ def test_evolve_refuses_uniformization_too_long_to_stream(tmp_path, capsys):
     cfg = {"model": {"id": "fuks", "params": {"gamma": 1e300}},
            "n_sites": 3, "initial": {"bits": "001"},
            "evolution": {"kind": "continuous", "t": 1.0}, "samples": 4}
-    code, out = run(tmp_path, "evolve", cfg, extra=["--method", "diagonal"])
+    code, out = run(tmp_path, "evolve", cfg)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: evolution: exit rate 2e+300 x time 1 = ")
@@ -722,6 +715,47 @@ def test_missing_config_file(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "config file not found: {path}"),
+    (b"{", "config is not valid JSON: Expecting property name enclosed in "
+           "double quotes: line 1 column 2 (char 1)"),
+    ("directory", "cannot read config {path}: [Errno 21] Is a directory: "
+                  "'{path}'"),
+    (b"\xff{}", "cannot read config {path}: 'utf-8' codec can't decode "
+                "byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "not-json", "directory", "not-utf8"])
+def test_unreadable_config_is_one_error_line(tmp_path, capsys, content,
+                                             message):
+    path = tmp_path / "cfg.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code = main(["evolve", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    code, _ = run(tmp_path, "classify", {"bits": "110100"})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'summary.json'}: [Errno 17] File "
+        f"exists: '{out}'\n")
+    assert out.read_text() == "a file, not a directory\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qcadc ")
 
 
 @pytest.mark.parametrize("command, cfg, where", [
@@ -972,9 +1006,10 @@ _FUKS_FIT = {"id": "fuks", "n_values": [3, 4, 5]}
     ("evolve", {**_MV_SPREAD, "model": {"id": "fuks"}, "samples": 0,
                 "evolution": {"kind": "continuous", "t": 1.0}}, (),
      "samples"),
-    ("evolve", _MV_SPREAD, ("--method", "krylov"), "--method"),
-    ("gap-scan", {"models": [{"id": "fuks", "n_values": [3]}]},
-     ("--method", "krylov"), "--method"),
+    ("evolve", {**_MV_SPREAD, "model": {"id": "fuks"},
+                "evolution": {"kind": "continuous", "t": 1.0}},
+     ("--method", "auto"), "--method"),
+    ("bogus", None, (), "invalid choice: 'bogus'"),
     ("mv-verify", {"n_values": "69"}, (), "n_values"),
     ("fates-demo", {"bits": 5}, (), "bits"),
     ("fates-demo", {"bits": "1101100", "n_seeds": 0}, (), "n_seeds"),
@@ -992,7 +1027,7 @@ _FUKS_FIT = {"id": "fuks", "n_values": [3, 4, 5]}
 ], ids=["mv-scan-single-run-keys", "mv-single-sublayers", "mv-scan-sublayers",
         "mv-discrete-t", "mv-discrete-n_traj", "mv-discrete-phase",
         "discrete-evolve-t", "discrete-evolve-tol", "discrete-evolve-samples",
-        "evolve-no-samples", "discrete-evolve-method", "gap-scan-method",
+        "evolve-no-samples", "evolve-method", "unknown-command",
         "mv-verify-string", "fates-demo-int-bits", "fates-demo-no-seeds",
         "fates-demo-negative-steps", "ml-opt-no-restarts",
         "gap-scan-fit-exclude-int", "gap-scan-fit-exclude-string",
@@ -1000,8 +1035,8 @@ _FUKS_FIT = {"id": "fuks", "n_values": [3, 4, 5]}
 def test_each_run_form_refuses_what_it_does_not_read(tmp_path, capsys, command,
                                                      cfg, extra, key):
     # one table per run form: a key the form does not read, a value outside
-    # its reader's bounds, or a --method the run does not read ends in one
-    # error line that names it, before any output
+    # its reader's bounds, or a command or flag the CLI does not know ends
+    # in one error line that names it, before any output
     code, out = run(tmp_path, command, cfg, extra)
     assert code == 1
     err = capsys.readouterr().err

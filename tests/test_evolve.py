@@ -178,8 +178,9 @@ def test_every_kind_of_run_rejects_a_non_finite_state():
         continuous_evolve(huge, state, 1.0, method="dense", samples=2)
     with pytest.raises(FloatingPointError, match="non-finite"):
         converge_to_fixed_point(huge, state, horizon=5, method="dense")
+    # auto takes the diagonal path from a basis state
     with pytest.raises(FloatingPointError, match="not finite"):
-        continuous_evolve(huge, state, 1.0, method="diagonal", samples=2)
+        continuous_evolve(huge, state, 1.0, samples=2)
 
 
 def test_mv_schedule_run_spreads_cluster():
@@ -325,8 +326,8 @@ def test_diagonal_and_dense_paths_agree():
                      mv_lindblads(n)[1]):
             state = vectorize(basis_density([0] * (n - 2) + [1, 1]))
             a = continuous_evolve(spec, state, 5.0, method="dense", samples=4)
-            b = continuous_evolve(spec, state, 5.0, method="diagonal",
-                                  samples=4)
+            b = continuous_evolve(spec, state, 5.0, samples=4)
+            assert b.method_used == "diagonal"
             assert np.abs(a.final_state.amplitudes
                           - b.final_state.amplitudes).max() < 1e-10
 
@@ -1078,7 +1079,7 @@ def test_diagonal_flow_matches_expm_multiply_n11():
     spec = fuks_lindblad(FuksParams(0.3), n)
     bits = [0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1]
     out = continuous_evolve(spec, vectorize(basis_density(bits)), t,
-                            method="diagonal", samples=samples)
+                            samples=samples)
     assert out.method_used == "diagonal"
     p0 = np.zeros(2 ** n)
     p0[int("".join(map(str, bits)), 2)] = 1.0
@@ -1102,8 +1103,6 @@ def test_continuous_t_zero_identity(rng):
     # an explicit method is checked at t = 0 as at any other t
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         continuous_evolve(spec, state, 0.0, method="bogus")
-    with pytest.raises(NotBasisPreservingError, match="off-diagonal weight"):
-        continuous_evolve(spec, state, 0.0, method="diagonal")
 
 
 def test_fuks_continuous_steady_state_from_001():
@@ -1546,9 +1545,8 @@ def test_converge_rejects_bad_horizon(horizon):
 def test_converge_diagonal_markov_preserves_sz():
     spec = fuks_lindblad(FuksParams(0.3), 4)
     state = vectorize(basis_density([0, 1, 1, 0]))
-    out = converge_to_fixed_point(spec, state, tol=1e-9,
-                                  horizon=50 * 16, method="diagonal")
-    assert out.converged
+    out = converge_to_fixed_point(spec, state, tol=1e-9, horizon=50 * 16)
+    assert out.converged and out.method_used == "diagonal"
     sz = out.trajectory[:, 2]
     assert np.abs(sz - sz[0]).max() < 1e-8
 
@@ -1638,7 +1636,7 @@ BLOCK_RUNS = {
         lambda n: fuks_lindblad(FuksParams(0.3), n),
         lambda spec, s, method=method: continuous_evolve(
             spec, s, 2.0, method=method, samples=3))
-       for method in ("diagonal", "dense", "krylov")},
+       for method in ("auto", "dense", "krylov")},
     "continuous dephasing dense": (
         lambda n: dephasing_lindblad(DephasingParams(1.0), min(n, 5)),
         lambda spec, s: continuous_evolve(spec, s, 1.0, method="dense",
@@ -1676,14 +1674,10 @@ def test_block_state_runs_match_4n_state_runs_bit_for_bit(kind, size, start,
     block = build_initial({"bits": bits} if start == "bits"
                           else {"named": start}, n)
     assert len(block.codes) == (1 if start == "bits" else 4)
-    if kind == "continuous diagonal" and start == "ghz":
-        # the coherences are off the diagonal path for either form
-        for state in (block, block.full()):
-            with pytest.raises(NotBasisPreservingError):
-                run_it(model, state)
-        return
     got, want = run_it(model, block), run_it(model, block.full())
     assert got.method_used == want.method_used
+    if kind == "continuous auto" and start == "bits":
+        assert got.method_used == "diagonal"
     assert (got.time_reached, got.converged) == (want.time_reached,
                                                  want.converged)
     assert got.trajectory.shape == want.trajectory.shape

@@ -178,6 +178,34 @@ def test_worst_case_time_slope_and_reported_value():
     assert abs(2 * slope - 34.992) / 34.992 < 0.10
 
 
+def test_worst_case_time_equals_a_dense_march():
+    # the march the backward pass replaced: the full propagator over one
+    # 0.5 step, applied to every input at once until each is done
+    from qcadc.mlopt import ml_worst_case_time
+    w = published_ml_weights()
+    for n in (5, 7):
+        prop = expm(ml_rate_matrix(w, n) * 0.5)
+        inputs = [s for s in range(2 ** n) if bin(s).count("1") > n / 2]
+        M, taus, t = np.eye(2 ** n), {}, 0.0
+        while len(taus) < len(inputs):
+            M, t = prop @ M, t + 0.5
+            for s in inputs:
+                if s not in taus and M[-1, s] > 0.99:
+                    taus[s] = t
+        tau, bits = ml_worst_case_time(w, n)
+        assert tau == max(taus.values())
+        assert all(type(b) is int for b in bits)
+        # the worst input up to rotation: ties between rotations are not
+        # broken the same way
+        rotations = {bits[k:] + bits[:k] for k in range(n)}
+        worst = {tuple((s >> (n - 1 - i)) & 1 for i in range(n))
+                 for s in inputs if taus[s] == tau}
+        assert worst & rotations
+    # with every jump off, only the all-ones input is ever done
+    with pytest.raises(RuntimeError, match="^15 majority inputs unconverged"):
+        ml_worst_case_time(ZERO_W, 5)
+
+
 def nelder_mead_steps_taken(f, x0):
     """Which commented steps of ``_nelder_mead`` ran on f from x0."""
     lines, first = inspect.getsourcelines(_nelder_mead)
